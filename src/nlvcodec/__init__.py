@@ -11,14 +11,14 @@ from .bitio import (BitStream, pack_trits, read_degree, subset_rank,
 from .colored import (ColoredEncoding, classify_index, colored_size_bits,
                       colored_size_bound, count_good_bad, decode_colored,
                       encode_colored)
-from .container import deserialize, serialize
+from .container import decode, deserialize, encode, serialize
 from .errors import (CorruptionError, EmptyArrayError, NlvError, ParseError,
                      PreconditionError, RangeError)
-from .general import (GeneralEncoding, GeneralQueryStructure, decode_general,
-                      encode_general, check_subset_coding_inequality)
+from .general import (GeneralEncoding, decode_general, encode_general,
+                      check_subset_coding_inequality)
 from .joint import JointEncoding, decode_joint, encode_joint
-from .queries import (TREE_QUERIES, nlv_from_tree, nsv_from_tree,
-                      plv_from_tree, psv_from_tree)
+from .queries import (TREE_QUERIES, QueryStructure, nlv_from_tree,
+                      nsv_from_tree, plv_from_tree, psv_from_tree)
 from .trees import (ColoredTree, OrdinalTree, build_max_heap, build_min_heap,
                     check_leaf_internal_duality, check_red_leaf_rule, colorize, tree_to_text)
 

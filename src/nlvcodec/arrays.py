@@ -4,6 +4,8 @@ Indices are 1-based at the API boundary.  Index 0 and index n+1 act as
 virtual sentinels for the previous-* and next-* queries respectively.
 """
 
+import operator
+
 from .errors import EmptyArrayError, ParseError, RangeError
 
 INT64_MIN = -(1 << 63)
@@ -18,7 +20,10 @@ class ValueArray:
     __slots__ = ("values", "n")
 
     def __init__(self, values):
-        vals = tuple(int(v) for v in values)
+        try:
+            vals = tuple(map(operator.index, values))
+        except TypeError as exc:
+            raise ValueError("array values must be integers: %s" % exc) from None
         if not vals:
             raise EmptyArrayError("array must contain at least one element")
         for v in vals:

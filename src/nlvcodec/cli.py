@@ -9,15 +9,12 @@ import argparse
 import sys
 
 from .arrays import parse_array_text
-from .colored import colored_size_bound, decode_colored, encode_colored
-from .container import (SCHEME_COLORED, SCHEME_GENERAL, SCHEME_JOINT,
-                        SCHEME_IDS, deserialize, serialize)
+from .colored import colored_size_bound
+from .container import decode, deserialize, encode, serialize
 from .errors import CorruptionError, ParseError, PreconditionError, RangeError
 from .fuzz import run_fuzz
-from .general import LOG2_13, decode_general, encode_general
-from .joint import decode_joint, encode_joint
-from .queries import TREE_QUERIES
-from .trees import build_max_heap, build_min_heap, colorize, tree_to_text
+from .general import LOG2_13
+from .trees import tree_to_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,42 +70,27 @@ def _read_array(path):
         return parse_array_text(fh.read())
 
 
-def _bound_text(scheme, n):
-    if scheme == SCHEME_JOINT:
+def _bound_text(enc):
+    n = enc.n
+    if enc.scheme == "joint":
         return 3 * n - 1, "3n-1"
-    if scheme == SCHEME_COLORED:
+    if enc.scheme == "colored":
         return colored_size_bound(n), "(2+log2 3)n"
     return LOG2_13 * n, "log2(13) n"
 
 
-def _stats_line(scheme, n, bits):
-    bound, label = _bound_text(scheme, n)
+def _stats_line(enc):
+    bound, label = _bound_text(enc)
+    bits = enc.payload_bits()
     return ("n=%d scheme=%s payload=%d bits bits/n=%.4f bound=%.2f (%s)"
-            % (n, SCHEME_IDS[scheme], bits, bits / n, bound, label))
+            % (enc.n, enc.scheme, bits, bits / enc.n, bound, label))
 
 
 def cmd_encode(args):
-    a = _read_array(args.infile)
-    if args.scheme == "general":
-        enc = encode_general(a)
-        scheme = SCHEME_GENERAL
-    else:
-        bad = a.has_consecutive_equal()
-        if bad is not None:
-            print("error: scheme %s requires no consecutive equal elements; "
-                  "A[%d] == A[%d]" % (args.scheme, bad, bad + 1), file=sys.stderr)
-            return EXIT_PRECONDITION
-        min_t = build_min_heap(a)
-        max_t = build_max_heap(a)
-        if args.scheme == "joint":
-            enc = encode_joint(min_t, max_t)
-            scheme = SCHEME_JOINT
-        else:
-            enc = encode_colored(colorize(min_t, a), colorize(max_t, a))
-            scheme = SCHEME_COLORED
+    enc = encode(_read_array(args.infile), args.scheme)
     with open(args.outfile, "wb") as fh:
         fh.write(serialize(enc))
-    print(_stats_line(scheme, a.n, enc.payload_bits()))
+    print(_stats_line(enc))
     return EXIT_OK
 
 
@@ -119,60 +101,24 @@ def _load_container(path):
 
 def cmd_decode(args):
     enc = _load_container(args.infile)
-    scheme = {"JointEncoding": SCHEME_JOINT, "ColoredEncoding": SCHEME_COLORED,
-              "GeneralEncoding": SCHEME_GENERAL}[type(enc).__name__]
     print("scheme=%s n=%d payload=%d bits"
-          % (SCHEME_IDS[scheme], enc.n, enc.payload_bits()))
-    if scheme == SCHEME_JOINT:
-        min_t, max_t = decode_joint(enc)
-        if args.dump_trees:
-            print("min: %s" % tree_to_text(min_t))
-            print("max: %s" % tree_to_text(max_t))
-    elif scheme == SCHEME_COLORED:
-        cmin, cmax = decode_colored(enc)
-        if args.dump_trees:
-            print("min: %s" % tree_to_text(cmin.tree, cmin.is_red))
-            print("max: %s" % tree_to_text(cmax.tree, cmax.is_red))
-    else:
-        qs = decode_general(enc)
-        if args.dump_trees:
+          % (enc.scheme, enc.n, enc.payload_bits()))
+    qs = decode(enc)
+    if args.dump_trees:
+        if qs.runs is not None:
             print("c: %s" % "".join(map(str, qs.runs.c_bits)))
-            print("min: %s" % tree_to_text(qs.cmin.tree, qs.cmin.is_red))
-            print("max: %s" % tree_to_text(qs.cmax.tree, qs.cmax.is_red))
+        print("min: %s" % tree_to_text(qs.cmin.tree, qs.cmin.is_red))
+        print("max: %s" % tree_to_text(qs.cmax.tree, qs.cmax.is_red))
     return EXIT_OK
 
 
 def cmd_query(args):
-    enc = _load_container(args.infile)
-    kind, i = args.kind, args.index
-    name = type(enc).__name__
-    if name == "JointEncoding":
-        if kind not in ("psv", "plv"):
-            print("error: scheme 1 answers psv/plv only", file=sys.stderr)
-            return EXIT_USAGE
-        min_t, max_t = decode_joint(enc)
-        tree = min_t if kind == "psv" else max_t
-        if not 1 <= i <= enc.n:
-            print("error: index %d out of range 1..%d" % (i, enc.n),
-                  file=sys.stderr)
-            return EXIT_USAGE
-        print(tree.parent[i])
-        return EXIT_OK
-    if name == "ColoredEncoding":
-        cmin, cmax = decode_colored(enc)
-        tree = cmin if kind in ("psv", "nsv") else cmax
-        print(TREE_QUERIES[kind](tree, i))
-        return EXIT_OK
-    qs = decode_general(enc)
-    print(qs.query(kind, i))
+    print(decode(_load_container(args.infile)).query(args.kind, args.index))
     return EXIT_OK
 
 
 def cmd_stats(args):
-    enc = _load_container(args.infile)
-    scheme = {"JointEncoding": SCHEME_JOINT, "ColoredEncoding": SCHEME_COLORED,
-              "GeneralEncoding": SCHEME_GENERAL}[type(enc).__name__]
-    print(_stats_line(scheme, enc.n, enc.payload_bits()))
+    print(_stats_line(_load_container(args.infile)))
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ TRIT_NO_SIBLINGS = 2
 class ColoredEncoding:
     """Degree streams plus the per-class side strings."""
 
+    scheme = "colored"
     __slots__ = ("n", "t_min", "t_max", "u_gb", "v_bad", "v_neutral", "g")
 
     def __init__(self, n, t_min, t_max, u_gb, v_bad, v_neutral):

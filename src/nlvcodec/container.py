@@ -1,15 +1,19 @@
-"""Flat-file container for the three encodings.
+"""Flat-file container for the three encodings, and the one place that
+knows which scheme an encoding uses.
 
 Layout: magic "NLVE", version byte, scheme byte, varint header fields,
 then the payload bit segments concatenated MSB-first with the final byte
-zero-padded.  Varints are LEB128 (base-128 groups, little-endian).
+zero-padded.  Varints are canonical LEB128 (base-128 groups,
+little-endian, no redundant trailing zero group) of at most 64 bits.
 """
 
 from .bitio import BitStream, subset_rank_width, trit_pack_bits, pack_trits, unpack_trits
-from .colored import ColoredEncoding
-from .errors import CorruptionError
-from .general import GeneralEncoding
-from .joint import JointEncoding
+from .colored import ColoredEncoding, decode_colored, encode_colored
+from .errors import CorruptionError, PreconditionError
+from .general import GeneralEncoding, decode_general, encode_general
+from .joint import JointEncoding, decode_joint, encode_joint
+from .queries import QueryStructure
+from .trees import ColoredTree, build_max_heap, build_min_heap, colorize
 
 MAGIC = b"NLVE"
 VERSION = 1
@@ -23,9 +27,41 @@ SCHEME_NAMES = {"joint": SCHEME_JOINT, "colored": SCHEME_COLORED,
 SCHEME_IDS = {v: k for k, v in SCHEME_NAMES.items()}
 
 
+def encode(a, scheme):
+    """Encode a ValueArray under the named scheme.
+
+    ``joint`` and ``colored`` need an array with no consecutive equal
+    elements and raise PreconditionError otherwise.
+    """
+    if scheme not in SCHEME_NAMES:
+        raise ValueError("unknown scheme %r" % (scheme,))
+    if scheme == "general":
+        return encode_general(a)
+    bad = a.has_consecutive_equal()
+    if bad is not None:
+        raise PreconditionError(
+            "scheme %s requires no consecutive equal elements; "
+            "A[%d] == A[%d]" % (scheme, bad, bad + 1), index=bad)
+    min_t = build_min_heap(a)
+    max_t = build_max_heap(a)
+    if scheme == "joint":
+        return encode_joint(min_t, max_t)
+    return encode_colored(colorize(min_t, a), colorize(max_t, a))
+
+
+def decode(enc):
+    """The query structure of any encoding, with ``.query(kind, i)``."""
+    if isinstance(enc, GeneralEncoding):
+        return decode_general(enc)
+    if isinstance(enc, JointEncoding):
+        min_t, max_t = decode_joint(enc)
+        return QueryStructure(ColoredTree(min_t, None), ColoredTree(max_t, None))
+    return QueryStructure(*decode_colored(enc))
+
+
 def write_varint(buf, value):
-    if value < 0:
-        raise ValueError("varint must be non-negative")
+    if not 0 <= value < 1 << 64:
+        raise ValueError("varint must be in 0..2^64-1")
     while True:
         group = value & 0x7F
         value >>= 7
@@ -45,68 +81,78 @@ def read_varint(data, pos):
         byte = data[pos]
         pos += 1
         value |= (byte & 0x7F) << shift
-        shift += 7
         if not byte & 0x80:
+            if byte == 0 and shift:
+                raise CorruptionError("non-canonical varint")
+            if value >> 64:
+                raise CorruptionError("varint wider than 64 bits")
             return value, pos
+        shift += 7
         if shift > 63:
             raise CorruptionError("varint too long")
 
 
-def _concat_segments(segments):
-    payload = BitStream()
-    lengths = []
-    for seg in segments:
-        bits = seg.bits if isinstance(seg, BitStream) else tuple(seg)
-        lengths.append(len(bits))
-        payload.write_bits(bits)
-    return lengths, payload
+def _colored_segments(c):
+    return [c.u_gb, c.v_bad, pack_trits(c.v_neutral), c.t_min, c.t_max]
 
 
 def _segments_of(enc):
+    """Payload segments in container order.  A general encoding's
+    subset-rank bits come first."""
     if isinstance(enc, JointEncoding):
-        return SCHEME_JOINT, [enc.u, enc.t_min, enc.t_max]
+        return [enc.u, enc.t_min, enc.t_max]
     if isinstance(enc, ColoredEncoding):
-        return SCHEME_COLORED, [enc.u_gb, enc.v_bad, pack_trits(enc.v_neutral),
-                                enc.t_min, enc.t_max]
+        return _colored_segments(enc)
     if isinstance(enc, GeneralEncoding):
-        c = enc.colored
-        return SCHEME_GENERAL, [c.u_gb, c.v_bad, pack_trits(c.v_neutral),
-                                c.t_min, c.t_max]
-    raise TypeError("unsupported encoding type %r" % type(enc).__name__)
+        return [enc.c_rank_bits] + _colored_segments(enc.colored)
+    raise TypeError("unsupported encoding %r" % (type(enc),))
 
 
 def serialize(enc):
     """Encode any of the three payload types into container bytes."""
-    scheme, segments = _segments_of(enc)
+    segments = _segments_of(enc)
+    scheme = SCHEME_NAMES[enc.scheme]
     buf = bytearray(MAGIC)
     buf.append(VERSION)
     buf.append(scheme)
     write_varint(buf, enc.n)
+    listed = segments
     if scheme == SCHEME_GENERAL:
         write_varint(buf, enc.k)
-    lengths, payload = _concat_segments(segments)
-    if scheme == SCHEME_GENERAL:
-        # the subset-rank segment width is derivable from n and k, so it is
-        # prepended to the payload without its own length field
-        full = BitStream()
-        full.write_bits(enc.c_rank_bits.bits)
-        full.write_bits(payload.bits)
-        payload = full
-    for length in lengths:
-        write_varint(buf, length)
+        # the subset-rank segment width is derivable from n and k, so it
+        # leads the payload without its own length field
+        listed = segments[1:]
+    payload = BitStream()
+    for seg in segments:
+        payload.write_bits(seg.bits if isinstance(seg, BitStream) else seg)
+    for seg in listed:
+        write_varint(buf, len(seg))
     buf.extend(payload.to_bytes())
     return bytes(buf)
 
 
-def _split_segments(payload_bytes, lengths, offset_bits=0):
-    total = offset_bits + sum(lengths)
+def _split_segments(payload_bytes, lengths):
+    total = sum(lengths)
     if (total + 7) // 8 != len(payload_bytes):
         raise CorruptionError("segment lengths do not match payload size")
     if total % 8 and payload_bytes[-1] & ((1 << (8 - total % 8)) - 1):
         raise CorruptionError("nonzero padding bits")
     stream = BitStream.from_bytes(payload_bytes, total)
-    stream.read_bits(offset_bits)
     return [BitStream(stream.read_bits(length)) for length in lengths]
+
+
+def _neutral_count(n, lengths):
+    """Check colored segment lengths against n before any payload is read;
+    returns the number m of packed trits."""
+    u_gb, v_bad, packed, t_min, t_max = lengths
+    if u_gb != 2 * v_bad:
+        raise CorruptionError("|u_gb| must be twice |v_bad|")
+    m = n - 1 - u_gb
+    if m < 0 or trit_pack_bits(m) != packed:
+        raise CorruptionError("packed trit segment has wrong length")
+    if t_min + t_max != 2 * n:
+        raise CorruptionError("degree streams must total 2n bits")
+    return m
 
 
 def deserialize(data):
@@ -139,33 +185,24 @@ def deserialize(data):
             raise CorruptionError("U segment has wrong length")
         return JointEncoding(n, u.bits, t_min, t_max)
     if scheme == SCHEME_COLORED:
-        return _colored_from_segments(n, payload, lengths)
-    # general: leading subset-rank bits, then the colored segments of A'
-    rank_width = subset_rank_width(n - 1, k)
-    parts = _split_segments(payload, [rank_width] + lengths)
-    colored = _colored_segments_to_encoding(n - k, parts[1:])
-    return GeneralEncoding(n, k, parts[0], colored)
+        m = _neutral_count(n, lengths)
+        return _colored_encoding(n, m, _split_segments(payload, lengths))
+    # general: leading subset-rank bits, then the colored segments of A'.
+    # The exact rank width costs a big binomial, so the payload size is
+    # first checked against cheap bounds on it: 2^min(k, n-1-k) <=
+    # C(n-1, k) <= 2^(n-1).
+    m = _neutral_count(n - k, lengths)
+    listed = sum(lengths)
+    if not ((listed + min(k, n - 1 - k) + 7) // 8 <= len(payload)
+            <= (listed + n - 1 + 7) // 8):
+        raise CorruptionError("payload size does not fit the run rank width")
+    parts = _split_segments(payload, [subset_rank_width(n - 1, k)] + lengths)
+    return GeneralEncoding(n, k, parts[0], _colored_encoding(n - k, m, parts[1:]))
 
 
-def _colored_from_segments(n, payload, lengths):
-    return _colored_segments_to_encoding(n, _split_segments(payload, lengths))
-
-
-def _colored_segments_to_encoding(n, parts):
+def _colored_encoding(n, m, parts):
     u_gb, v_bad, packed, t_min, t_max = parts
-    if len(u_gb) != 2 * len(v_bad):
-        raise CorruptionError("|u_gb| must be twice |v_bad|")
-    m = n - 1 - len(u_gb)
-    if m < 0 or trit_pack_bits(m) != len(packed):
-        raise CorruptionError("packed trit segment has wrong length")
     v_neutral = unpack_trits(packed, m)
     if not packed.at_end():
         raise CorruptionError("trailing bits in trit segment")
     return ColoredEncoding(n, t_min, t_max, u_gb.bits, v_bad.bits, v_neutral)
-
-
-def scheme_of(data):
-    """Scheme id of a container without fully parsing it."""
-    if len(data) < 6 or data[:4] != MAGIC:
-        raise CorruptionError("bad magic")
-    return data[5]

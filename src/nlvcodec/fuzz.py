@@ -9,12 +9,10 @@ import math
 import random
 
 from .arrays import ORACLES, QUERY_KINDS, ValueArray, compute_runs
-from .colored import (colored_size_bound, count_good_bad, decode_colored,
-                      encode_colored)
-from .container import deserialize, serialize
-from .general import LOG2_13, decode_general, encode_general
-from .joint import decode_joint, encode_joint
-from .queries import TREE_QUERIES, plv_from_tree, psv_from_tree
+from .colored import count_good_bad, encode_colored
+from .container import decode, deserialize, serialize
+from .general import LOG2_13, encode_general
+from .joint import encode_joint
 from .trees import (build_max_heap, build_min_heap, check_leaf_internal_duality, check_red_leaf_rule,
                     check_preorder_labels, check_sibling_monotonicity, colorize)
 
@@ -49,6 +47,22 @@ def colored_payload_bound(n):
     return 3.586 * n + 70
 
 
+def _check_container(name, enc, a, kinds, failures):
+    """Round-trip ``enc`` through container bytes, then check every answer
+    of its decoded structure against the oracles; returns the structure."""
+    data = serialize(enc)
+    parsed = deserialize(data)
+    if serialize(parsed) != data:
+        failures.append("%s container round-trip differs" % name)
+    qs = decode(parsed)
+    for kind in kinds:
+        for i in range(1, a.n + 1):
+            if qs.query(kind, i) != ORACLES[kind](a, i):
+                failures.append("%s %s mismatch at %d" % (name, kind, i))
+                break
+    return qs
+
+
 def check_array(a):
     """Run every check on one array; returns a list of failure messages."""
     failures = []
@@ -76,57 +90,31 @@ def check_array(a):
         joint = encode_joint(min_t, max_t)
         if joint.payload_bits() != 3 * a.n - 1:
             failures.append("joint payload is not 3n-1 bits")
-        dmin, dmax = decode_joint(joint)
+        qs = _check_container("joint", joint, a, ("psv", "plv"), failures)
+        dmin, dmax = qs.cmin.tree, qs.cmax.tree
         if dmin != min_t or dmax != max_t:
             failures.append("joint decode does not round-trip")
         if encode_joint(dmin, dmax) != joint:
             failures.append("joint re-encode differs")
-        for i in range(1, a.n + 1):
-            if psv_from_tree(colorize(dmin, a), i) != ORACLES["psv"](a, i):
-                failures.append("joint psv mismatch at %d" % i)
-                break
-            if plv_from_tree(colorize(dmax, a), i) != ORACLES["plv"](a, i):
-                failures.append("joint plv mismatch at %d" % i)
-                break
-        data = serialize(joint)
-        if serialize(deserialize(data)) != data:
-            failures.append("joint container round-trip differs")
 
         colored = encode_colored(cmin, cmax)
         if colored.payload_bits() > colored_payload_bound(a.n):
             failures.append("colored payload exceeds bound")
-        ccmin, ccmax = decode_colored(colored)
-        if ccmin != cmin or ccmax != cmax:
+        qs = _check_container("colored", colored, a, QUERY_KINDS, failures)
+        if qs.cmin != cmin or qs.cmax != cmax:
             failures.append("colored decode does not round-trip")
-        if encode_colored(ccmin, ccmax) != colored:
+        if encode_colored(qs.cmin, qs.cmax) != colored:
             failures.append("colored re-encode differs")
-        data = serialize(colored)
-        if serialize(deserialize(data)) != data:
-            failures.append("colored container round-trip differs")
-        for kind in QUERY_KINDS:
-            tree = ccmin if kind in ("psv", "nsv") else ccmax
-            for i in range(1, a.n + 1):
-                if TREE_QUERIES[kind](tree, i) != ORACLES[kind](a, i):
-                    failures.append("colored %s mismatch at %d" % (kind, i))
-                    break
 
     general = encode_general(a)
     if general.payload_bits() > general_payload_bound(a.n):
         failures.append("general payload exceeds bound")
-    qs = decode_general(general)
     reduced = compute_runs(a).reduced_array()
     if reduced.has_consecutive_equal() is not None:
         failures.append("reduced array still has equal neighbours")
     if encode_general(a) != general:
         failures.append("general encode is not deterministic")
-    data = serialize(general)
-    if serialize(deserialize(data)) != data:
-        failures.append("general container round-trip differs")
-    for kind in QUERY_KINDS:
-        for i in range(1, a.n + 1):
-            if qs.query(kind, i) != ORACLES[kind](a, i):
-                failures.append("general %s mismatch at %d" % (kind, i))
-                break
+    _check_container("general", general, a, QUERY_KINDS, failures)
     return failures
 
 

@@ -8,12 +8,11 @@ routed through the run index maps.
 import math
 from math import comb
 
-from .arrays import (RunStructure, compute_runs, map_answer_to_original,
-                     map_query_index)
+from .arrays import RunStructure, compute_runs
 from .bitio import BitStream, subset_rank, subset_rank_width, subset_unrank
 from .colored import decode_colored, encode_colored
-from .errors import CorruptionError, RangeError
-from .queries import TREE_QUERIES
+from .errors import CorruptionError
+from .queries import QueryStructure
 from .trees import build_max_heap, build_min_heap, colorize
 
 LOG2_13 = math.log2(13)
@@ -22,6 +21,7 @@ LOG2_13 = math.log2(13)
 class GeneralEncoding:
     """Run bitmap rank plus the colored encoding of the reduced array."""
 
+    scheme = "general"
     __slots__ = ("n", "k", "c_rank_bits", "colored")
 
     def __init__(self, n, k, c_rank_bits, colored):
@@ -60,41 +60,6 @@ def encode_general(a):
     return GeneralEncoding(a.n, k, c_rank_bits, colored)
 
 
-class GeneralQueryStructure:
-    """Answers all four queries on original indices, without the array."""
-
-    __slots__ = ("runs", "cmin", "cmax")
-
-    def __init__(self, runs, cmin, cmax):
-        self.runs = runs
-        self.cmin = cmin
-        self.cmax = cmax
-
-    @property
-    def n(self):
-        return self.runs.n
-
-    def query(self, kind, i):
-        if not 1 <= i <= self.runs.n:
-            raise RangeError("index %d out of range 1..%d" % (i, self.runs.n))
-        ip = map_query_index(self.runs, i)
-        tree = self.cmin if kind in ("psv", "nsv") else self.cmax
-        jp = TREE_QUERIES[kind](tree, ip)
-        return map_answer_to_original(self.runs, jp, kind)
-
-    def psv(self, i):
-        return self.query("psv", i)
-
-    def plv(self, i):
-        return self.query("plv", i)
-
-    def nsv(self, i):
-        return self.query("nsv", i)
-
-    def nlv(self, i):
-        return self.query("nlv", i)
-
-
 def decode_general(enc):
     """Materialize the run structure and both colored trees for querying."""
     enc.c_rank_bits.reset()
@@ -108,7 +73,7 @@ def decode_general(enc):
         c_bits[p] = 1
     runs = RunStructure(c_bits, enc.n)
     cmin, cmax = decode_colored(enc.colored)
-    return GeneralQueryStructure(runs, cmin, cmax)
+    return QueryStructure(cmin, cmax, runs)
 
 
 def check_subset_coding_inequality(c, n, k, tol_per_n=1e-6):

@@ -12,6 +12,7 @@ from .trees import OrdinalTree, check_leaf_internal_duality
 class JointEncoding:
     """U, T_min, T_max for one array; payload is exactly 3n-1 bits."""
 
+    scheme = "joint"
     __slots__ = ("n", "u", "t_min", "t_max")
 
     def __init__(self, n, u, t_min, t_max):

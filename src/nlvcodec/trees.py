@@ -69,14 +69,18 @@ class OrdinalTree:
 
 
 class ColoredTree:
-    """An OrdinalTree plus a red/blue color per node."""
+    """An OrdinalTree plus a red/blue color per node.
+
+    ``is_red`` is None for a heap decoded without colors (joint scheme).
+    """
 
     __slots__ = ("tree", "is_red")
 
     def __init__(self, tree, is_red):
-        is_red = list(is_red)
-        if len(is_red) != tree.n + 1:
-            raise ValueError("need one color per node")
+        if is_red is not None:
+            is_red = list(is_red)
+            if len(is_red) != tree.n + 1:
+                raise ValueError("need one color per node")
         self.tree = tree
         self.is_red = is_red
 

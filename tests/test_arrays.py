@@ -34,6 +34,11 @@ class TestValueArray:
         assert ValueArray([1, 2, 3]).has_consecutive_equal() is None
         assert ValueArray([1, 2, 2, 3]).has_consecutive_equal() == 2
 
+    def test_non_integral_values_rejected(self):
+        for bad in (1.5, "3"):
+            with pytest.raises(ValueError):
+                ValueArray([1, bad])
+
 
 class TestParsing:
     def test_lines_and_whitespace(self):

@@ -2,11 +2,15 @@ import itertools
 
 import pytest
 
-from nlvcodec import (CorruptionError, ValueArray, build_max_heap,
-                      build_min_heap, colorize, deserialize, encode_colored,
-                      encode_general, encode_joint, serialize)
+from nlvcodec import (ORACLES, QUERY_KINDS, CorruptionError,
+                      PreconditionError, RangeError, ValueArray,
+                      build_max_heap, build_min_heap, colorize, decode,
+                      deserialize, encode, encode_colored, encode_general,
+                      encode_joint, serialize, trit_pack_bits)
+from nlvcodec import container
 from nlvcodec.cli import main
-from nlvcodec.container import MAGIC, read_varint, write_varint
+from nlvcodec.container import (MAGIC, SCHEME_GENERAL, VERSION, read_varint,
+                                write_varint)
 
 from conftest import FIGURE_VALUES, make_rng, random_no_equal_neighbours
 
@@ -33,6 +37,19 @@ class TestVarint:
         with pytest.raises(CorruptionError):
             read_varint(b"\x80", 0)
 
+    def test_non_canonical_rejected(self):
+        for data in (b"\x80\x00", b"\x81\x80\x00"):
+            with pytest.raises(CorruptionError):
+                read_varint(data, 0)
+
+    def test_wider_than_64_bits_rejected(self):
+        assert read_varint(b"\xff" * 9 + b"\x01", 0) == (2 ** 64 - 1, 10)
+        for data in (b"\xff" * 9 + b"\x7f", b"\x80" * 9 + b"\x02"):
+            with pytest.raises(CorruptionError):
+                read_varint(data, 0)
+        with pytest.raises(ValueError):
+            write_varint(bytearray(), 2 ** 64)
+
 
 class TestContainer:
     def test_round_trip_all_schemes(self):
@@ -47,6 +64,45 @@ class TestContainer:
                 parsed = deserialize(data)
                 assert parsed == enc
                 assert serialize(parsed) == data
+                assert encode(a, enc.scheme) == enc
+                qs = decode(parsed)
+                for kind in QUERY_KINDS:
+                    for i in range(1, a.n + 1):
+                        if enc.scheme == "joint" and kind in ("nsv", "nlv"):
+                            with pytest.raises(RangeError, match="psv/plv only"):
+                                qs.query(kind, i)
+                        else:
+                            assert qs.query(kind, i) == ORACLES[kind](a, i)
+
+    def test_encode_preconditions(self):
+        for scheme in ("joint", "colored"):
+            with pytest.raises(PreconditionError, match=r"A\[2\] == A\[3\]"):
+                encode(ValueArray([1, 2, 2]), scheme)
+        with pytest.raises(ValueError):
+            encode(ValueArray([1, 2]), "bogus")
+
+    def test_hostile_general_header_rejected_cheaply(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("exact rank width computed for a bad header")
+        monkeypatch.setattr(container, "subset_rank_width", refuse)
+        big_n, big_k = 400_000, 200_000
+        m = big_n - big_k - 1
+        cases = [
+            # segment lengths that do not fit n - k elements
+            (big_n, big_k, [0, 0, 0, 0, 0], 0),
+            # consistent segments, payload far short of the rank width
+            (big_n, big_k, [0, 0, trit_pack_bits(m), m + 1, m + 1], 0),
+            # consistent segments, payload longer than any rank width allows
+            (20, 10, [0, 0, trit_pack_bits(9), 10, 10], 8),
+        ]
+        for n, k, lengths, payload_bytes in cases:
+            buf = bytearray(MAGIC)
+            buf += bytes([VERSION, SCHEME_GENERAL])
+            for value in [n, k] + lengths:
+                write_varint(buf, value)
+            buf += bytes(payload_bytes)
+            with pytest.raises(CorruptionError):
+                deserialize(bytes(buf))
 
     def test_magic_and_version(self):
         data = serialize(encode_general(ValueArray([1, 2])))
@@ -168,6 +224,33 @@ class TestCli:
         assert "min: (0 (1b (2r) (3b (4b))) (5r) (6b (7b (8r) (9b))))" in text
         assert text.startswith("scheme=colored n=9")
 
+    def test_decode_dump_trees_joint(self, figure_file, tmp_path, capsys):
+        out = tmp_path / "fig.nlve"
+        main(["encode", "--scheme", "joint", "--in", str(figure_file),
+              "--out", str(out)])
+        capsys.readouterr()
+        rc = main(["decode", "--in", str(out), "--dump-trees"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "scheme=joint n=9 payload=26 bits",
+            "min: (0 (1 (2) (3 (4))) (5) (6 (7 (8) (9))))",
+            "max: (0 (1) (2 (3) (4 (5 (6))) (7)) (8 (9)))"]
+
+    def test_decode_dump_trees_general(self, tmp_path, capsys):
+        src = tmp_path / "runs.txt"
+        src.write_text("2\n1\n1\n3\n")
+        out = tmp_path / "runs.nlve"
+        main(["encode", "--scheme", "general", "--in", str(src),
+              "--out", str(out)])
+        capsys.readouterr()
+        rc = main(["decode", "--in", str(out), "--dump-trees"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "scheme=general n=4 payload=11 bits",
+            "c: 010",
+            "min: (0 (1r) (2b (3b)))",
+            "max: (0 (1r (2b)) (3b))"]
+
     def test_decode_corrupt_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.nlve"
         bad.write_bytes(b"not a container")
@@ -182,6 +265,22 @@ class TestCli:
         rc = main(["stats", "--in", str(out)])
         assert rc == 0
         assert "scheme=general" in capsys.readouterr().out
+
+    def test_stats_joint_and_colored(self, figure_file, tmp_path, capsys):
+        expected = {
+            "joint": "n=9 scheme=joint payload=26 bits bits/n=2.8889 "
+                     "bound=26.00 (3n-1)",
+            "colored": "n=9 scheme=colored payload=31 bits bits/n=3.4444 "
+                       "bound=32.26 ((2+log2 3)n)",
+        }
+        for scheme, line in expected.items():
+            out = tmp_path / (scheme + ".nlve")
+            main(["encode", "--scheme", scheme, "--in", str(figure_file),
+                  "--out", str(out)])
+            capsys.readouterr()
+            rc = main(["stats", "--in", str(out)])
+            assert rc == 0
+            assert capsys.readouterr().out.strip() == line
 
     def test_fuzz_small(self, capsys):
         rc = main(["fuzz", "--count", "25", "--max-n", "12", "--alphabet",
