@@ -134,10 +134,12 @@ class RunStructure:
 
     c_bits[i-1] == 1 (for 1 <= i <= n-1) iff A[i] == A[i+1].  The reduced
     array keeps the last element of every run, so kept positions are the
-    indices i with i == n or c_bits[i-1] == 0.
+    indices i with i == n or c_bits[i-1] == 0.  ``run_starts[r-1]`` is the
+    first index of run r, the one after the end of run r-1.
     """
 
-    __slots__ = ("n", "c_bits", "k", "kept_positions", "rank_map", "_values")
+    __slots__ = ("n", "c_bits", "k", "kept_positions", "run_starts",
+                 "rank_map", "_values")
 
     def __init__(self, c_bits, n, values=None):
         c_bits = tuple(int(b) for b in c_bits)
@@ -153,17 +155,14 @@ class RunStructure:
         kept = [i for i in range(1, n) if c_bits[i - 1] == 0]
         kept.append(n)
         self.kept_positions = tuple(kept)
+        self.run_starts = (1,) + tuple(p + 1 for p in kept[:-1])
         # rank_map[i-1]: reduced position of the last element of i's run
         rank_map = [0] * n
-        r = 0
-        run_members = []
+        r = 1
         for i in range(1, n + 1):
-            run_members.append(i)
-            if i == n or c_bits[i - 1] == 0:
+            rank_map[i - 1] = r
+            if i < n and c_bits[i - 1] == 0:
                 r += 1
-                for m in run_members:
-                    rank_map[m - 1] = r
-                run_members = []
         self.rank_map = tuple(rank_map)
         self._values = values
 
@@ -202,11 +201,7 @@ def map_answer_to_original(rs, jp, kind):
         return rs.n + 1
     if not 1 <= jp <= n_reduced:
         raise RangeError("reduced index %d out of range" % jp)
-    p = rs.kept_positions[jp - 1]
     if kind in ("psv", "plv"):
-        return p
+        return rs.kept_positions[jp - 1]
     # next-value answers point at the run start
-    q = p
-    while q > 1 and rs.c_bits[q - 2] == 1:
-        q -= 1
-    return q
+    return rs.run_starts[jp - 1]

@@ -196,8 +196,10 @@ def deserialize(data):
     if not ((listed + min(k, n - 1 - k) + 7) // 8 <= len(payload)
             <= (listed + n - 1 + 7) // 8):
         raise CorruptionError("payload size does not fit the run rank width")
-    parts = _split_segments(payload, [subset_rank_width(n - 1, k)] + lengths)
-    return GeneralEncoding(n, k, parts[0], _colored_encoding(n - k, m, parts[1:]))
+    width = subset_rank_width(n - 1, k)
+    parts = _split_segments(payload, [width] + lengths)
+    return GeneralEncoding(n, k, parts[0], _colored_encoding(n - k, m, parts[1:]),
+                           width)
 
 
 def _colored_encoding(n, m, parts):

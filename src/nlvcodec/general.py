@@ -24,10 +24,15 @@ class GeneralEncoding:
     scheme = "general"
     __slots__ = ("n", "k", "c_rank_bits", "colored")
 
-    def __init__(self, n, k, c_rank_bits, colored):
+    def __init__(self, n, k, c_rank_bits, colored, rank_width=None):
+        """``rank_width`` is subset_rank_width(n-1, k) when the caller has
+        it already; it costs a big binomial, so it is computed here only
+        when not given."""
         if not 0 <= k <= max(n - 1, 0):
             raise CorruptionError("run count k out of range")
-        if len(c_rank_bits) != subset_rank_width(n - 1, k):
+        if rank_width is None:
+            rank_width = subset_rank_width(n - 1, k)
+        if len(c_rank_bits) != rank_width:
             raise CorruptionError("c rank segment has wrong width")
         if colored.n != n - k:
             raise CorruptionError("colored part must cover n-k elements")
@@ -57,16 +62,14 @@ def encode_general(a):
     min_t = build_min_heap(reduced)
     max_t = build_max_heap(reduced)
     colored = encode_colored(colorize(min_t, reduced), colorize(max_t, reduced))
-    return GeneralEncoding(a.n, k, c_rank_bits, colored)
+    return GeneralEncoding(a.n, k, c_rank_bits, colored, width)
 
 
 def decode_general(enc):
     """Materialize the run structure and both colored trees for querying."""
+    # the constructor checked the segment against the exact rank width
     enc.c_rank_bits.reset()
-    width = subset_rank_width(enc.n - 1, enc.k)
-    rank = enc.c_rank_bits.read_uint(width)
-    if not enc.c_rank_bits.at_end():
-        raise CorruptionError("trailing bits after subset rank")
+    rank = enc.c_rank_bits.read_uint(len(enc.c_rank_bits))
     ones = subset_unrank(enc.k, rank, enc.n - 1)
     c_bits = [0] * (enc.n - 1)
     for p in ones:

@@ -1,9 +1,10 @@
 """Answering PSV/NSV from the colored min heap and PLV/NLV from the
 colored max heap, without the source array.
 
-Previous-value queries are parent lookups.  Next-value queries walk right
-along equal-valued (blue) siblings until a red node, then climb to the
-nearest ancestor that still has a right sibling.
+Every query is a range check plus one table lookup.  Previous-value
+answers are parents.  Next-value answers come from the table a
+``ColoredTree`` builds from its colors when it is made (see
+``trees._next_value_table``), so no query walks siblings or ancestors.
 
 ``QueryStructure`` answers all four queries for any of the three schemes.
 """
@@ -25,36 +26,16 @@ def plv_from_tree(cmax, i):
     return cmax.tree.parent[i]
 
 
-def _next_value_walk(ct, i):
-    tree = ct.tree
-    node_index_check(tree, i)
-    j = i
-    while True:
-        s = tree.right_sibling(j)
-        if s == 0:
-            break
-        if ct.is_red[j]:
-            return s
-        j = s
-    # climb: any right sibling of a strict ancestor (root excluded) works,
-    # since ancestor values are strictly closer to the extreme
-    j = tree.parent[j]
-    while j != 0:
-        s = tree.right_sibling(j)
-        if s != 0:
-            return s
-        j = tree.parent[j]
-    return tree.n + 1
-
-
 def nsv_from_tree(cmin, i):
     """NSV(i) from the colored min heap alone."""
-    return _next_value_walk(cmin, i)
+    node_index_check(cmin.tree, i)
+    return cmin.next_value[i]
 
 
 def nlv_from_tree(cmax, i):
     """NLV(i) from the colored max heap alone."""
-    return _next_value_walk(cmax, i)
+    node_index_check(cmax.tree, i)
+    return cmax.next_value[i]
 
 
 TREE_QUERIES = {
@@ -69,7 +50,8 @@ class QueryStructure:
     """Answers the four queries on original indices, without the array.
 
     ``cmin``/``cmax`` are the min and max heaps.  A joint container decodes
-    to heaps without colors (``is_red`` is None), which answer psv/plv only.
+    to heaps without colors or next-value tables (``next_value`` is None),
+    which answer psv/plv only.
     ``runs`` is the general scheme's run structure and None otherwise.
     """
 
@@ -81,14 +63,17 @@ class QueryStructure:
         self.runs = runs
 
     def query(self, kind, i):
+        try:
+            answer = TREE_QUERIES[kind]
+        except KeyError:
+            raise ValueError("unknown query kind %r" % (kind,)) from None
         tree = self.cmin if kind in ("psv", "nsv") else self.cmax
         runs = self.runs
         if runs is None:
-            if tree.is_red is None and kind in ("nsv", "nlv"):
+            if tree.next_value is None and kind in ("nsv", "nlv"):
                 raise RangeError("joint scheme answers psv/plv only")
-            return TREE_QUERIES[kind](tree, i)
-        jp = TREE_QUERIES[kind](tree, map_query_index(runs, i))
-        return map_answer_to_original(runs, jp, kind)
+            return answer(tree, i)
+        return map_answer_to_original(runs, answer(tree, map_query_index(runs, i)), kind)
 
     def psv(self, i):
         return self.query("psv", i)

@@ -4,6 +4,10 @@ The min heap of A is the ordinal tree on nodes 0..n where the parent of
 node i is PSV(i); the max heap uses PLV.  Node labels coincide with
 preorder ranks.  A node is red when its immediate right sibling holds a
 different value, blue otherwise.
+
+Trees are flat per-node tables (parent, first child, right sibling,
+degree); a colored tree adds its colors and the next-value answer of
+every node, computed once when it is built.
 """
 
 from .errors import RangeError
@@ -13,49 +17,61 @@ BLUE = "blue"
 
 
 class OrdinalTree:
-    """Preorder-labeled ordinal tree on nodes 0..n.
+    """Preorder-labeled ordinal tree on nodes 0..n, held as flat tables.
 
-    Stores the parent map and the children lists redundantly; the
-    constructor derives one from the other and validates parent(i) < i.
+    ``parent[i]`` is the parent of node i (None for the root 0).  One
+    right-to-left pass over it derives ``first_child``, ``right_sib`` and
+    ``degrees``; 0 stands for "none" in the first two, since the root is
+    nobody's child or sibling.  The constructor validates parent(i) < i.
     """
 
-    __slots__ = ("n", "parent", "children", "_right_sib")
+    __slots__ = ("n", "parent", "first_child", "right_sib", "degrees")
 
     def __init__(self, parent):
         parent = list(parent)
         if len(parent) < 2 or parent[0] is not None:
             raise ValueError("parent list must start with None and cover node 1")
         n = len(parent) - 1
-        children = [[] for _ in range(n + 1)]
-        for i in range(1, n + 1):
+        first = [0] * (n + 1)
+        right_sib = [0] * (n + 1)
+        degrees = [0] * (n + 1)
+        for i in range(n, 0, -1):
             p = parent[i]
             if not 0 <= p < i:
                 raise ValueError("parent of node %d must be in 0..%d" % (i, i - 1))
-            children[p].append(i)
+            right_sib[i] = first[p]
+            first[p] = i
+            degrees[p] += 1
         self.n = n
         self.parent = parent
-        self.children = children
-        right_sib = [0] * (n + 1)  # 0 = no immediate right sibling
-        for kids in children:
-            for a, b in zip(kids, kids[1:]):
-                right_sib[a] = b
-        self._right_sib = right_sib
+        self.first_child = first
+        self.right_sib = right_sib
+        self.degrees = degrees
 
     def __eq__(self, other):
         return isinstance(other, OrdinalTree) and self.parent == other.parent
 
     def degree(self, i):
-        return len(self.children[i])
+        return self.degrees[i]
 
     def is_leaf(self, i):
-        return not self.children[i]
+        return self.first_child[i] == 0
 
     def right_sibling(self, i):
         """Immediate right sibling of i, or 0 if it is a last child."""
-        return self._right_sib[i]
+        return self.right_sib[i]
 
     def has_right_sibling(self, i):
-        return self._right_sib[i] != 0
+        return self.right_sib[i] != 0
+
+    def children(self, i):
+        """Children of i, left to right."""
+        out = []
+        c = self.first_child[i]
+        while c:
+            out.append(c)
+            c = self.right_sib[c]
+        return out
 
     def preorder(self):
         """Iterative preorder traversal from node 0."""
@@ -64,25 +80,32 @@ class OrdinalTree:
         while stack:
             v = stack.pop()
             out.append(v)
-            stack.extend(reversed(self.children[v]))
+            stack.extend(reversed(self.children(v)))
         return out
 
 
 class ColoredTree:
-    """An OrdinalTree plus a red/blue color per node.
+    """An OrdinalTree plus a red/blue color per node and the next-value
+    table those colors determine.
 
-    ``is_red`` is None for a heap decoded without colors (joint scheme).
+    ``next_value[i]`` is the answer to NSV(i) in a min heap and NLV(i) in
+    a max heap, n+1 when there is none; the constructor computes it for
+    every node.  ``is_red`` and ``next_value`` are None for a heap
+    decoded without colors (joint scheme).
     """
 
-    __slots__ = ("tree", "is_red")
+    __slots__ = ("tree", "is_red", "next_value")
 
     def __init__(self, tree, is_red):
+        next_value = None
         if is_red is not None:
             is_red = list(is_red)
             if len(is_red) != tree.n + 1:
                 raise ValueError("need one color per node")
+            next_value = _next_value_table(tree, is_red)
         self.tree = tree
         self.is_red = is_red
+        self.next_value = next_value
 
     def __eq__(self, other):
         return (isinstance(other, ColoredTree)
@@ -94,6 +117,33 @@ class ColoredTree:
 
     def color(self, i):
         return RED if self.is_red[i] else BLUE
+
+
+def _next_value_table(tree, is_red):
+    """Next-value answer of every node, from the tree and colors alone.
+
+    A red node's answer is its right sibling.  A blue node with a right
+    sibling holds the same value as that sibling and shares its answer.
+    A last child takes the right sibling of its nearest strict ancestor
+    below the root that has one (ancestor values are strictly closer to
+    the extreme), else n+1.  So one top-down pass stores the climb answer
+    (own right sibling, else the parent's climb answer), which already is
+    the answer of red nodes and last children; one right-to-left pass then
+    copies each sibling's answer into the blue node before it.
+    """
+    n = tree.n
+    parent = tree.parent
+    right_sib = tree.right_sib
+    table = [n + 1] * (n + 1)
+    for j in range(1, n + 1):
+        s = right_sib[j]
+        table[j] = s if s else table[parent[j]]
+    for i in range(n, 0, -1):
+        if not is_red[i]:
+            s = right_sib[i]
+            if s:
+                table[i] = table[s]
+    return table
 
 
 def _build_heap(a, cmp_pop):
@@ -125,10 +175,12 @@ def colorize(tree, a):
     sibling holds a different value."""
     if tree.n != a.n:
         raise ValueError("tree and array sizes differ")
+    values = a.values
+    right_sib = tree.right_sib
     is_red = [False] * (tree.n + 1)
     for i in range(1, tree.n + 1):
-        j = tree.right_sibling(i)
-        if j != 0 and a[i] != a[j]:
+        j = right_sib[i]
+        if j and values[i - 1] != values[j - 1]:
             is_red[i] = True
     return ColoredTree(tree, is_red)
 
@@ -139,8 +191,9 @@ def check_leaf_internal_duality(min_t, max_t, n=None):
     or None."""
     if n is None:
         n = min_t.n
+    first_min, first_max = min_t.first_child, max_t.first_child
     for i in range(1, n):
-        if min_t.is_leaf(i) == max_t.is_leaf(i):
+        if (first_min[i] == 0) == (first_max[i] == 0):
             return i
     return None
 
@@ -149,8 +202,9 @@ def check_red_leaf_rule(ct):
     """Every leaf with a right sibling must be red (holds when the source
     array has no consecutive equal elements).  Returns True/False."""
     t = ct.tree
+    first, right_sib, is_red = t.first_child, t.right_sib, ct.is_red
     for i in range(1, t.n + 1):
-        if t.is_leaf(i) and t.has_right_sibling(i) and not ct.is_red[i]:
+        if not first[i] and right_sib[i] and not is_red[i]:
             return False
     return True
 
@@ -177,24 +231,21 @@ def check_preorder_labels(tree):
 def tree_to_text(tree, colors=None):
     """Parenthesized debug form, e.g. (0 (1r) (2b)).  Iterative, so deep
     chains are safe."""
-    out = []
-    # (node, child_index) frames
-    stack = [(0, 0)]
+    out = ["(0"]
+    # one entry per open node: its next child to open, 0 when none is left
+    stack = [tree.first_child[0]]
     while stack:
-        node, ci = stack[-1]
-        if ci == 0:
-            label = str(node)
-            if colors is not None and node > 0:
-                label += "r" if colors[node] else "b"
-            out.append("(" + label)
-        kids = tree.children[node]
-        if ci < len(kids):
-            stack[-1] = (node, ci + 1)
-            stack.append((kids[ci], 0))
-        else:
+        c = stack.pop()
+        if not c:
             out.append(")")
-            stack.pop()
-    return " ".join(out).replace("( ", "(").replace(" )", ")")
+            continue
+        stack.append(tree.right_sib[c])
+        label = str(c)
+        if colors is not None:
+            label += "r" if colors[c] else "b"
+        out.append("(" + label)
+        stack.append(tree.first_child[c])
+    return " ".join(out).replace(" )", ")")
 
 
 def node_index_check(tree, i):

@@ -1,6 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
+
+import nlvcodec
 
 from nlvcodec import (ORACLES, QUERY_KINDS, CorruptionError,
                       PreconditionError, RangeError, ValueArray,
@@ -293,6 +298,19 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "120 arrays checked" in out  # 3 + 9 + 27 + 81
+
+    def test_module_entry_point(self):
+        # python -m nlvcodec runs the CLI and passes its exit code on
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nlvcodec.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        ok = subprocess.run([sys.executable, "-m", "nlvcodec", "fuzz", "--count", "3",
+                             "--max-n", "6"], env=env, capture_output=True,
+                            text=True, timeout=60)
+        assert ok.returncode == 0 and "0 failures" in ok.stdout
+        bad = subprocess.run([sys.executable, "-m", "nlvcodec", "stats", "--in",
+                              "/nonexistent/file.nlve"], env=env,
+                             capture_output=True, timeout=60)
+        assert bad.returncode == 1
 
     def test_usage_error_exit(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,8 +3,10 @@ import math
 
 import pytest
 
-from nlvcodec import (RangeError, ValueArray, decode_general, encode_general,
-                      check_subset_coding_inequality)
+from nlvcodec import (BitStream, CorruptionError, GeneralEncoding, RangeError,
+                      ValueArray, check_subset_coding_inequality, container,
+                      decode_general, deserialize, encode_general, general,
+                      serialize, subset_rank_width)
 from nlvcodec.arrays import ORACLES, QUERY_KINDS
 from nlvcodec.fuzz import general_payload_bound
 from nlvcodec.general import LOG2_13
@@ -42,6 +44,25 @@ class TestEncode:
     def test_deterministic(self):
         a = ValueArray([5, 5, 2, 8, 8, 8, 1])
         assert encode_general(a) == encode_general(a)
+
+    def test_rank_width_once_per_encode_and_load(self, monkeypatch):
+        calls = []
+
+        def counted(length, k):
+            calls.append((length, k))
+            return subset_rank_width(length, k)
+        monkeypatch.setattr(general, "subset_rank_width", counted)
+        monkeypatch.setattr(container, "subset_rank_width", counted)
+        a = ValueArray([5, 5, 2, 8, 8, 8, 1, 1])
+        data = serialize(encode_general(a))
+        assert calls == [(7, 4)]
+        decode_general(deserialize(data))
+        assert calls == [(7, 4), (7, 4)]
+
+    def test_constructor_checks_rank_width(self):
+        enc = encode_general(ValueArray([5, 5, 2, 8, 8, 8, 1, 1]))
+        with pytest.raises(CorruptionError):
+            GeneralEncoding(enc.n, enc.k, BitStream([1]), enc.colored)
 
 
 class TestDecodeAndQuery:

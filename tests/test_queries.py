@@ -1,12 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlvcodec import (RangeError, ValueArray, build_max_heap, build_min_heap,
-                      colorize, nlv_from_tree, nsv_from_tree, plv_from_tree,
-                      psv_from_tree)
-from nlvcodec.arrays import ORACLES
+                      colorize, decode, deserialize, encode, nlv_from_tree,
+                      nsv_from_tree, plv_from_tree, psv_from_tree, serialize)
+from nlvcodec.arrays import ORACLES, QUERY_KINDS
 from nlvcodec.queries import TREE_QUERIES
+from nlvcodec.trees import OrdinalTree
 
 from conftest import make_rng, random_no_equal_neighbours
 
@@ -101,3 +104,64 @@ class TestOracleEquivalence:
         cmin = colorize(build_min_heap(a), a)
         for i in range(1, a.n + 1):
             assert nsv_from_tree(cmin, i) == ORACLES["nsv"](a, i)
+
+
+@st.composite
+def run_arrays(draw):
+    """Arrays over an alphabet of 2-4 values, built from equal runs of
+    length 1-12."""
+    alphabet = draw(st.integers(2, 4))
+    runs = draw(st.lists(st.tuples(st.integers(1, alphabet), st.integers(1, 12)),
+                         min_size=1, max_size=24))
+    return ValueArray([v for v, length in runs for _ in range(length)])
+
+
+class TestNextValueTables:
+    @given(run_arrays())
+    @settings(max_examples=150, deadline=None)
+    def test_decoded_tables_match_oracles(self, a):
+        qs = decode(deserialize(serialize(encode(a, "general"))))
+        reduced = ValueArray(a.values[p - 1] for p in qs.runs.kept_positions)
+        for ct, kind in ((qs.cmin, "nsv"), (qs.cmax, "nlv")):
+            assert ct.next_value[1:] == [ORACLES[kind](reduced, j)
+                                         for j in range(1, reduced.n + 1)]
+        starts = [1] + [i + 1 for i in range(1, a.n)
+                        if a.values[i - 1] != a.values[i]]
+        assert list(qs.runs.run_starts) == starts
+
+    def test_joint_heaps_have_no_table(self):
+        qs = decode(encode(ValueArray([3, 1, 2]), "joint"))
+        assert qs.cmin.next_value is None and qs.cmax.next_value is None
+
+
+def _monotone_runs(rng, n):
+    equal_after = set(rng.sample(range(1, n), n // 13))
+    values, v = [], 0
+    for i in range(1, n + 1):
+        values.append(v)
+        v += i not in equal_after
+    return ValueArray(values)
+
+
+def test_no_query_walks(monkeypatch):
+    rng = make_rng(5)
+    cases = [("colored", ValueArray(rng.sample(range(1000), 300))),
+             ("general", ValueArray([rng.getrandbits(1) for _ in range(300)])),
+             ("general", _monotone_runs(rng, 300))]
+    containers = [(a, serialize(encode(a, scheme))) for scheme, a in cases]
+
+    def refuse(self, i):
+        raise AssertionError("a query walked to a right sibling")
+    monkeypatch.setattr(OrdinalTree, "right_sibling", refuse)
+    for a, data in containers:
+        qs = decode(deserialize(data))
+        for kind in QUERY_KINDS:
+            for i in range(1, a.n + 1):
+                assert qs.query(kind, i) == ORACLES[kind](a, i), (kind, i)
+
+
+@pytest.mark.parametrize("scheme", ["joint", "colored", "general"])
+def test_unknown_query_kind(scheme):
+    qs = decode(encode(ValueArray([3, 1, 2]), scheme))
+    with pytest.raises(ValueError, match="unknown query kind 'bogus'"):
+        qs.query("bogus", 1)

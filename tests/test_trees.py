@@ -14,8 +14,8 @@ from conftest import make_rng, random_no_equal_neighbours
 class TestOrdinalTree:
     def test_children_from_parent(self):
         t = OrdinalTree([None, 0, 0, 2])
-        assert t.children[0] == [1, 2]
-        assert t.children[2] == [3]
+        assert t.children(0) == [1, 2]
+        assert t.children(2) == [3]
         assert t.degree(0) == 2 and t.is_leaf(1)
 
     def test_right_sibling(self):
@@ -33,24 +33,24 @@ class TestOrdinalTree:
 class TestBuilders:
     def test_min_heap_figure(self, figure_array):
         t = build_min_heap(figure_array)
-        assert t.children[0] == [1, 5, 6]
-        assert t.children[1] == [2, 3]
-        assert t.children[3] == [4]
-        assert t.children[6] == [7]
-        assert t.children[7] == [8, 9]
+        assert t.children(0) == [1, 5, 6]
+        assert t.children(1) == [2, 3]
+        assert t.children(3) == [4]
+        assert t.children(6) == [7]
+        assert t.children(7) == [8, 9]
 
     def test_max_heap_figure(self, figure_array):
         t = build_max_heap(figure_array)
-        assert t.children[0] == [1, 2, 8]
-        assert t.children[2] == [3, 4, 7]
-        assert t.children[4] == [5]
-        assert t.children[5] == [6]
-        assert t.children[8] == [9]
+        assert t.children(0) == [1, 2, 8]
+        assert t.children(2) == [3, 4, 7]
+        assert t.children(4) == [5]
+        assert t.children(5) == [6]
+        assert t.children(8) == [9]
 
     def test_singleton(self):
         a = ValueArray([5])
-        assert build_min_heap(a).children[0] == [1]
-        assert build_max_heap(a).children[0] == [1]
+        assert build_min_heap(a).children(0) == [1]
+        assert build_max_heap(a).children(0) == [1]
 
     def test_chains(self):
         up = build_min_heap(ValueArray([1, 2, 3]))
