@@ -1,17 +1,14 @@
 """Bit-exact primitives shared by the codecs.
 
-Covers MSB-first bitstreams, unary degree codes, fixed-block ternary
+Covers MSB-first bit strings, unary degree codes, fixed-block ternary
 packing, and combinadic subset ranking over exact big integers.
+
+A bit segment is one immutable ``'0'/'1'`` str: encoders build it by
+joining string chunks, and bytes come from one base-2 ``int``
+conversion, which Python's int/str digit limit does not apply to.
 """
 
-try:
-    # exact big-integer binomials; orders of magnitude faster than
-    # math.comb at the sizes the subset coder hits
-    from gmpy2 import bincoef as comb, mpz
-except ImportError:  # pragma: no cover
-    from math import comb
-
-    mpz = int
+from math import comb
 
 from .errors import CorruptionError
 
@@ -21,114 +18,85 @@ BITS_PER_BLOCK = 65
 
 
 class BitStream:
-    """Append-only MSB-first bit sequence with a separate read cursor.
+    """An immutable MSB-first ``'0'/'1'`` str (``text``) with a read cursor.
 
-    Single writer / single reader while mutating; a finished stream can be
-    shared freely for reads via fresh cursors (``reset``).
+    The cursor is the only state; ``reset`` rewinds it for a new reader.
+    Unary degree codes are still read one ``read_bit`` at a time, so the
+    decoders stay one loop over nodes and traced runs can count bit reads.
     """
 
-    __slots__ = ("_bits", "_pos")
+    __slots__ = ("text", "_pos")
 
-    def __init__(self, bits=()):
-        self._bits = [int(b) for b in bits]
-        if any(b not in (0, 1) for b in self._bits):
-            raise ValueError("bits must be 0 or 1")
+    def __init__(self, text=""):
+        if not isinstance(text, str) or text.strip("01"):
+            raise ValueError("bits must be a str of '0' and '1'")
+        self.text = text
         self._pos = 0
 
     def __len__(self):
-        return len(self._bits)
+        return len(self.text)
 
     def __eq__(self, other):
-        return isinstance(other, BitStream) and self._bits == other._bits
+        return isinstance(other, BitStream) and self.text == other.text
 
     def __repr__(self):
-        return "BitStream(%s)" % "".join(map(str, self._bits))
-
-    @property
-    def bits(self):
-        return tuple(self._bits)
-
-    @property
-    def position(self):
-        return self._pos
-
-    @property
-    def remaining(self):
-        return len(self._bits) - self._pos
+        return "BitStream(%r)" % self.text
 
     def at_end(self):
-        return self._pos == len(self._bits)
+        return self._pos == len(self.text)
 
     def reset(self):
         self._pos = 0
 
-    def write_bit(self, b):
-        if b not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        self._bits.append(b)
-
-    def write_bits(self, bits):
-        for b in bits:
-            self.write_bit(b)
-
-    def write_uint(self, value, width):
-        """Write ``value`` as ``width`` bits, most significant bit first."""
-        if value < 0 or value >> width:
-            raise ValueError("value %d does not fit in %d bits" % (value, width))
-        for shift in range(width - 1, -1, -1):
-            self._bits.append((value >> shift) & 1)
-
     def read_bit(self):
-        if self._pos >= len(self._bits):
+        """The next bit as the character '0' or '1'."""
+        if self._pos >= len(self.text):
             raise CorruptionError("bitstream truncated: read past end")
-        b = self._bits[self._pos]
+        b = self.text[self._pos]
         self._pos += 1
         return b
 
-    def read_bits(self, count):
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if self._pos + count > len(self._bits):
-            raise CorruptionError("bitstream truncated: read past end")
-        out = self._bits[self._pos:self._pos + count]
-        self._pos += count
-        return out
-
     def read_uint(self, width):
-        value = 0
-        for b in self.read_bits(width):
-            value = (value << 1) | b
+        end = self._pos + width
+        if end > len(self.text):
+            raise CorruptionError("bitstream truncated: read past end")
+        value = int("0" + self.text[self._pos:end], 2)
+        self._pos = end
         return value
 
     def to_bytes(self):
         """Pack into bytes, MSB first, final byte zero-padded."""
-        out = bytearray((len(self._bits) + 7) // 8)
-        for pos, b in enumerate(self._bits):
-            if b:
-                out[pos >> 3] |= 0x80 >> (pos & 7)
-        return bytes(out)
+        pad = -len(self.text) % 8
+        return int("0" + self.text + "0" * pad, 2).to_bytes(
+            (len(self.text) + pad) // 8, "big")
 
     @classmethod
     def from_bytes(cls, data, nbits):
+        """The first ``nbits`` bits of ``data``, MSB first."""
         if nbits > 8 * len(data):
             raise CorruptionError("declared bit length exceeds payload")
-        s = cls()
-        s._bits = [(data[pos >> 3] >> (7 - (pos & 7))) & 1 for pos in range(nbits)]
-        return s
+        text = format(int.from_bytes(data, "big"), "b").zfill(8 * len(data))
+        return cls(text[:nbits])
 
 
-def write_degree(s, d):
-    """Append the unary degree code: d-1 ones followed by a zero."""
+def uint_bits(value, width):
+    """``value`` as ``width`` bits, most significant bit first."""
+    if value < 0 or value >> width:
+        raise ValueError("value %d does not fit in %d bits" % (value, width))
+    return format(value, "b").zfill(width) if width else ""
+
+
+def write_degree(d):
+    """The unary degree code of d: d-1 ones followed by a zero."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    s.write_bits([1] * (d - 1))
-    s.write_bit(0)
+    return "1" * (d - 1) + "0"
 
 
 def read_degree(s):
-    """Inverse of write_degree."""
+    """Inverse of write_degree, read from a BitStream."""
     d = 1
-    while s.read_bit() == 1:
+    while s.read_bit() == "1":
         d += 1
     return d
 
@@ -139,47 +107,44 @@ def trit_pack_bits(m):
     return full * BITS_PER_BLOCK + (3 ** rest - 1).bit_length()
 
 
+def _block_width(count):
+    """Bits of a block of ``count`` trits."""
+    if count == TRITS_PER_BLOCK:
+        return BITS_PER_BLOCK
+    return (3 ** count - 1).bit_length()
+
+
 def pack_trits(trits):
-    """Pack a {0,1,2} string into a BitStream, 41 trits per 65-bit block.
+    """Pack a str of trit digits '0'/'1'/'2' into a BitStream, 41 trits per
+    65-bit block.
 
     A final partial block of t trits uses bitlen(3^t - 1) bits.
     """
-    trits = list(trits)
-    if any(t not in (0, 1, 2) for t in trits):
-        raise ValueError("trits must be 0, 1 or 2")
-    s = BitStream()
+    if not isinstance(trits, str) or trits.strip("012"):
+        raise ValueError("trits must be a str of '0', '1' and '2'")
+    chunks = []
     for start in range(0, len(trits), TRITS_PER_BLOCK):
         block = trits[start:start + TRITS_PER_BLOCK]
-        value = 0
-        for t in block:
-            value = value * 3 + t
-        if len(block) == TRITS_PER_BLOCK:
-            width = BITS_PER_BLOCK
-        else:
-            width = (3 ** len(block) - 1).bit_length()
-        s.write_uint(value, width)
-    return s
+        chunks.append(uint_bits(int(block, 3), _block_width(len(block))))
+    return BitStream("".join(chunks))
 
 
 def unpack_trits(s, m):
-    """Read m trits previously written by pack_trits."""
+    """Read m trits previously written by pack_trits, as a str of digits."""
     out = []
     remaining = m
     while remaining > 0:
         blen = min(remaining, TRITS_PER_BLOCK)
-        if blen == TRITS_PER_BLOCK:
-            width = BITS_PER_BLOCK
-        else:
-            width = (3 ** blen - 1).bit_length()
-        value = s.read_uint(width)
+        value = s.read_uint(_block_width(blen))
         if value >= 3 ** blen:
             raise CorruptionError("trit block value %d out of range" % value)
-        block = [0] * blen
+        block = ["0"] * blen
         for pos in range(blen - 1, -1, -1):
-            value, block[pos] = divmod(value, 3)
+            value, t = divmod(value, 3)
+            block[pos] = "012"[t]
         out.extend(block)
         remaining -= blen
-    return out
+    return "".join(out)
 
 
 def subset_rank(positions, length):
@@ -201,10 +166,10 @@ def subset_rank(positions, length):
         return 0, 0
     # Single downward scan with incremental binomials; avoids k large
     # comb() calls at big k.
-    rank = mpz(0)
+    rank = 0
     c = length - 1
     j = k
-    b = mpz(comb(c, j))
+    b = comb(c, j)
     idx = k - 1
     while j > 0:
         if positions[idx] == c:
@@ -215,22 +180,22 @@ def subset_rank(positions, length):
         else:
             b = b * (c - j) // c
         c -= 1
-    return k, int(rank)
+    return k, rank
 
 
 def subset_unrank(k, rank, length):
     """Inverse of subset_rank."""
     if k < 0 or k > length:
         raise CorruptionError("invalid subset size %d for length %d" % (k, length))
-    if rank < 0 or rank >= comb(length, k):
+    total = comb(length, k)
+    if rank < 0 or rank >= total:
         raise CorruptionError("subset rank %d out of range" % rank)
     if k == 0:
         return []
     positions = []
-    rank = mpz(rank)
     c = length - 1
     j = k
-    b = mpz(comb(c, j))
+    b = total * (length - k) // length  # comb(length - 1, k)
     while j > 0:
         if b <= rank:
             rank -= b
@@ -246,4 +211,4 @@ def subset_unrank(k, rank, length):
 
 def subset_rank_width(length, k):
     """Bits needed to store any rank of a k-subset: ceil(log2 comb(L,k))."""
-    return int(comb(length, k) - 1).bit_length()
+    return (comb(length, k) - 1).bit_length()

@@ -20,21 +20,19 @@ NEUTRAL = "neutral"
 LOG2_3 = math.log2(3)
 
 # red is encoded as 0, blue as 1
-COLOR_RED = 0
-COLOR_BLUE = 1
-TRIT_NO_SIBLINGS = 2
+COLOR_RED = "0"
+COLOR_BLUE = "1"
+TRIT_NO_SIBLINGS = "2"
 
 
 class ColoredEncoding:
-    """Degree streams plus the per-class side strings."""
+    """Degree streams plus the per-class side strings: ``u_gb`` and
+    ``v_bad`` are BitStreams, ``v_neutral`` a str of trit digits."""
 
     scheme = "colored"
     __slots__ = ("n", "t_min", "t_max", "u_gb", "v_bad", "v_neutral", "g")
 
     def __init__(self, n, t_min, t_max, u_gb, v_bad, v_neutral):
-        u_gb = tuple(int(b) for b in u_gb)
-        v_bad = tuple(int(b) for b in v_bad)
-        v_neutral = tuple(int(t) for t in v_neutral)
         if len(u_gb) % 2 != 0 or len(v_bad) * 2 != len(u_gb):
             raise CorruptionError("|u_gb| must equal 2g and |v_bad| must equal g")
         g = len(v_bad)
@@ -104,11 +102,12 @@ def encode_colored(cmin, cmax):
     n = min_t.n
     u = leaf_bitmap(min_t)
     t_min, t_max = degree_streams(min_t, max_t, u)
+    u = u.text
     u_gb, v_bad, v_neutral = [], [], []
     for i in range(1, n):
         cls = classify_index(min_t, max_t, i)
         # the relevant tree is the one where i is internal
-        relevant_is_min = u[i - 1] == 0
+        relevant_is_min = u[i - 1] == "0"
         rel_ct = cmin if relevant_is_min else cmax
         if cls in (GOOD, BAD):
             u_gb.append(u[i - 1])
@@ -119,38 +118,18 @@ def encode_colored(cmin, cmax):
                 v_neutral.append(TRIT_NO_SIBLINGS)
             else:
                 v_neutral.append(COLOR_RED if rel_ct.is_red[i] else COLOR_BLUE)
-    return ColoredEncoding(n, t_min, t_max, u_gb, v_bad, v_neutral)
-
-
-class _Cursor:
-    __slots__ = ("seq", "pos", "name")
-
-    def __init__(self, seq, name):
-        self.seq = seq
-        self.pos = 0
-        self.name = name
-
-    def next(self):
-        if self.pos >= len(self.seq):
-            raise CorruptionError("string %s exhausted" % self.name)
-        v = self.seq[self.pos]
-        self.pos += 1
-        return v
-
-    def at_end(self):
-        return self.pos == len(self.seq)
+    return ColoredEncoding(n, t_min, t_max, BitStream("".join(u_gb)),
+                           BitStream("".join(v_bad)), "".join(v_neutral))
 
 
 def decode_colored(enc):
     """Rebuild both colored trees; exact inverse of encode_colored."""
-    n = enc.n
-    enc.t_min.reset()
-    enc.t_max.reset()
+    n, u_gb, v_bad, v_neutral = enc.n, enc.u_gb, enc.v_bad, enc.v_neutral
+    for stream in (enc.t_min, enc.t_max, u_gb, v_bad):
+        stream.reset()
     bmin = _Builder(n, read_degree(enc.t_min))
     bmax = _Builder(n, read_degree(enc.t_max))
-    u_gb = _Cursor(enc.u_gb, "u_gb")
-    v_bad = _Cursor(enc.v_bad, "v_bad")
-    v_neutral = _Cursor(enc.v_neutral, "v_neutral")
+    j = 0  # next v_neutral trit
     red_min = [False] * (n + 1)
     red_max = [False] * (n + 1)
     for i in range(1, n + 1):
@@ -162,9 +141,9 @@ def decode_colored(enc):
         sib_max = bmax.has_pending_siblings(i)
         if sib_min == sib_max:
             # good (neither) or bad (both): U bit names the relevant tree
-            relevant_is_min = u_gb.next() == 0
+            relevant_is_min = u_gb.read_bit() == "0"
             if sib_min:  # bad
-                color = v_bad.next()
+                color = v_bad.read_bit()
                 if relevant_is_min:
                     red_min[i] = color == COLOR_RED
                     red_max[i] = True  # leaf with right siblings
@@ -172,7 +151,10 @@ def decode_colored(enc):
                     red_max[i] = color == COLOR_RED
                     red_min[i] = True
         else:
-            c = v_neutral.next()
+            if j == len(v_neutral):
+                raise CorruptionError("string v_neutral exhausted")
+            c = v_neutral[j]
+            j += 1
             if c == TRIT_NO_SIBLINGS:
                 # relevant tree is the sibling-free one; the other tree has
                 # i as a leaf with right siblings, hence red
@@ -195,7 +177,7 @@ def decode_colored(enc):
             bmax.open_node(i, read_degree(enc.t_max))
     if not enc.t_min.at_end() or not enc.t_max.at_end():
         raise CorruptionError("unconsumed trailing degree bits")
-    if not (u_gb.at_end() and v_bad.at_end() and v_neutral.at_end()):
+    if not (u_gb.at_end() and v_bad.at_end() and j == len(v_neutral)):
         raise CorruptionError("unconsumed side-string characters")
     return (ColoredTree(bmin.finish(), red_min),
             ColoredTree(bmax.finish(), red_max))

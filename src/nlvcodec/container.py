@@ -122,12 +122,9 @@ def serialize(enc):
         # the subset-rank segment width is derivable from n and k, so it
         # leads the payload without its own length field
         listed = segments[1:]
-    payload = BitStream()
-    for seg in segments:
-        payload.write_bits(seg.bits if isinstance(seg, BitStream) else seg)
     for seg in listed:
         write_varint(buf, len(seg))
-    buf.extend(payload.to_bytes())
+    buf.extend(BitStream("".join(seg.text for seg in segments)).to_bytes())
     return bytes(buf)
 
 
@@ -137,8 +134,13 @@ def _split_segments(payload_bytes, lengths):
         raise CorruptionError("segment lengths do not match payload size")
     if total % 8 and payload_bytes[-1] & ((1 << (8 - total % 8)) - 1):
         raise CorruptionError("nonzero padding bits")
-    stream = BitStream.from_bytes(payload_bytes, total)
-    return [BitStream(stream.read_bits(length)) for length in lengths]
+    text = BitStream.from_bytes(payload_bytes, total).text
+    parts = []
+    start = 0
+    for length in lengths:
+        parts.append(BitStream(text[start:start + length]))
+        start += length
+    return parts
 
 
 def _neutral_count(n, lengths):
@@ -183,7 +185,7 @@ def deserialize(data):
         u, t_min, t_max = _split_segments(payload, lengths)
         if len(u) != n - 1:
             raise CorruptionError("U segment has wrong length")
-        return JointEncoding(n, u.bits, t_min, t_max)
+        return JointEncoding(n, u, t_min, t_max)
     if scheme == SCHEME_COLORED:
         m = _neutral_count(n, lengths)
         return _colored_encoding(n, m, _split_segments(payload, lengths))
@@ -207,4 +209,4 @@ def _colored_encoding(n, m, parts):
     v_neutral = unpack_trits(packed, m)
     if not packed.at_end():
         raise CorruptionError("trailing bits in trit segment")
-    return ColoredEncoding(n, t_min, t_max, u_gb.bits, v_bad.bits, v_neutral)
+    return ColoredEncoding(n, t_min, t_max, u_gb, v_bad, v_neutral)

@@ -9,7 +9,8 @@ import math
 from math import comb
 
 from .arrays import RunStructure, compute_runs
-from .bitio import BitStream, subset_rank, subset_rank_width, subset_unrank
+from .bitio import (BitStream, subset_rank, subset_rank_width, subset_unrank,
+                    uint_bits)
 from .colored import decode_colored, encode_colored
 from .errors import CorruptionError
 from .queries import QueryStructure
@@ -56,8 +57,7 @@ def encode_general(a):
     ones = [i - 1 for i in range(1, a.n) if rs.c_bits[i - 1] == 1]
     k, rank = subset_rank(ones, a.n - 1)
     width = subset_rank_width(a.n - 1, k)
-    c_rank_bits = BitStream()
-    c_rank_bits.write_uint(rank, width)
+    c_rank_bits = BitStream(uint_bits(rank, width))
     reduced = rs.reduced_array()
     min_t = build_min_heap(reduced)
     max_t = build_max_heap(reduced)

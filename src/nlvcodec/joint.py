@@ -16,7 +16,6 @@ class JointEncoding:
     __slots__ = ("n", "u", "t_min", "t_max")
 
     def __init__(self, n, u, t_min, t_max):
-        u = tuple(int(b) for b in u)
         if len(u) != n - 1:
             raise ValueError("U must have length n-1")
         if len(t_min) + len(t_max) != 2 * n:
@@ -37,21 +36,22 @@ class JointEncoding:
 
 def leaf_bitmap(min_t):
     """U[i] = 1 iff i is a leaf in the min heap, for 1 <= i <= n-1."""
-    return tuple(1 if min_t.is_leaf(i) else 0 for i in range(1, min_t.n))
+    return BitStream("".join("1" if min_t.is_leaf(i) else "0"
+                             for i in range(1, min_t.n)))
 
 
 def degree_streams(min_t, max_t, u):
     """Interleaved unary degree codes: node 0 contributes to both streams,
     node i < n to the stream of the tree where it is internal."""
-    t_min = BitStream()
-    t_max = BitStream()
-    n = min_t.n
-    for i in range(n):
-        if i == 0 or u[i - 1] == 0:
-            write_degree(t_min, min_t.degree(i))
-        if i == 0 or u[i - 1] == 1:
-            write_degree(t_max, max_t.degree(i))
-    return t_min, t_max
+    u = u.text
+    t_min = []
+    t_max = []
+    for i in range(min_t.n):
+        if i == 0 or u[i - 1] == "0":
+            t_min.append(write_degree(min_t.degree(i)))
+        if i == 0 or u[i - 1] == "1":
+            t_max.append(write_degree(max_t.degree(i)))
+    return BitStream("".join(t_min)), BitStream("".join(t_max))
 
 
 def encode_joint(min_t, max_t):
@@ -114,7 +114,7 @@ class _Builder:
 
 def decode_joint(enc):
     """Rebuild the (min, max) heap pair; exact inverse of encode_joint."""
-    n = enc.n
+    n, u = enc.n, enc.u.text
     enc.t_min.reset()
     enc.t_max.reset()
     bmin = _Builder(n, read_degree(enc.t_min))
@@ -124,7 +124,7 @@ def decode_joint(enc):
         bmax.attach(i)
         if i == n:
             continue  # node n is a leaf in both trees and consumes nothing
-        if enc.u[i - 1] == 0:
+        if u[i - 1] == "0":
             bmin.open_node(i, read_degree(enc.t_min))
         else:
             bmax.open_node(i, read_degree(enc.t_max))

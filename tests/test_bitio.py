@@ -5,109 +5,116 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlvcodec import (BitStream, CorruptionError, pack_trits, read_degree,
-                      subset_rank, subset_rank_width, subset_unrank,
-                      trit_pack_bits, unpack_trits, write_degree)
-from nlvcodec.bitio import BITS_PER_BLOCK, TRITS_PER_BLOCK
+from nlvcodec import (BitStream, CorruptionError, bitio, pack_trits,
+                      read_degree, subset_rank, subset_rank_width,
+                      subset_unrank, trit_pack_bits, unpack_trits,
+                      write_degree)
+from nlvcodec.bitio import BITS_PER_BLOCK, TRITS_PER_BLOCK, uint_bits
 
 
 class TestBitStream:
     def test_write_read(self):
-        s = BitStream()
-        s.write_bits([1, 0, 1, 1])
+        s = BitStream("1011")
         assert len(s) == 4
-        assert s.read_bits(4) == [1, 0, 1, 1]
+        assert [s.read_bit() for _ in range(4)] == ["1", "0", "1", "1"]
         assert s.at_end()
 
     def test_read_past_end(self):
-        s = BitStream([1])
+        s = BitStream("1")
         s.read_bit()
         with pytest.raises(CorruptionError):
             s.read_bit()
 
     def test_uint_msb_first(self):
-        s = BitStream()
-        s.write_uint(5, 4)
-        assert s.bits == (0, 1, 0, 1)
+        s = BitStream(uint_bits(5, 4))
+        assert s.text == "0101"
         assert s.read_uint(4) == 5
 
     def test_uint_width_check(self):
-        s = BitStream()
         with pytest.raises(ValueError):
-            s.write_uint(8, 3)
+            uint_bits(8, 3)
 
     def test_bytes_round_trip(self):
-        s = BitStream([1, 0, 1, 1, 0, 0, 1, 0, 1, 1])
+        s = BitStream("1011001011")
         data = s.to_bytes()
         assert len(data) == 2
         assert data[0] == 0b10110010
         assert data[1] == 0b11000000  # zero-padded
         assert BitStream.from_bytes(data, 10) == s
 
-    @given(st.lists(st.integers(0, 1), max_size=200))
+    def test_only_binary_text(self):
+        for bad in ("012", "1 0", "1_0", [1, 0], (0,)):
+            with pytest.raises(ValueError):
+                BitStream(bad)
+
+    def test_read_uint_past_end(self):
+        s = BitStream("101")
+        assert s.read_uint(0) == 0
+        with pytest.raises(CorruptionError):
+            s.read_uint(4)
+
+    @given(st.text("01", max_size=200))
     def test_bytes_round_trip_property(self, bits):
         s = BitStream(bits)
-        assert BitStream.from_bytes(s.to_bytes(), len(bits)).bits == tuple(bits)
+        assert BitStream.from_bytes(s.to_bytes(), len(bits)).text == bits
 
 
 class TestDegreeCodes:
     def test_figure_values(self):
-        s = BitStream()
-        write_degree(s, 3)
-        assert s.bits == (1, 1, 0)
-        s2 = BitStream()
-        write_degree(s2, 1)
-        assert s2.bits == (0,)
+        assert write_degree(3) == "110"
+        assert write_degree(1) == "0"
 
     def test_round_trip(self):
-        s = BitStream()
-        write_degree(s, 7)
-        assert s.bits == (1, 1, 1, 1, 1, 1, 0)
-        assert read_degree(s) == 7
+        code = write_degree(7)
+        assert code == "1111110"
+        assert read_degree(BitStream(code)) == 7
 
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
-            write_degree(BitStream(), 0)
+            write_degree(0)
 
     def test_truncated(self):
         with pytest.raises(CorruptionError):
-            read_degree(BitStream([1, 1]))
+            read_degree(BitStream("11"))
 
     @given(st.lists(st.integers(1, 40), max_size=30))
     def test_sequence_round_trip(self, degrees):
-        s = BitStream()
-        for d in degrees:
-            write_degree(s, d)
+        s = BitStream("".join(write_degree(d) for d in degrees))
         assert [read_degree(s) for _ in degrees] == degrees
         assert s.at_end()
 
 
 class TestTritPacking:
     def test_small_block(self):
-        s = pack_trits([2, 0, 2, 2])
+        s = pack_trits("2022")
         # base-3 value 62 in bitlen(3^4 - 1) = 7 bits
-        assert s.bits == (0, 1, 1, 1, 1, 1, 0)
-        assert unpack_trits(s, 4) == [2, 0, 2, 2]
+        assert s.text == "0111110"
+        assert unpack_trits(s, 4) == "2022"
 
     def test_empty(self):
-        assert pack_trits([]).bits == ()
-        assert unpack_trits(BitStream(), 0) == []
+        assert pack_trits("").text == ""
+        assert unpack_trits(BitStream(), 0) == ""
 
     def test_full_zero_block(self):
-        s = pack_trits([0] * TRITS_PER_BLOCK)
-        assert s.bits == (0,) * BITS_PER_BLOCK
+        s = pack_trits("0" * TRITS_PER_BLOCK)
+        assert s.text == "0" * BITS_PER_BLOCK
+
+    def test_only_trit_digits(self):
+        for bad in ("0123", "1_2", "+12", [0, 1, 2]):
+            with pytest.raises(ValueError):
+                pack_trits(bad)
 
     def test_block_capacity(self):
         assert 3 ** TRITS_PER_BLOCK < 2 ** BITS_PER_BLOCK
 
     def test_corrupt_block_detected(self):
-        s = BitStream([1, 1, 1, 1, 1, 1, 1])  # 127 >= 3^4
+        s = BitStream("1111111")  # 127 >= 3^4
         with pytest.raises(CorruptionError):
             unpack_trits(s, 4)
 
     def test_bit_cost_formula(self):
         for m in (0, 1, 40, 41, 42, 100, 1000):
-            assert trit_pack_bits(m) == len(pack_trits([1] * m))
+            assert trit_pack_bits(m) == len(pack_trits("1" * m))
 
     def test_per_trit_cost_bound(self):
         # full blocks cost 65/41 < 1.58537 bits per trit; a partial final
@@ -116,7 +123,7 @@ class TestTritPacking:
         for m in range(0, 2000):
             assert trit_pack_bits(m) <= 1.58537 * m + 65
 
-    @given(st.lists(st.integers(0, 2), max_size=150))
+    @given(st.text("012", max_size=150))
     @settings(max_examples=200)
     def test_round_trip_property(self, trits):
         s = pack_trits(trits)
@@ -145,6 +152,18 @@ class TestSubsetCoding:
             subset_rank([2, 1], 5)
         with pytest.raises(ValueError):
             subset_rank([0, 5], 5)
+
+    def test_unrank_computes_one_big_binomial(self, monkeypatch):
+        calls = []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return comb(n, k)
+        monkeypatch.setattr(bitio, "comb", counted)
+        k, rank = subset_rank([3, 17, 40, 41, 99], 100)
+        calls.clear()
+        assert subset_unrank(k, rank, 100) == [3, 17, 40, 41, 99]
+        assert calls == [(100, 5)]
 
     def test_corrupt_rank(self):
         with pytest.raises(CorruptionError):

@@ -56,16 +56,17 @@ class TestCountGoodBad:
 class TestEncode:
     def test_figure_strings(self, figure_array):
         enc = encode_colored(*colored_pair(figure_array))
-        assert enc.u_gb == (0, 1, 0, 0)
-        assert enc.v_bad == (1, 0)
-        assert enc.v_neutral == (2, 0, 2, 2)
+        assert enc.u_gb.text == "0100"
+        assert enc.v_bad.text == "10"
+        assert enc.v_neutral == "2022"
         assert enc.g == 2
         assert enc.payload_bits() == 9 + 9 + 4 + 2 + 7 == 31
 
     def test_singleton(self):
         enc = encode_colored(*colored_pair(ValueArray([5])))
-        assert enc.u_gb == () and enc.v_bad == () and enc.v_neutral == ()
-        assert enc.t_min.bits == (0,) and enc.t_max.bits == (0,)
+        assert enc.u_gb.text == "" and enc.v_bad.text == ""
+        assert enc.v_neutral == ""
+        assert enc.t_min.text == "0" and enc.t_max.text == "0"
         assert enc.payload_bits() == 2
 
     def test_precondition(self):
@@ -93,7 +94,8 @@ class TestDecode:
         assert {i for i in range(1, 10) if dmax.is_red[i]} == {1, 2, 3, 4}
 
     def test_singleton(self):
-        enc = ColoredEncoding(1, BitStream([0]), BitStream([0]), (), (), ())
+        enc = ColoredEncoding(1, BitStream("0"), BitStream("0"), BitStream(""),
+                              BitStream(""), "")
         dmin, dmax = decode_colored(enc)
         assert dmin.tree.parent == [None, 0]
         assert not dmin.is_red[1] and not dmax.is_red[1]
@@ -128,9 +130,32 @@ class TestDecode:
         enc = encode_colored(*colored_pair(ValueArray([3, 8, 5])))
         assert len(enc.v_neutral) == 2
         broken = ColoredEncoding(enc.n, enc.t_min, enc.t_max, enc.u_gb,
-                                 enc.v_bad, (9,) + enc.v_neutral[1:])
+                                 enc.v_bad, "9" + enc.v_neutral[1:])
         with pytest.raises(CorruptionError):
             decode_colored(broken)
+
+    def test_side_strings_exhausted_or_trailing(self, figure_array):
+        # the constructor checks the lengths against n and g, so the
+        # decoder's own checks are reached by editing a built encoding
+        edits = {
+            "u_gb": lambda e: BitStream(e.u_gb.text[:-1]),
+            "v_bad": lambda e: BitStream(e.v_bad.text + "0"),
+            "v_neutral": lambda e: e.v_neutral[:-1],
+        }
+        for name, edit in edits.items():
+            enc = encode_colored(*colored_pair(figure_array))
+            setattr(enc, name, edit(enc))
+            with pytest.raises(CorruptionError):
+                decode_colored(enc)
+        enc = encode_colored(*colored_pair(figure_array))
+        enc.v_neutral += "0"
+        with pytest.raises(CorruptionError, match="unconsumed side-string"):
+            decode_colored(enc)
+
+    def test_decode_twice(self, figure_array):
+        cmin, cmax = colored_pair(figure_array)
+        enc = encode_colored(cmin, cmax)
+        assert decode_colored(enc) == decode_colored(enc) == (cmin, cmax)
 
 
 class TestSizeAccounting:

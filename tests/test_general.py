@@ -62,7 +62,7 @@ class TestEncode:
     def test_constructor_checks_rank_width(self):
         enc = encode_general(ValueArray([5, 5, 2, 8, 8, 8, 1, 1]))
         with pytest.raises(CorruptionError):
-            GeneralEncoding(enc.n, enc.k, BitStream([1]), enc.colored)
+            GeneralEncoding(enc.n, enc.k, BitStream("1"), enc.colored)
 
 
 class TestDecodeAndQuery:
