@@ -67,7 +67,11 @@ def _build_parser():
 
 def _read_array(path):
     with open(path, "r", encoding="ascii") as fh:
-        return parse_array_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("input is not ASCII text: %s" % exc) from None
+    return parse_array_text(text)
 
 
 def _bound_text(enc):

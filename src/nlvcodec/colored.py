@@ -1,17 +1,24 @@
 """Encoding of the colored (min, max) heap pair for arrays with no
 consecutive equal elements.
 
-On top of the two degree streams, each inner index contributes either one
-bit (good or bad: its U bit, plus one color bit when bad) or one trit
-(neutral).  Total payload approaches (2 + log2 3) * n bits.
+The shape is stored as in the joint scheme (``joint.encode_heaps``,
+``joint.decode_heaps``); U's per-index choice of heap is folded into the
+colors the shape does not imply.  Index 0 < i < n is good when it has
+right siblings in neither heap, bad when in both, neutral otherwise.
+Good and bad indices keep their U bit (``u_gb``), and a bad one adds its
+color in the heap where it is internal (``v_bad``).  A neutral index
+stores one trit (``v_neutral``): its color in the heap where it has
+right siblings if it is internal there, else 2.  The decoder's
+``choose`` sees the class from the rebuilt shapes.  With g good and g
+bad indices the payload approaches (2 + log2 3) * n bits.
 """
 
 import math
 
-from .bitio import BitStream, read_degree, trit_pack_bits
+from .bitio import BitStream, trit_pack_bits
 from .errors import CorruptionError, PreconditionError
-from .joint import _Builder, degree_streams, leaf_bitmap
-from .trees import ColoredTree, check_leaf_internal_duality, check_red_leaf_rule
+from .joint import decode_heaps, encode_heaps
+from .trees import ColoredTree, check_red_leaf_rule
 
 GOOD = "good"
 BAD = "bad"
@@ -87,100 +94,68 @@ def count_good_bad(min_t, max_t):
 def encode_colored(cmin, cmax):
     """Encode a colored heap pair from a no-consecutive-equals array."""
     min_t, max_t = cmin.tree, cmax.tree
-    if min_t.n != max_t.n:
-        raise ValueError("tree sizes differ")
-    bad = check_leaf_internal_duality(min_t, max_t)
-    if bad is not None:
-        raise PreconditionError(
-            "leaf/internal duality violated at index %d "
-            "(consecutive equal elements?)" % bad, index=bad)
+    u, t_min, t_max = encode_heaps(min_t, max_t)
     for ct in (cmin, cmax):
         if not check_red_leaf_rule(ct):
             raise PreconditionError(
                 "blue leaf with right sibling: array had consecutive equal "
                 "elements or colors are inconsistent")
-    n = min_t.n
-    u = leaf_bitmap(min_t)
-    t_min, t_max = degree_streams(min_t, max_t, u)
     u = u.text
+    sib_min, sib_max = min_t.right_sib, max_t.right_sib
+    red_min, red_max = cmin.is_red, cmax.is_red
     u_gb, v_bad, v_neutral = [], [], []
-    for i in range(1, n):
-        cls = classify_index(min_t, max_t, i)
+    for i in range(1, min_t.n):
         # the relevant tree is the one where i is internal
         relevant_is_min = u[i - 1] == "0"
-        rel_ct = cmin if relevant_is_min else cmax
-        if cls in (GOOD, BAD):
+        in_min = sib_min[i] > 0
+        in_max = sib_max[i] > 0
+        red = red_min[i] if relevant_is_min else red_max[i]
+        if in_min == in_max:  # good (neither) or bad (both)
             u_gb.append(u[i - 1])
-            if cls == BAD:
-                v_bad.append(COLOR_RED if rel_ct.is_red[i] else COLOR_BLUE)
+            if in_min:
+                v_bad.append(COLOR_RED if red else COLOR_BLUE)
+        elif in_min == relevant_is_min:  # neutral, relevant tree has one
+            v_neutral.append(COLOR_RED if red else COLOR_BLUE)
         else:
-            if not rel_ct.tree.has_right_sibling(i):
-                v_neutral.append(TRIT_NO_SIBLINGS)
-            else:
-                v_neutral.append(COLOR_RED if rel_ct.is_red[i] else COLOR_BLUE)
-    return ColoredEncoding(n, t_min, t_max, BitStream("".join(u_gb)),
+            v_neutral.append(TRIT_NO_SIBLINGS)
+    return ColoredEncoding(min_t.n, t_min, t_max, BitStream("".join(u_gb)),
                            BitStream("".join(v_bad)), "".join(v_neutral))
 
 
 def decode_colored(enc):
     """Rebuild both colored trees; exact inverse of encode_colored."""
     n, u_gb, v_bad, v_neutral = enc.n, enc.u_gb, enc.v_bad, enc.v_neutral
-    for stream in (enc.t_min, enc.t_max, u_gb, v_bad):
-        stream.reset()
-    bmin = _Builder(n, read_degree(enc.t_min))
-    bmax = _Builder(n, read_degree(enc.t_max))
-    j = 0  # next v_neutral trit
+    u_gb.reset()
+    v_bad.reset()
     red_min = [False] * (n + 1)
     red_max = [False] * (n + 1)
-    for i in range(1, n + 1):
-        bmin.attach(i)
-        bmax.attach(i)
-        if i == n:
-            break  # leaf and blue in both trees, consumes nothing
-        sib_min = bmin.has_pending_siblings(i)
-        sib_max = bmax.has_pending_siblings(i)
+    j = 0  # next v_neutral trit
+
+    def choose(i, sib_min, sib_max):
+        nonlocal j
         if sib_min == sib_max:
             # good (neither) or bad (both): U bit names the relevant tree
             relevant_is_min = u_gb.read_bit() == "0"
-            if sib_min:  # bad
-                color = v_bad.read_bit()
-                if relevant_is_min:
-                    red_min[i] = color == COLOR_RED
-                    red_max[i] = True  # leaf with right siblings
-                else:
-                    red_max[i] = color == COLOR_RED
-                    red_min[i] = True
-        else:
-            if j == len(v_neutral):
-                raise CorruptionError("string v_neutral exhausted")
-            c = v_neutral[j]
-            j += 1
-            if c == TRIT_NO_SIBLINGS:
-                # relevant tree is the sibling-free one; the other tree has
-                # i as a leaf with right siblings, hence red
-                relevant_is_min = not sib_min
-                if sib_min:
-                    red_min[i] = True
-                else:
-                    red_max[i] = True
-            elif c in (COLOR_RED, COLOR_BLUE):
-                relevant_is_min = sib_min
-                if sib_min:
-                    red_min[i] = c == COLOR_RED
-                else:
-                    red_max[i] = c == COLOR_RED
-            else:
-                raise CorruptionError("invalid trit %r in v_neutral" % (c,))
-        if relevant_is_min:
-            bmin.open_node(i, read_degree(enc.t_min))
-        else:
-            bmax.open_node(i, read_degree(enc.t_max))
-    if not enc.t_min.at_end() or not enc.t_max.at_end():
-        raise CorruptionError("unconsumed trailing degree bits")
+            if sib_min:  # bad: red where it is a leaf with right siblings
+                red_min[i] = red_max[i] = True
+                red = v_bad.read_bit() == COLOR_RED
+                (red_min if relevant_is_min else red_max)[i] = red
+            return relevant_is_min
+        if j == len(v_neutral):
+            raise CorruptionError("string v_neutral exhausted")
+        c = v_neutral[j]
+        j += 1
+        if c not in (COLOR_RED, COLOR_BLUE, TRIT_NO_SIBLINGS):
+            raise CorruptionError("invalid trit %r in v_neutral" % (c,))
+        # c colors i in the tree where it has right siblings; a 2 says i
+        # is internal in the other tree, so a leaf here, hence red
+        (red_min if sib_min else red_max)[i] = c != COLOR_BLUE
+        return sib_max if c == TRIT_NO_SIBLINGS else sib_min
+
+    min_t, max_t = decode_heaps(n, enc.t_min, enc.t_max, choose)
     if not (u_gb.at_end() and v_bad.at_end() and j == len(v_neutral)):
         raise CorruptionError("unconsumed side-string characters")
-    return (ColoredTree(bmin.finish(), red_min),
-            ColoredTree(bmax.finish(), red_max))
+    return ColoredTree(min_t, red_min), ColoredTree(max_t, red_max)
 
 
 def colored_size_bits(n, g, m):

@@ -16,7 +16,7 @@ from .joint import encode_joint
 from .trees import (build_max_heap, build_min_heap, check_leaf_internal_duality, check_red_leaf_rule,
                     check_preorder_labels, check_sibling_monotonicity, colorize)
 
-DISTRIBUTIONS = ("distinct", "alphabet", "runs")
+DISTRIBUTIONS = ("distinct", "alphabet", "runs", "monotone_runs")
 
 
 def random_array(rng, max_n, alphabet, dist):
@@ -25,6 +25,11 @@ def random_array(rng, max_n, alphabet, dist):
         values = rng.sample(range(10 * n + 1), n)
     elif dist == "alphabet":
         values = [rng.randint(1, alphabet) for _ in range(n)]
+    elif dist == "monotone_runs":  # k = n // 13 equal neighbours, g = 0
+        equal_after = set(rng.sample(range(1, n), n // 13))
+        step = rng.choice((1, -1))
+        values = itertools.accumulate(0 if i in equal_after else step
+                                      for i in range(n))
     else:  # long runs
         values = []
         while len(values) < n:

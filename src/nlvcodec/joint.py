@@ -1,7 +1,14 @@
-"""Joint encoding of the uncolored (min, max) heap pair in 3n-1 bits.
+"""The shape codec of the (min, max) heap pair, and the joint scheme
+that stores it in 3n-1 bits.
 
-Payload: a leaf bitmap U of length n-1 plus two unary degree streams that
-together hold exactly 2n bits.  Decoding supports PSV/PLV only.
+With no consecutive equal elements, each index 0 < i < n is internal in
+exactly one heap.  Both shapes are then 2n unary degree bits (node 0 in
+each heap, every other i < n in the heap where it is internal) plus that
+choice of heap per index.  ``encode_heaps`` gives the choice as the
+min-heap leaf bitmap U with the degree streams; ``decode_heaps`` rebuilds
+both shapes in one pass and asks a ``choose`` function for each choice.
+The joint scheme stores U as is, so its heaps answer PSV/PLV only; the
+colored scheme (``colored.py``) folds the choice into the colors.
 """
 
 from .bitio import BitStream, read_degree, write_degree
@@ -36,27 +43,30 @@ class JointEncoding:
 
 def leaf_bitmap(min_t):
     """U[i] = 1 iff i is a leaf in the min heap, for 1 <= i <= n-1."""
-    return BitStream("".join("1" if min_t.is_leaf(i) else "0"
-                             for i in range(1, min_t.n)))
+    first = min_t.first_child
+    return BitStream("".join(["0" if first[i] else "1"
+                              for i in range(1, min_t.n)]))
 
 
 def degree_streams(min_t, max_t, u):
     """Interleaved unary degree codes: node 0 contributes to both streams,
     node i < n to the stream of the tree where it is internal."""
     u = u.text
-    t_min = []
-    t_max = []
-    for i in range(min_t.n):
-        if i == 0 or u[i - 1] == "0":
-            t_min.append(write_degree(min_t.degree(i)))
-        if i == 0 or u[i - 1] == "1":
-            t_max.append(write_degree(max_t.degree(i)))
+    deg_min, deg_max = min_t.degrees, max_t.degrees
+    t_min = [write_degree(deg_min[0])]
+    t_max = [write_degree(deg_max[0])]
+    for i in range(1, min_t.n):
+        if u[i - 1] == "0":
+            t_min.append(write_degree(deg_min[i]))
+        else:
+            t_max.append(write_degree(deg_max[i]))
     return BitStream("".join(t_min)), BitStream("".join(t_max))
 
 
-def encode_joint(min_t, max_t):
-    """Encode a heap pair; both trees must come from one array with no
-    consecutive equal elements (checked via leaf/internal duality)."""
+def encode_heaps(min_t, max_t):
+    """U and the two degree streams of a heap pair, which must come from
+    one array with no consecutive equal elements (checked via
+    leaf/internal duality)."""
     if min_t.n != max_t.n:
         raise ValueError("tree sizes differ")
     bad = check_leaf_internal_duality(min_t, max_t)
@@ -66,68 +76,69 @@ def encode_joint(min_t, max_t):
             "(consecutive equal elements?)" % bad, index=bad)
     u = leaf_bitmap(min_t)
     t_min, t_max = degree_streams(min_t, max_t, u)
-    return JointEncoding(min_t.n, u, t_min, t_max)
+    return u, t_min, t_max
 
 
-class _Builder:
-    """Stack-based preorder reconstruction: each new node attaches to the
-    deepest rightmost-path node whose target degree is not yet met."""
+def encode_joint(min_t, max_t):
+    """Encode a heap pair as U plus the degree streams."""
+    return JointEncoding(min_t.n, *encode_heaps(min_t, max_t))
 
-    __slots__ = ("parent", "stack", "count", "target")
 
-    def __init__(self, n, root_degree):
-        self.parent = [None] * (n + 1)
-        self.stack = [0]
-        self.count = [0] * (n + 1)
-        self.target = [0] * (n + 1)
-        self.target[0] = root_degree
+def decode_heaps(n, t_min, t_max, choose):
+    """Rebuild both heap shapes in one preorder pass; returns the (min,
+    max) OrdinalTree pair.
 
-    def attach(self, i):
-        stack = self.stack
-        while stack and self.count[stack[-1]] == self.target[stack[-1]]:
-            stack.pop()
-        if not stack:
+    Each heap's stack holds its nodes still expecting children, deepest
+    last, and node i becomes the next child of each top.  For i < n,
+    ``choose(i, sib_min, sib_max)`` learns whether i will get a right
+    sibling in each heap and returns True when i is internal in the min
+    heap, False for the max heap; that heap's stream gives i's degree.
+    """
+    t_min.reset()
+    t_max.reset()
+    parent_min = [None] * (n + 1)
+    parent_max = [None] * (n + 1)
+    # children each node still expects; positive exactly on the stack
+    left_min = [0] * (n + 1)
+    left_max = [0] * (n + 1)
+    left_min[0] = read_degree(t_min)
+    left_max[0] = read_degree(t_max)
+    stack_min = [0]
+    stack_max = [0]
+    for i in range(1, n + 1):
+        if not stack_min or not stack_max:
             raise CorruptionError("no open node to attach node %d" % i)
-        p = stack[-1]
-        self.parent[i] = p
-        self.count[p] += 1
-        return p
-
-    def open_node(self, i, target_degree):
-        self.target[i] = target_degree
-        self.stack.append(i)
-
-    def has_pending_siblings(self, i):
-        """True iff i's parent still awaits more children, i.e. i will get
-        right siblings."""
-        p = self.parent[i]
-        return self.count[p] < self.target[p]
-
-    def finish(self):
-        for node in self.stack:
-            if self.count[node] != self.target[node]:
-                raise CorruptionError(
-                    "node %d received %d of %d children"
-                    % (node, self.count[node], self.target[node]))
-        return OrdinalTree(self.parent)
+        p = stack_min[-1]
+        parent_min[i] = p
+        sib_min = left_min[p] - 1
+        left_min[p] = sib_min
+        if not sib_min:
+            stack_min.pop()
+        p = stack_max[-1]
+        parent_max[i] = p
+        sib_max = left_max[p] - 1
+        left_max[p] = sib_max
+        if not sib_max:
+            stack_max.pop()
+        if i == n:
+            break
+        if choose(i, sib_min > 0, sib_max > 0):
+            left_min[i] = read_degree(t_min)
+            stack_min.append(i)
+        else:
+            left_max[i] = read_degree(t_max)
+            stack_max.append(i)
+    if not t_min.at_end() or not t_max.at_end():
+        raise CorruptionError("unconsumed trailing degree bits")
+    for stack, left in ((stack_min, left_min), (stack_max, left_max)):
+        if stack:
+            raise CorruptionError("node %d still expects %d more children"
+                                  % (stack[-1], left[stack[-1]]))
+    return OrdinalTree(parent_min), OrdinalTree(parent_max)
 
 
 def decode_joint(enc):
     """Rebuild the (min, max) heap pair; exact inverse of encode_joint."""
-    n, u = enc.n, enc.u.text
-    enc.t_min.reset()
-    enc.t_max.reset()
-    bmin = _Builder(n, read_degree(enc.t_min))
-    bmax = _Builder(n, read_degree(enc.t_max))
-    for i in range(1, n + 1):
-        bmin.attach(i)
-        bmax.attach(i)
-        if i == n:
-            continue  # node n is a leaf in both trees and consumes nothing
-        if u[i - 1] == "0":
-            bmin.open_node(i, read_degree(enc.t_min))
-        else:
-            bmax.open_node(i, read_degree(enc.t_max))
-    if not enc.t_min.at_end() or not enc.t_max.at_end():
-        raise CorruptionError("unconsumed trailing degree bits")
-    return bmin.finish(), bmax.finish()
+    u = enc.u.text
+    return decode_heaps(enc.n, enc.t_min, enc.t_max,
+                        lambda i, sib_min, sib_max: u[i - 1] == "0")

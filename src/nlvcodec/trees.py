@@ -10,6 +10,8 @@ degree); a colored tree adds its colors and the next-value answer of
 every node, computed once when it is built.
 """
 
+import math
+
 from .errors import RangeError
 
 RED = "red"
@@ -146,14 +148,15 @@ def _next_value_table(tree, is_red):
     return table
 
 
-def _build_heap(a, cmp_pop):
-    # Stack scan: node 0 is a virtual extreme sentinel, never popped.
-    parent = [None] * (a.n + 1)
+def _build_heap(values):
+    # Stack scan for PSV: node 0 holds a virtual value below every other,
+    # so it is never popped.
+    padded = (-math.inf,) + tuple(values)
+    parent = [None] * len(padded)
     stack = [0]
-    values = a.values
-    for i in range(1, a.n + 1):
-        v = values[i - 1]
-        while len(stack) > 1 and cmp_pop(values[stack[-1] - 1], v):
+    for i in range(1, len(padded)):
+        v = padded[i]
+        while padded[stack[-1]] >= v:
             stack.pop()
         parent[i] = stack[-1]
         stack.append(i)
@@ -162,12 +165,12 @@ def _build_heap(a, cmp_pop):
 
 def build_min_heap(a):
     """Tree with parent(i) = PSV(i); children sorted increasing."""
-    return _build_heap(a, lambda top, v: top >= v)
+    return _build_heap(a.values)
 
 
 def build_max_heap(a):
-    """Tree with parent(i) = PLV(i)."""
-    return _build_heap(a, lambda top, v: top <= v)
+    """Tree with parent(i) = PLV(i): the min heap of the negated values."""
+    return _build_heap(-v for v in a.values)
 
 
 def colorize(tree, a):
@@ -185,14 +188,12 @@ def colorize(tree, a):
     return ColoredTree(tree, is_red)
 
 
-def check_leaf_internal_duality(min_t, max_t, n=None):
+def check_leaf_internal_duality(min_t, max_t):
     """Leaf/internal duality: for 0 < i < n, i is a leaf in the min heap
     iff it is internal in the max heap.  Returns the first violating index
     or None."""
-    if n is None:
-        n = min_t.n
     first_min, first_max = min_t.first_child, max_t.first_child
-    for i in range(1, n):
+    for i in range(1, min_t.n):
         if (first_min[i] == 0) == (first_max[i] == 0):
             return i
     return None

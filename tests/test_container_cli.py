@@ -172,6 +172,14 @@ class TestCli:
                    "--out", str(tmp_path / "o.nlve")])
         assert rc == 2
 
+    def test_encode_non_ascii_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "utf8.txt"
+        src.write_bytes(b"3 1 \xc3\xa9 2")
+        rc = main(["encode", "--scheme", "general", "--in", str(src),
+                   "--out", str(tmp_path / "o.nlve")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+
     def test_query_colored(self, figure_file, tmp_path, capsys):
         out = tmp_path / "fig.nlve"
         main(["encode", "--scheme", "colored", "--in", str(figure_file),
