@@ -179,29 +179,20 @@ def compute_runs(a):
     return RunStructure(c_bits, a.n, values=a.values)
 
 
-def map_query_index(rs, i):
-    """Reduced-array position of the last element of index i's run."""
-    if not 1 <= i <= rs.n:
-        raise RangeError("index %d out of range 1..%d" % (i, rs.n))
-    return rs.rank_map[i - 1]
+def map_query_index(rs, table):
+    """Lift a reduced-position table to original indices: i reads its run's entry."""
+    return [table[0], *map(table.__getitem__, rs.rank_map)]
 
 
-def map_answer_to_original(rs, jp, kind):
-    """Translate a reduced-array query answer back to original coordinates.
+def map_answer_to_original(rs, answers, kind):
+    """Translate a table of reduced-array answers to original coordinates.
 
     PSV/PLV answers are run ends and map straight to the kept position.
     NSV/NLV answers map to the first element of the answering run.
     """
     if kind not in QUERY_KINDS:
         raise ValueError("unknown query kind %r" % (kind,))
-    n_reduced = rs.n - rs.k
-    if jp == 0:
-        return 0
-    if jp == n_reduced + 1:
-        return rs.n + 1
-    if not 1 <= jp <= n_reduced:
-        raise RangeError("reduced index %d out of range" % jp)
-    if kind in ("psv", "plv"):
-        return rs.kept_positions[jp - 1]
-    # next-value answers point at the run start
-    return rs.run_starts[jp - 1]
+    targets = rs.kept_positions if kind in ("psv", "plv") else rs.run_starts
+    # entry 0 is unused; the sentinels 0 and n-k+1 map to 0 and n+1
+    lookup = (0,) + targets + (rs.n + 1,)
+    return [None, *map(lookup.__getitem__, answers[1:])]

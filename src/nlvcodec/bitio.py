@@ -8,6 +8,7 @@ joining string chunks, and bytes come from one base-2 ``int``
 conversion, which Python's int/str digit limit does not apply to.
 """
 
+import itertools
 from math import comb
 
 from .errors import CorruptionError
@@ -15,6 +16,9 @@ from .errors import CorruptionError
 # 3^41 < 2^65, so 41 trits always fit a 65-bit block.
 TRITS_PER_BLOCK = 41
 BITS_PER_BLOCK = 65
+
+# the five-digit base-3 str of every value below 3^5
+_FIVE_TRITS = ["".join(d) for d in itertools.product("012", repeat=5)]
 
 
 class BitStream:
@@ -138,11 +142,13 @@ def unpack_trits(s, m):
         value = s.read_uint(_block_width(blen))
         if value >= 3 ** blen:
             raise CorruptionError("trit block value %d out of range" % value)
-        block = ["0"] * blen
-        for pos in range(blen - 1, -1, -1):
-            value, t = divmod(value, 3)
-            block[pos] = "012"[t]
-        out.extend(block)
+        # five digits per divmod, least significant group first; the
+        # digits above blen are zeros, since value < 3^blen
+        groups = []
+        for _ in range((blen + 4) // 5):
+            value, low = divmod(value, 243)
+            groups.append(_FIVE_TRITS[low])
+        out.append("".join(reversed(groups))[-blen:])
         remaining -= blen
     return "".join(out)
 

@@ -10,7 +10,7 @@ import sys
 
 from .arrays import parse_array_text
 from .colored import colored_size_bound
-from .container import decode, deserialize, encode, serialize
+from .container import decode, decode_shapes, deserialize, encode, serialize
 from .errors import CorruptionError, ParseError, PreconditionError, RangeError
 from .fuzz import run_fuzz
 from .general import LOG2_13
@@ -29,6 +29,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print("error: %s" % message, file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _count(text):
+    """argparse type of the fuzz counts: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 def _build_parser():
@@ -56,9 +67,9 @@ def _build_parser():
     p.add_argument("--in", dest="infile", required=True)
 
     p = sub.add_parser("fuzz", help="randomized/exhaustive self checks")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-n", type=int, default=50)
-    p.add_argument("--alphabet", type=int, default=5)
+    p.add_argument("--count", type=_count, default=100)
+    p.add_argument("--max-n", type=_count, default=50)
+    p.add_argument("--alphabet", type=_count, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true")
 
@@ -107,12 +118,12 @@ def cmd_decode(args):
     enc = _load_container(args.infile)
     print("scheme=%s n=%d payload=%d bits"
           % (enc.scheme, enc.n, enc.payload_bits()))
-    qs = decode(enc)
+    c_bits, heaps = decode_shapes(enc)
     if args.dump_trees:
-        if qs.runs is not None:
-            print("c: %s" % "".join(map(str, qs.runs.c_bits)))
-        print("min: %s" % tree_to_text(qs.cmin.tree, qs.cmin.is_red))
-        print("max: %s" % tree_to_text(qs.cmax.tree, qs.cmax.is_red))
+        if c_bits is not None:
+            print("c: %s" % "".join(map(str, c_bits)))
+        for name, (tree, colors) in zip(("min", "max"), heaps):
+            print("%s: %s" % (name, tree_to_text(tree, colors)))
     return EXIT_OK
 
 

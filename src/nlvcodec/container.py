@@ -10,10 +10,10 @@ little-endian, no redundant trailing zero group) of at most 64 bits.
 from .bitio import BitStream, subset_rank_width, trit_pack_bits, pack_trits, unpack_trits
 from .colored import ColoredEncoding, decode_colored, encode_colored
 from .errors import CorruptionError, PreconditionError
-from .general import GeneralEncoding, decode_general, encode_general
+from .general import GeneralEncoding, decode_general, decode_runs, encode_general
 from .joint import JointEncoding, decode_joint, encode_joint
-from .queries import QueryStructure
-from .trees import ColoredTree, build_max_heap, build_min_heap, colorize
+from .queries import QueryStructure, tables_of
+from .trees import build_max_heap, build_min_heap, colorize
 
 MAGIC = b"NLVE"
 VERSION = 1
@@ -55,8 +55,21 @@ def decode(enc):
         return decode_general(enc)
     if isinstance(enc, JointEncoding):
         min_t, max_t = decode_joint(enc)
-        return QueryStructure(ColoredTree(min_t, None), ColoredTree(max_t, None))
-    return QueryStructure(*decode_colored(enc))
+        return QueryStructure(enc.n, {"psv": min_t.parent, "plv": max_t.parent})
+    return QueryStructure(enc.n, tables_of(*decode_colored(enc)))
+
+
+def decode_shapes(enc):
+    """The decoded shapes behind ``decode``: the run bits (a general
+    encoding's, else None) and a (tree, colors) pair per heap, min first,
+    with colors None for joint."""
+    c_bits = None
+    if isinstance(enc, GeneralEncoding):
+        c_bits = decode_runs(enc).c_bits
+        enc = enc.colored
+    if isinstance(enc, JointEncoding):
+        return c_bits, [(tree, None) for tree in decode_joint(enc)]
+    return c_bits, [(ct.tree, ct.is_red) for ct in decode_colored(enc)]
 
 
 def write_varint(buf, value):

@@ -9,10 +9,10 @@ import math
 import random
 
 from .arrays import ORACLES, QUERY_KINDS, ValueArray, compute_runs
-from .colored import count_good_bad, encode_colored
+from .colored import count_good_bad, decode_colored, encode_colored
 from .container import decode, deserialize, serialize
 from .general import LOG2_13, encode_general
-from .joint import encode_joint
+from .joint import decode_joint, encode_joint
 from .trees import (build_max_heap, build_min_heap, check_leaf_internal_duality, check_red_leaf_rule,
                     check_preorder_labels, check_sibling_monotonicity, colorize)
 
@@ -54,7 +54,7 @@ def colored_payload_bound(n):
 
 def _check_container(name, enc, a, kinds, failures):
     """Round-trip ``enc`` through container bytes, then check every answer
-    of its decoded structure against the oracles; returns the structure."""
+    of its decoded structure against the oracles; returns the parsed one."""
     data = serialize(enc)
     parsed = deserialize(data)
     if serialize(parsed) != data:
@@ -65,7 +65,7 @@ def _check_container(name, enc, a, kinds, failures):
             if qs.query(kind, i) != ORACLES[kind](a, i):
                 failures.append("%s %s mismatch at %d" % (name, kind, i))
                 break
-    return qs
+    return parsed
 
 
 def check_array(a):
@@ -95,8 +95,8 @@ def check_array(a):
         joint = encode_joint(min_t, max_t)
         if joint.payload_bits() != 3 * a.n - 1:
             failures.append("joint payload is not 3n-1 bits")
-        qs = _check_container("joint", joint, a, ("psv", "plv"), failures)
-        dmin, dmax = qs.cmin.tree, qs.cmax.tree
+        parsed = _check_container("joint", joint, a, ("psv", "plv"), failures)
+        dmin, dmax = decode_joint(parsed)
         if dmin != min_t or dmax != max_t:
             failures.append("joint decode does not round-trip")
         if encode_joint(dmin, dmax) != joint:
@@ -105,10 +105,11 @@ def check_array(a):
         colored = encode_colored(cmin, cmax)
         if colored.payload_bits() > colored_payload_bound(a.n):
             failures.append("colored payload exceeds bound")
-        qs = _check_container("colored", colored, a, QUERY_KINDS, failures)
-        if qs.cmin != cmin or qs.cmax != cmax:
+        parsed = _check_container("colored", colored, a, QUERY_KINDS, failures)
+        qmin, qmax = decode_colored(parsed)
+        if qmin != cmin or qmax != cmax:
             failures.append("colored decode does not round-trip")
-        if encode_colored(qs.cmin, qs.cmax) != colored:
+        if encode_colored(qmin, qmax) != colored:
             failures.append("colored re-encode differs")
 
     general = encode_general(a)

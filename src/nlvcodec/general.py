@@ -1,19 +1,20 @@
 """Encoding for arbitrary arrays: a run bitmap stored by combinadic rank
 plus the colored encoding of the run-compressed array.
 
-Payload approaches log2(13) * n bits; queries on original indices are
-routed through the run index maps.
+Payload approaches log2(13) * n bits; decoding lifts the answer tables
+through the run index maps once.
 """
 
 import math
 from math import comb
 
-from .arrays import RunStructure, compute_runs
+from .arrays import (QUERY_KINDS, RunStructure, compute_runs,
+                     map_answer_to_original, map_query_index)
 from .bitio import (BitStream, subset_rank, subset_rank_width, subset_unrank,
                     uint_bits)
 from .colored import decode_colored, encode_colored
 from .errors import CorruptionError
-from .queries import QueryStructure
+from .queries import QueryStructure, tables_of
 from .trees import build_max_heap, build_min_heap, colorize
 
 LOG2_13 = math.log2(13)
@@ -65,18 +66,26 @@ def encode_general(a):
     return GeneralEncoding(a.n, k, c_rank_bits, colored, width)
 
 
-def decode_general(enc):
-    """Materialize the run structure and both colored trees for querying."""
+def decode_runs(enc):
+    """The run structure of a general encoding, from its rank bits."""
     # the constructor checked the segment against the exact rank width
     enc.c_rank_bits.reset()
     rank = enc.c_rank_bits.read_uint(len(enc.c_rank_bits))
-    ones = subset_unrank(enc.k, rank, enc.n - 1)
     c_bits = [0] * (enc.n - 1)
-    for p in ones:
+    for p in subset_unrank(enc.k, rank, enc.n - 1):
         c_bits[p] = 1
-    runs = RunStructure(c_bits, enc.n)
-    cmin, cmax = decode_colored(enc.colored)
-    return QueryStructure(cmin, cmax, runs)
+    return RunStructure(c_bits, enc.n)
+
+
+def decode_general(enc):
+    """Lift the reduced array's four answer tables through the runs."""
+    # the reduced heaps are gone before the run maps are built, which
+    # keeps setup's peak memory low
+    reduced = tables_of(*decode_colored(enc.colored))
+    runs = decode_runs(enc)
+    return QueryStructure(enc.n, {
+        kind: map_query_index(runs, map_answer_to_original(runs, reduced.pop(kind), kind))
+        for kind in QUERY_KINDS})
 
 
 def check_subset_coding_inequality(c, n, k, tol_per_n=1e-6):

@@ -6,10 +6,10 @@ answers are parents.  Next-value answers come from the table a
 ``ColoredTree`` builds from its colors when it is made (see
 ``trees._next_value_table``), so no query walks siblings or ancestors.
 
-``QueryStructure`` answers all four queries for any of the three schemes.
+``QueryStructure`` holds one answer table per kind, for all three schemes.
 """
 
-from .arrays import map_answer_to_original, map_query_index
+from .arrays import QUERY_KINDS
 from .errors import RangeError
 from .trees import node_index_check
 
@@ -46,34 +46,35 @@ TREE_QUERIES = {
 }
 
 
+def tables_of(cmin, cmax):
+    """The answer tables of a colored heap pair (its lists, not copies)."""
+    return {"psv": cmin.tree.parent, "plv": cmax.tree.parent,
+            "nsv": cmin.next_value, "nlv": cmax.next_value}
+
+
 class QueryStructure:
     """Answers the four queries on original indices, without the array.
 
-    ``cmin``/``cmax`` are the min and max heaps.  A joint container decodes
-    to heaps without colors or next-value tables (``next_value`` is None),
-    which answer psv/plv only.
-    ``runs`` is the general scheme's run structure and None otherwise.
+    ``tables[kind][i]`` answers kind at i (entry 0 unused).  A joint
+    container decodes to psv/plv tables only.
     """
 
-    __slots__ = ("cmin", "cmax", "runs")
+    __slots__ = ("n", "tables")
 
-    def __init__(self, cmin, cmax, runs=None):
-        self.cmin = cmin
-        self.cmax = cmax
-        self.runs = runs
+    def __init__(self, n, tables):
+        self.n = n
+        self.tables = tables
 
     def query(self, kind, i):
         try:
-            answer = TREE_QUERIES[kind]
+            table = self.tables[kind]
         except KeyError:
+            if kind in QUERY_KINDS:
+                raise RangeError("joint scheme answers psv/plv only") from None
             raise ValueError("unknown query kind %r" % (kind,)) from None
-        tree = self.cmin if kind in ("psv", "nsv") else self.cmax
-        runs = self.runs
-        if runs is None:
-            if tree.next_value is None and kind in ("nsv", "nlv"):
-                raise RangeError("joint scheme answers psv/plv only")
-            return answer(tree, i)
-        return map_answer_to_original(runs, answer(tree, map_query_index(runs, i)), kind)
+        if not 1 <= i <= self.n:
+            raise RangeError("index %d out of range 1..%d" % (i, self.n))
+        return table[i]
 
     def psv(self, i):
         return self.query("psv", i)

@@ -92,22 +92,19 @@ class ColoredTree:
 
     ``next_value[i]`` is the answer to NSV(i) in a min heap and NLV(i) in
     a max heap, n+1 when there is none; the constructor computes it for
-    every node.  ``is_red`` and ``next_value`` are None for a heap
-    decoded without colors (joint scheme).
+    every node.  Together with ``tree.parent`` it is all a query reads, so
+    ``queries.tables_of`` keeps just those two lists of each heap.
     """
 
     __slots__ = ("tree", "is_red", "next_value")
 
     def __init__(self, tree, is_red):
-        next_value = None
-        if is_red is not None:
-            is_red = list(is_red)
-            if len(is_red) != tree.n + 1:
-                raise ValueError("need one color per node")
-            next_value = _next_value_table(tree, is_red)
+        is_red = list(is_red)
+        if len(is_red) != tree.n + 1:
+            raise ValueError("need one color per node")
         self.tree = tree
         self.is_red = is_red
-        self.next_value = next_value
+        self.next_value = _next_value_table(tree, is_red)
 
     def __eq__(self, other):
         return (isinstance(other, ColoredTree)

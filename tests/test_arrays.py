@@ -129,36 +129,30 @@ class TestRuns:
 
 class TestIndexMaps:
     def test_map_query_index(self):
+        # lifting the identity table of reduced positions gives each
+        # original index the reduced position of its run
         rs = compute_runs(ValueArray([2, 1, 1, 3]))
-        assert map_query_index(rs, 2) == 2
-        assert map_query_index(rs, 1) == 1
+        lifted = map_query_index(rs, [0, 1, 2, 3])
+        assert len(lifted) == 5
+        assert lifted[2] == 2
+        assert lifted[1] == 1
         rs7 = compute_runs(ValueArray([7, 7, 7]))
-        assert map_query_index(rs7, 1) == 1
-
-    def test_map_query_index_range(self):
-        rs = compute_runs(ValueArray([1, 2]))
-        with pytest.raises(RangeError):
-            map_query_index(rs, 0)
-        with pytest.raises(RangeError):
-            map_query_index(rs, 3)
+        assert map_query_index(rs7, [0, 1])[1] == 1
 
     def test_map_answer_examples(self):
         rs = compute_runs(ValueArray([2, 1, 1, 3]))
-        assert map_answer_to_original(rs, 2, "nsv") == 2
-        assert map_answer_to_original(rs, 0, "psv") == 0
-        assert map_answer_to_original(rs, 2, "psv") == 3
+        assert map_answer_to_original(rs, [None, 2], "nsv") == [None, 2]
+        assert map_answer_to_original(rs, [None, 0, 2], "psv") == [None, 0, 3]
 
     def test_map_answer_sentinels(self):
         rs = compute_runs(ValueArray([7, 7, 7]))
-        assert map_answer_to_original(rs, 2, "nsv") == 4  # n'+1 -> n+1
-        assert map_answer_to_original(rs, 0, "plv") == 0
+        assert map_answer_to_original(rs, [None, 2], "nsv") == [None, 4]  # n'+1 -> n+1
+        assert map_answer_to_original(rs, [None, 0], "plv") == [None, 0]
 
     def test_map_answer_invalid(self):
         rs = compute_runs(ValueArray([1, 2]))
-        with pytest.raises(RangeError):
-            map_answer_to_original(rs, 5, "psv")
         with pytest.raises(ValueError):
-            map_answer_to_original(rs, 1, "bogus")
+            map_answer_to_original(rs, [None, 1], "bogus")
 
     def test_psv_answers_are_run_ends(self):
         # the full-array oracle only ever lands on the last index of a run
@@ -180,7 +174,9 @@ class TestIndexMaps:
                 reduced = rs.reduced_array()
                 for kind in QUERY_KINDS:
                     oracle = ORACLES[kind]
-                    for i in range(1, a.n + 1):
-                        jp = oracle(reduced, map_query_index(rs, i))
-                        assert (map_answer_to_original(rs, jp, kind)
-                                == oracle(a, i)), (values, kind, i)
+                    answers = [None] + [oracle(reduced, j)
+                                        for j in range(1, reduced.n + 1)]
+                    lifted = map_query_index(
+                        rs, map_answer_to_original(rs, answers, kind))
+                    assert lifted[1:] == [oracle(a, i) for i in range(1, a.n + 1)], \
+                        (values, kind)

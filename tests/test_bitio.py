@@ -11,6 +11,8 @@ from nlvcodec import (BitStream, CorruptionError, bitio, pack_trits,
                       write_degree)
 from nlvcodec.bitio import BITS_PER_BLOCK, TRITS_PER_BLOCK, uint_bits
 
+from conftest import make_rng
+
 
 class TestBitStream:
     def test_write_read(self):
@@ -122,6 +124,16 @@ class TestTritPacking:
         assert BITS_PER_BLOCK / TRITS_PER_BLOCK <= 1.58537
         for m in range(0, 2000):
             assert trit_pack_bits(m) <= 1.58537 * m + 65
+
+    def test_round_trip_every_partial_block(self):
+        # every count 0..83 (two full blocks and each partial length),
+        # with all-2 blocks, whose values are the largest each width holds
+        rng = make_rng(83)
+        for m in range(2 * TRITS_PER_BLOCK + 2):
+            for trits in ("2" * m, "".join(rng.choice("012") for _ in range(m))):
+                s = pack_trits(trits)
+                assert unpack_trits(s, m) == trits
+                assert s.at_end()
 
     @given(st.text("012", max_size=150))
     @settings(max_examples=200)

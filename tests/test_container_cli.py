@@ -198,6 +198,19 @@ class TestCli:
         assert rc == 1
         assert "psv/plv only" in capsys.readouterr().err
 
+    def test_query_out_of_range_same_message(self, figure_file, tmp_path, capsys):
+        for scheme in ("joint", "colored", "general"):
+            out = tmp_path / (scheme + ".nlve")
+            main(["encode", "--scheme", scheme, "--in", str(figure_file),
+                  "--out", str(out)])
+            capsys.readouterr()
+            for i in (0, 10):
+                rc = main(["query", "--in", str(out), "--kind", "psv",
+                           "--index", str(i)])
+                assert rc == 1
+                assert (capsys.readouterr().err
+                        == "error: index %d out of range 1..9\n" % i)
+
     def test_query_general(self, tmp_path, capsys):
         src = tmp_path / "runs.txt"
         src.write_text("2\n1\n1\n3\n")
@@ -306,6 +319,20 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "120 arrays checked" in out  # 3 + 9 + 27 + 81
+
+    @pytest.mark.parametrize("args, option", [
+        (["--max-n", "0"], "--max-n"), (["--alphabet", "0"], "--alphabet"),
+        (["--count", "0"], "--count"), (["--count", "-3"], "--count"),
+        (["--max-n", "3", "--alphabet", "0", "--exhaustive"], "--alphabet"),
+        (["--max-n", "0", "--exhaustive"], "--max-n")])
+    def test_fuzz_counts_below_one_are_usage_errors(self, args, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz"] + args)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "error: argument %s: must be at least 1" % option in captured.err
+        assert "Traceback" not in captured.err
+        assert "arrays checked" not in captured.out
 
     def test_module_entry_point(self):
         # python -m nlvcodec runs the CLI and passes its exit code on

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlvcodec import (RangeError, ValueArray, build_max_heap, build_min_heap,
-                      colorize, decode, deserialize, encode, nlv_from_tree,
-                      nsv_from_tree, plv_from_tree, psv_from_tree, serialize)
+                      colorize, compute_runs, decode, deserialize, encode,
+                      nlv_from_tree, nsv_from_tree, plv_from_tree,
+                      psv_from_tree, serialize)
 from nlvcodec.arrays import ORACLES, QUERY_KINDS
 from nlvcodec.queries import TREE_QUERIES
 from nlvcodec.trees import OrdinalTree
@@ -120,18 +121,27 @@ class TestNextValueTables:
     @given(run_arrays())
     @settings(max_examples=150, deadline=None)
     def test_decoded_tables_match_oracles(self, a):
-        qs = decode(deserialize(serialize(encode(a, "general"))))
-        reduced = ValueArray(a.values[p - 1] for p in qs.runs.kept_positions)
-        for ct, kind in ((qs.cmin, "nsv"), (qs.cmax, "nlv")):
-            assert ct.next_value[1:] == [ORACLES[kind](reduced, j)
-                                         for j in range(1, reduced.n + 1)]
-        starts = [1] + [i + 1 for i in range(1, a.n)
-                        if a.values[i - 1] != a.values[i]]
-        assert list(qs.runs.run_starts) == starts
+        # joint and colored need no equal neighbours, which run arrays
+        # almost never lack, so they take the run-compressed array
+        reduced = compute_runs(a).reduced_array()
+        for scheme, b in (("general", a), ("joint", reduced), ("colored", reduced)):
+            qs = decode(deserialize(serialize(encode(b, scheme))))
+            for kind, table in qs.tables.items():
+                assert table[1:] == [ORACLES[kind](b, i)
+                                     for i in range(1, b.n + 1)], (scheme, kind)
 
-    def test_joint_heaps_have_no_table(self):
-        qs = decode(encode(ValueArray([3, 1, 2]), "joint"))
-        assert qs.cmin.next_value is None and qs.cmax.next_value is None
+    def test_structure_holds_only_tables(self):
+        cases = [("joint", [3, 1, 2, 5, 4]), ("colored", [3, 1, 2, 5, 4]),
+                 ("general", [3, 3, 1, 2, 2, 2, 5, 4])]
+        for scheme, values in cases:
+            qs = decode(encode(ValueArray(values), scheme))
+            assert type(qs).__slots__ == ("n", "tables")
+            assert not hasattr(qs, "__dict__")
+            assert qs.n == len(values)
+            kinds = ("psv", "plv") if scheme == "joint" else QUERY_KINDS
+            assert sorted(qs.tables) == sorted(kinds), scheme
+            for table in qs.tables.values():
+                assert type(table) is list and len(table) == qs.n + 1
 
 
 def _monotone_runs(rng, n):
