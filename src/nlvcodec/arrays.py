@@ -4,6 +4,7 @@ Indices are 1-based at the API boundary.  Index 0 and index n+1 act as
 virtual sentinels for the previous-* and next-* queries respectively.
 """
 
+import itertools
 import operator
 
 from .errors import EmptyArrayError, ParseError, RangeError
@@ -142,28 +143,24 @@ class RunStructure:
                  "rank_map", "_values")
 
     def __init__(self, c_bits, n, values=None):
-        c_bits = tuple(int(b) for b in c_bits)
+        c_bits = tuple(map(int, c_bits))
         if n < 1:
             raise EmptyArrayError("run structure requires n >= 1")
         if len(c_bits) != n - 1:
             raise ValueError("c_bits must have length n-1")
-        if any(b not in (0, 1) for b in c_bits):
+        if not set(c_bits) <= {0, 1}:
             raise ValueError("c_bits must be binary")
         self.n = n
         self.c_bits = c_bits
         self.k = sum(c_bits)
-        kept = [i for i in range(1, n) if c_bits[i - 1] == 0]
-        kept.append(n)
-        self.kept_positions = tuple(kept)
-        self.run_starts = (1,) + tuple(p + 1 for p in kept[:-1])
-        # rank_map[i-1]: reduced position of the last element of i's run
-        rank_map = [0] * n
-        r = 1
-        for i in range(1, n + 1):
-            rank_map[i - 1] = r
-            if i < n and c_bits[i - 1] == 0:
-                r += 1
-        self.rank_map = tuple(rank_map)
+        kept = (*itertools.compress(range(1, n), map(operator.not_, c_bits)), n)
+        self.kept_positions = kept
+        self.run_starts = (1, *map((1).__add__, kept[:-1]))
+        # rank_map[i-1]: reduced position of the last element of i's run,
+        # one int object repeated over each run
+        run_lengths = map(operator.sub, kept, (0, *kept[:-1]))
+        self.rank_map = tuple(itertools.chain.from_iterable(
+            map(itertools.repeat, itertools.count(1), run_lengths)))
         self._values = values
 
     def reduced_array(self):

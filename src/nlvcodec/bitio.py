@@ -3,19 +3,43 @@
 Covers MSB-first bit strings, unary degree codes, fixed-block ternary
 packing, and combinadic subset ranking over exact big integers.
 
+The subset coder scans every position but folds the small factors of
+up to SCAN_BLOCK steps into three ints, so it touches its O(n)-bit ints
+once per block.  Ranking walks up from C(z, z) = 1 and computes no
+binomial; unranking computes one (``binomial``, without big division)
+and decides each block's steps from float bounds on r/b, taking one
+exact step at a near tie.  An out-of-range rank leaves a nonzero
+remainder, which is the unranker's range check.  ``subset_rank_width``
+comes from ``lgamma``, with the exact binomial only where the float sum
+could round the wrong way.
+
 A bit segment is one immutable ``'0'/'1'`` str: encoders build it by
 joining string chunks, and bytes come from one base-2 ``int``
 conversion, which Python's int/str digit limit does not apply to.
 """
 
 import itertools
-from math import comb
+from math import ceil, comb, gcd, isqrt, lgamma, log, prod
 
 from .errors import CorruptionError
 
 # 3^41 < 2^65, so 41 trits always fit a 65-bit block.
 TRITS_PER_BLOCK = 41
 BITS_PER_BLOCK = 65
+
+# Scan steps of the subset coder folded into one update of its big ints.
+SCAN_BLOCK = 128
+# subset_unrank's float bounds on r/b come from this many top bits of r
+# and b; after each rounded step they are pushed outward by a factor
+# 1 -/+ 2^-50, which covers up to four roundings of 2^-53 each.
+_TOP_BITS = 64
+_DOWN = 1 - 2.0 ** -50
+_UP = 1 + 2.0 ** -50
+# below this length subset_rank_width takes the exact binomial
+_EXACT_WIDTH_BELOW = 1024
+# below this n binomial() leaves the work to math.comb
+_SIEVE_BINOMIAL_MIN_N = 4096
+_LN2 = log(2)
 
 # the five-digit base-3 str of every value below 3^5
 _FIVE_TRITS = ["".join(d) for d in itertools.product("012", repeat=5)]
@@ -153,11 +177,70 @@ def unpack_trits(s, m):
     return "".join(out)
 
 
+def binomial(n, k):
+    """C(n, k) for 0 <= k <= n.
+
+    ``math.comb`` divides big ints, which is quadratic in the size of the
+    result (0.2 s at n = 1e5, 12 s at 1e6 for k = n/2).  When k and n-k
+    are both at least n/64, the result is instead the product of its
+    prime powers p^e, e = sum over i of floor(n/p^i) - floor(k/p^i) -
+    floor((n-k)/p^i) (Legendre), multiplied in a balanced tree: no
+    division, and a sieve of n bytes (2 ms at n = 2e4, 17 ms at 1e5,
+    0.17 s at 1e6).  A smaller k or n-k goes to ``math.comb``, which is
+    fast there, so the sieve never outgrows 64 times the result's bit
+    length.
+    """
+    m = min(k, n - k)
+    if m < 0:
+        raise ValueError("need 0 <= k <= n")
+    if n < _SIEVE_BINOMIAL_MIN_N or 64 * m < n:
+        return comb(n, k)
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    factors = []
+    for p in itertools.compress(itertools.count(), sieve):
+        e = 0
+        q = p
+        while q <= n:
+            e += n // q - k // q - (n - k) // q
+            q *= p
+        if e:
+            factors.append(p ** e)
+    while len(factors) > 1:
+        factors = [prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
+
+
+def _fold(b, P, Q, S):
+    """(b*S/P, b*Q/P) for a block of scan steps whose two results are
+    both integers.
+
+    P then divides b*gcd(Q, S), so with g = gcd(P, Q, S) the divisor P/g
+    divides b: one exact big division and two big products, each against
+    a factor about half the bits of P.
+    """
+    g = gcd(P, Q, S)
+    v = b // (P // g)
+    return v * (S // g), v * (Q // g)
+
+
 def subset_rank(positions, length):
     """Combinadic rank of a sorted subset of {0..length-1}.
 
     Returns (k, rank) with 0 <= rank < comb(length, k); the j-th smallest
     position p (1-based j) contributes comb(p, j).
+
+    The scan runs c upward from the end z of the leading run {0..z-1},
+    whose terms are all 0, holding b = C(c, j) for the j positions below
+    c, from C(z, z) = 1.  A step past a non-position multiplies b by
+    (c+1)/(c+1-j); a step past a position adds its term C(c, j+1) =
+    b(c-j)/(j+1) and multiplies b by (c+1)/(j+1).  A block of up to
+    SCAN_BLOCK steps folds these small factors into ints P, Q and S, so
+    that b*Q/P is the next block's b and b*S/P the block's terms, and
+    touches the O(n)-bit ints once (``_fold``).  No binomial is computed.
     """
     positions = list(positions)
     k = len(positions)
@@ -168,53 +251,153 @@ def subset_rank(positions, length):
         if p <= prev or p >= length:
             raise ValueError("positions must be strictly increasing and < length")
         prev = p
-    if k == 0:
-        return 0, 0
-    # Single downward scan with incremental binomials; avoids k large
-    # comb() calls at big k.
+    j = 0
+    while j < k and positions[j] == j:
+        j += 1
     rank = 0
-    c = length - 1
-    j = k
-    b = comb(c, j)
-    idx = k - 1
-    while j > 0:
-        if positions[idx] == c:
-            rank += b
-            b = b * j // c if c else 0
-            j -= 1
-            idx -= 1
-        else:
-            b = b * (c - j) // c
-        c -= 1
+    b = 1
+    c = j
+    end = positions[-1] + 1 if k else 0
+    while j < k:
+        stop = min(c + SCAN_BLOCK, end)
+        P = Q = 1
+        S = 0
+        nxt = positions[j]
+        for c in range(c, stop):
+            if c == nxt:
+                S = S * (j + 1) + Q * (c - j)
+                P *= j + 1
+                j += 1
+                if j < k:
+                    nxt = positions[j]
+            else:
+                S *= c + 1 - j
+                P *= c + 1 - j
+            Q *= c + 1
+        terms, b = _fold(b, P, Q, S)
+        rank += terms
+        c = stop
     return k, rank
 
 
 def subset_unrank(k, rank, length):
-    """Inverse of subset_rank."""
+    """Inverse of subset_rank.
+
+    The scan runs c downward from length-1 holding b = C(c, j) for the j
+    positions still to place and r, the rank left: c is a position iff
+    b <= r, and then r -= b.  Only the first b is a big binomial.  A
+    block decides its steps from floats lo <= r/b <= hi, taken from the
+    top _TOP_BITS bits of r and b.  A step maps r/b to (r/b - 1) c/j
+    after a position and to (r/b) c/(c-j) after a non-position; lo and
+    hi follow it with every rounding pushed outward, so each decision
+    lo >= 1 or hi < 1 is exact.  A block ends after SCAN_BLOCK steps or
+    when the bounds straddle 1; then ``_fold`` applies its steps to r and
+    b exactly.  If they straddle 1 at a block's start (a near tie), one
+    exact step of the scan decides.  Once c == j, b is 1 and the j
+    positions fill the slots 0..c but c - r.
+
+    A rank of C(length, k) or more hits at every step and leaves r >= 1,
+    so a nonzero final r is the range check.  A bound above c+1, which
+    no in-range rank reaches, rejects most such ranks at once.
+    """
     if k < 0 or k > length:
         raise CorruptionError("invalid subset size %d for length %d" % (k, length))
-    total = comb(length, k)
-    if rank < 0 or rank >= total:
-        raise CorruptionError("subset rank %d out of range" % rank)
-    if k == 0:
-        return []
+    # the rank itself may be too long for a decimal str
+    out_of_range = CorruptionError("subset rank out of range for C(%d, %d)"
+                                   % (length, k))
+    if rank < 0:
+        raise out_of_range
+    if k == 0 or k == length:
+        # the only subset has rank 0
+        if rank:
+            raise out_of_range
+        return list(range(k))
     positions = []
     c = length - 1
     j = k
-    b = total * (length - k) // length  # comb(length - 1, k)
-    while j > 0:
-        if b <= rank:
-            rank -= b
+    b = binomial(c, j)
+    r = rank
+    while j:
+        if c == j:
+            if r > c:
+                raise out_of_range
+            positions += range(c, c - r, -1)
+            positions += range(c - r - 1, -1, -1)
+            r = 0
+            break
+        # r/b lies in [rt/(bt+e), (rt+e)/bt]; int / int rounds once
+        s = max(b.bit_length() - _TOP_BITS, 0)
+        rt = r >> s
+        bt = b >> s
+        e = s > 0
+        if rt >= (c + 1) * (bt + 1):
+            # an in-range r stays below C(c+1, j) <= (c+1) b
+            raise out_of_range
+        lo = rt / (bt + e) * _DOWN
+        hi = (rt + e) / bt * _UP
+        c0 = c
+        Q = 1
+        S = 0
+        stop = c - SCAN_BLOCK
+        while c > stop and c > j > 0:
+            if lo >= 1.0:
+                positions.append(c)
+                S += Q
+                Q *= j
+                q = c / j
+                lo = (lo - 1.0) * q * _DOWN
+                hi = (hi - 1.0) * q * _UP
+                j -= 1
+            elif hi < 1.0:
+                Q *= c - j
+                q = c / (c - j)
+                lo = lo * q * _DOWN
+                hi = hi * q * _UP
+            else:
+                break
+            S *= c
+            c -= 1
+        if c < c0:
+            taken, b = _fold(b, prod(range(c + 1, c0 + 1)), Q, S)
+            r -= taken
+        elif b <= r:
+            r -= b
             positions.append(c)
-            b = b * j // c if c else 0
+            b = b * j // c
             j -= 1
+            c -= 1
         else:
             b = b * (c - j) // c
-        c -= 1
+            c -= 1
+    if r:
+        raise out_of_range
     positions.reverse()
     return positions
 
 
 def subset_rank_width(length, k):
-    """Bits needed to store any rank of a k-subset: ceil(log2 comb(L,k))."""
-    return (comb(length, k) - 1).bit_length()
+    """Bits needed to store any rank of a k-subset: ceil(log2 comb(L,k)),
+    which is (comb(L, k) - 1).bit_length().
+
+    From L = _EXACT_WIDTH_BELOW on it is the ceiling of log2 C(L, k) as
+    summed from ``math.lgamma``.  The sum's error stays below 4 units of
+    lgamma(L+1) * 2^-52: at most 2.63 against a 50-digit Stirling sum
+    over 3 000 draws of L in [1e3, 1e10], at most 3.35 against exact
+    binomials up to L = 2e4, with k in {1, 2, L/13, L/2, L-1} and at
+    random.  So the ceiling is exact unless the sum lies within
+    lgamma(L+1) * 2^-40, about 1 000 times that error, of an integer;
+    then, and below _EXACT_WIDTH_BELOW, the exact binomial decides.  The
+    margin passes 1/2 near L = 2e10, from where every width is exact.
+    """
+    if not 0 <= k <= length:
+        raise ValueError("need 0 <= k <= length")
+    if k == 0 or k == length:
+        return 0
+    if length >= _EXACT_WIDTH_BELOW:
+        whole = lgamma(length + 1)
+        bits = (whole - lgamma(k + 1) - lgamma(length - k + 1)) / _LN2
+        margin = whole * 2.0 ** -40
+        width = ceil(bits)
+        if width - bits > margin and bits - (width - 1) > margin:
+            return width
+    return (binomial(length, k) - 1).bit_length()

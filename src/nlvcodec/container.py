@@ -203,9 +203,9 @@ def deserialize(data):
         m = _neutral_count(n, lengths)
         return _colored_encoding(n, m, _split_segments(payload, lengths))
     # general: leading subset-rank bits, then the colored segments of A'.
-    # The exact rank width costs a big binomial, so the payload size is
-    # first checked against cheap bounds on it: 2^min(k, n-1-k) <=
-    # C(n-1, k) <= 2^(n-1).
+    # The rank width falls back to a big binomial near integer values of
+    # log2 C(n-1, k), so the payload size is first checked against cheap
+    # bounds on it: 2^min(k, n-1-k) <= C(n-1, k) <= 2^(n-1).
     m = _neutral_count(n - k, lengths)
     listed = sum(lengths)
     if not ((listed + min(k, n - 1 - k) + 7) // 8 <= len(payload)

@@ -28,8 +28,7 @@ class GeneralEncoding:
 
     def __init__(self, n, k, c_rank_bits, colored, rank_width=None):
         """``rank_width`` is subset_rank_width(n-1, k) when the caller has
-        it already; it costs a big binomial, so it is computed here only
-        when not given."""
+        it already, so an encode or a load computes it once."""
         if not 0 <= k <= max(n - 1, 0):
             raise CorruptionError("run count k out of range")
         if rank_width is None:
@@ -71,7 +70,7 @@ def decode_runs(enc):
     # the constructor checked the segment against the exact rank width
     enc.c_rank_bits.reset()
     rank = enc.c_rank_bits.read_uint(len(enc.c_rank_bits))
-    c_bits = [0] * (enc.n - 1)
+    c_bits = bytearray(enc.n - 1)
     for p in subset_unrank(enc.k, rank, enc.n - 1):
         c_bits[p] = 1
     return RunStructure(c_bits, enc.n)

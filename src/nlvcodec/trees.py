@@ -7,7 +7,8 @@ different value, blue otherwise.
 
 Trees are flat per-node tables (parent, first child, right sibling,
 degree); a colored tree adds its colors and the next-value answer of
-every node, computed once when it is built.
+every node, computed once when it is built, or on first read for the
+trees ``colorize`` makes for the encoders.
 """
 
 import math
@@ -99,12 +100,15 @@ class ColoredTree:
     __slots__ = ("tree", "is_red", "next_value")
 
     def __init__(self, tree, is_red):
+        self._set_colors(tree, is_red)
+        self.next_value = _next_value_table(tree, self.is_red)
+
+    def _set_colors(self, tree, is_red):
         is_red = list(is_red)
         if len(is_red) != tree.n + 1:
             raise ValueError("need one color per node")
         self.tree = tree
         self.is_red = is_red
-        self.next_value = _next_value_table(tree, is_red)
 
     def __eq__(self, other):
         return (isinstance(other, ColoredTree)
@@ -116,6 +120,27 @@ class ColoredTree:
 
     def color(self, i):
         return RED if self.is_red[i] else BLUE
+
+
+class LazyColoredTree(ColoredTree):
+    """A ColoredTree that builds ``next_value`` on its first read.
+
+    ``colorize`` makes these, since the encoders read only the colors.
+    A class with ``__getattr__`` pays for it on every attribute read, so
+    decoded trees, which queries read, stay plain ColoredTrees.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, tree, is_red):
+        self._set_colors(tree, is_red)
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset
+        if name != "next_value":
+            raise AttributeError(name)
+        self.next_value = _next_value_table(self.tree, self.is_red)
+        return self.next_value
 
 
 def _next_value_table(tree, is_red):
@@ -182,7 +207,7 @@ def colorize(tree, a):
         j = right_sib[i]
         if j and values[i - 1] != values[j - 1]:
             is_red[i] = True
-    return ColoredTree(tree, is_red)
+    return LazyColoredTree(tree, is_red)
 
 
 def check_leaf_internal_duality(min_t, max_t):

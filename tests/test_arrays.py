@@ -6,7 +6,9 @@ from nlvcodec import (EmptyArrayError, ParseError, RangeError, ValueArray,
                       compute_runs, map_answer_to_original, map_query_index,
                       oracle_nlv, oracle_nsv, oracle_plv, oracle_psv,
                       parse_array_text)
-from nlvcodec.arrays import ORACLES, QUERY_KINDS, format_array_text
+from nlvcodec.arrays import ORACLES, QUERY_KINDS, RunStructure, format_array_text
+
+from conftest import make_rng
 
 
 class TestValueArray:
@@ -125,6 +127,32 @@ class TestRuns:
         assert list(rs.kept_positions) == sorted(rs.kept_positions)
         assert rs.kept_positions[-1] == a.n
         assert rs.reduced_array().has_consecutive_equal() is None
+
+
+    def test_maps_match_a_scan_of_the_bits(self):
+        # kept positions, run starts and rank map against one plain loop
+        rng = make_rng(12)
+        for n in list(range(1, 12)) + [200, 1_000]:
+            for density in (0.0, 0.5, 1 / 13, 1.0):
+                c_bits = [int(rng.random() < density) for _ in range(n - 1)]
+                rs = RunStructure(c_bits, n)
+                kept, starts, rank_map = [], [1], []
+                for i in range(1, n + 1):
+                    rank_map.append(len(kept) + 1)
+                    if i == n or c_bits[i - 1] == 0:
+                        kept.append(i)
+                        starts.append(i + 1)
+                assert rs.kept_positions == tuple(kept)
+                assert rs.run_starts == tuple(starts[:-1])
+                assert rs.rank_map == tuple(rank_map)
+                assert rs.k == sum(c_bits)
+
+    def test_bits_must_be_binary(self):
+        for c_bits in ([0, 2], [-1, 0]):
+            with pytest.raises(ValueError):
+                RunStructure(c_bits, 3)
+        with pytest.raises(ValueError):
+            RunStructure([0], 3)
 
 
 class TestIndexMaps:

@@ -171,11 +171,11 @@ class TestSubsetCoding:
         def counted(n, k):
             calls.append((n, k))
             return comb(n, k)
-        monkeypatch.setattr(bitio, "comb", counted)
+        monkeypatch.setattr(bitio, "binomial", counted)
         k, rank = subset_rank([3, 17, 40, 41, 99], 100)
         calls.clear()
         assert subset_unrank(k, rank, 100) == [3, 17, 40, 41, 99]
-        assert calls == [(100, 5)]
+        assert calls == [(99, 5)]
 
     def test_corrupt_rank(self):
         with pytest.raises(CorruptionError):
@@ -201,3 +201,126 @@ class TestSubsetCoding:
         positions = sorted(posset)
         k, rank = subset_rank(positions, 500)
         assert subset_unrank(k, rank, 500) == positions
+
+
+def _reference_rank(positions, length):
+    """Reference rank: the one-step downward scan, one big-int multiply
+    and divide per position."""
+    k = len(positions)
+    rank, c, j, idx = 0, length - 1, k, k - 1
+    b = comb(c, j)
+    while j > 0:
+        if positions[idx] == c:
+            rank += b
+            b = b * j // c if c else 0
+            j -= 1
+            idx -= 1
+        else:
+            b = b * (c - j) // c
+        c -= 1
+    return rank
+
+
+def _random_subset(rng, length, density, prefix):
+    """Positions drawn at ``density``; with ``prefix`` they start with a
+    full run {0..z-1}, whose terms are all zero."""
+    positions = {p for p in range(length) if rng.random() < density}
+    if prefix:
+        positions |= set(range(rng.randint(1, max(1, length // 4))))
+    return sorted(positions)
+
+
+class TestBlockedSubsetCoder:
+    """Lengths where the coder runs many blocks, so the block folds, the
+    bounds on r/b and their near-tie fallbacks all run."""
+
+    @pytest.mark.parametrize("density", [0.5, 1 / 13, 0.01, 0.99])
+    @pytest.mark.parametrize("prefix", [False, True])
+    @pytest.mark.parametrize("length", [300, 3_000, 20_000])
+    def test_round_trip_and_extreme_ranks(self, length, density, prefix):
+        rng = make_rng(length + int(1000 * density) + prefix)
+        positions = _random_subset(rng, length, density, prefix)
+        k, rank = subset_rank(positions, length)
+        assert k == len(positions)
+        if length <= 3_000:
+            assert rank == _reference_rank(positions, length)
+        assert subset_unrank(k, rank, length) == positions
+        total = bitio.binomial(length, k)
+        assert subset_unrank(k, 0, length) == list(range(k))
+        assert subset_unrank(k, total - 1, length) == list(range(length - k, length))
+        assert subset_rank(range(length - k, length), length) == (k, total - 1)
+        # the C(20000, k) here have more decimal digits than int -> str allows
+        for bad in (total, total + 1):
+            with pytest.raises(CorruptionError):
+                subset_unrank(k, bad, length)
+
+    def test_ranks_on_a_single_term(self):
+        # rank C(p, k) puts r/b exactly on 1 at step p, where only an exact
+        # step decides; C(p, k) - 1 leaves r/b just below 1 there
+        rng = make_rng(8)
+        length = 2_000
+        for _ in range(40):
+            k = rng.randrange(1, length)
+            p = rng.randrange(k, length)
+            term = comb(p, k)
+            assert subset_unrank(k, term, length) == list(range(k - 1)) + [p]
+            assert subset_unrank(k, term - 1, length) == list(range(p - k, p))
+
+    def test_all_but_one_slot(self):
+        # k = length - 1 reaches c == j at once, where the positions are
+        # every slot but one and an out-of-range rank must still fail
+        for length in (2, 50, 5_000):
+            k = length - 1
+            for rank in {0, 1, length // 2, length - 1}:
+                positions = subset_unrank(k, rank, length)
+                assert len(positions) == k
+                assert subset_rank(positions, length) == (k, rank)
+            for bad in (length, length + 1, 2 * length):
+                with pytest.raises(CorruptionError):
+                    subset_unrank(k, bad, length)
+
+    def test_rank_computes_no_binomial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("binomial computed while ranking")
+        monkeypatch.setattr(bitio, "binomial", refuse)
+        monkeypatch.setattr(bitio, "comb", refuse)
+        rng = make_rng(4)
+        positions = _random_subset(rng, 5_000, 0.5, True)
+        assert subset_rank(positions, 5_000)[1] == _reference_rank(positions, 5_000)
+
+    def test_width_exact_small_lengths(self):
+        for length in range(301):
+            for k in range(length + 1):
+                assert subset_rank_width(length, k) == (comb(length, k) - 1).bit_length()
+
+    def test_width_from_lgamma(self):
+        rng = make_rng(5)
+        lengths = [1024, 1025, 4_096, 20_000] + [rng.randrange(1024, 30_000) for _ in range(6)]
+        for length in lengths:
+            ks = {1, 2, length // 13, length // 2, length - 1}
+            ks |= {rng.randrange(length + 1) for _ in range(10)}
+            for k in ks:
+                assert subset_rank_width(length, k) == (comb(length, k) - 1).bit_length()
+
+    def test_width_at_powers_of_two(self):
+        # C(2^m, 1) = C(2^m, 2^m - 1) = 2^m: log2 is an integer, which
+        # only the exact fallback gets right
+        for m in range(1, 48):
+            length = 1 << m
+            for k in (1, length - 1):
+                assert subset_rank_width(length, k) == m
+
+    def test_width_rejects_bad_k(self):
+        for k in (-1, 11):
+            with pytest.raises(ValueError):
+                subset_rank_width(10, k)
+
+    def test_binomial_matches_math_comb(self):
+        rng = make_rng(6)
+        for n in [0, 1, 2, 100, 4_095, 4_096, 6_000, 20_000]:
+            ks = {0, 1, n // 64, n // 64 + 1, n // 13, n // 2, n - 1, n, rng.randint(0, n)}
+            for k in ks:
+                if 0 <= k <= n:
+                    assert bitio.binomial(n, k) == comb(n, k), (n, k)
+        with pytest.raises(ValueError):
+            bitio.binomial(5, 6)

@@ -7,6 +7,7 @@ from nlvcodec import (BitStream, ColoredEncoding, CorruptionError,
                       build_min_heap, classify_index, colored_size_bits,
                       colored_size_bound, colorize, count_good_bad,
                       decode_colored, encode_colored)
+import nlvcodec.trees as trees_module
 from nlvcodec.arrays import ORACLES
 from nlvcodec.queries import TREE_QUERIES
 
@@ -156,6 +157,36 @@ class TestDecode:
         cmin, cmax = colored_pair(figure_array)
         enc = encode_colored(cmin, cmax)
         assert decode_colored(enc) == decode_colored(enc) == (cmin, cmax)
+
+
+def refuse_tables(monkeypatch, message):
+    def refuse(tree, is_red):
+        raise AssertionError(message)
+    monkeypatch.setattr(trees_module, "_next_value_table", refuse)
+
+
+class TestNextValueTables:
+    """The encoders read only the colors, so only decoding builds the
+    next-value tables, and it builds them before the first query."""
+
+    def test_encode_builds_no_table(self, figure_array, monkeypatch):
+        refuse_tables(monkeypatch, "next-value table built while encoding")
+        enc = encode_colored(*colored_pair(figure_array))
+        assert enc.n == figure_array.n
+
+    def test_decode_builds_tables_during_setup(self, figure_array, monkeypatch):
+        enc = encode_colored(*colored_pair(figure_array))
+        dmin, dmax = decode_colored(enc)
+        refuse_tables(monkeypatch, "next-value table built on first query")
+        for kind, tree in (("nsv", dmin), ("nlv", dmax)):
+            for i in range(1, figure_array.n + 1):
+                assert TREE_QUERIES[kind](tree, i) == ORACLES[kind](figure_array, i)
+
+    def test_colorize_table_built_on_first_read(self, figure_array):
+        cmin, cmax = colored_pair(figure_array)
+        dmin, dmax = decode_colored(encode_colored(cmin, cmax))
+        assert cmin.next_value == dmin.next_value
+        assert cmax.next_value == dmax.next_value
 
 
 class TestSizeAccounting:
