@@ -6,12 +6,12 @@ packing, and combinadic subset ranking over exact big integers.
 The subset coder scans every position but folds the small factors of
 up to SCAN_BLOCK steps into three ints, so it touches its O(n)-bit ints
 once per block.  Ranking walks up from C(z, z) = 1 and computes no
-binomial; unranking computes one (``binomial``, without big division)
-and decides each block's steps from float bounds on r/b, taking one
-exact step at a near tie.  An out-of-range rank leaves a nonzero
-remainder, which is the unranker's range check.  ``subset_rank_width``
-comes from ``lgamma``, with the exact binomial only where the float sum
-could round the wrong way.
+binomial; unranking computes one (``math.comb``) and decides each
+block's steps from float bounds on r/b, taking one exact step at a near
+tie.  An out-of-range rank leaves a nonzero remainder, which is the
+unranker's range check.  ``subset_rank_width`` comes from ``lgamma``,
+with the exact binomial only where the float sum could round the wrong
+way.
 
 A bit segment is one immutable ``'0'/'1'`` str: encoders build it by
 joining string chunks, and bytes come from one base-2 ``int``
@@ -19,7 +19,7 @@ conversion, which Python's int/str digit limit does not apply to.
 """
 
 import itertools
-from math import ceil, comb, gcd, isqrt, lgamma, log, prod
+from math import ceil, comb, gcd, lgamma, log, prod
 
 from .errors import CorruptionError
 
@@ -37,8 +37,6 @@ _DOWN = 1 - 2.0 ** -50
 _UP = 1 + 2.0 ** -50
 # below this length subset_rank_width takes the exact binomial
 _EXACT_WIDTH_BELOW = 1024
-# below this n binomial() leaves the work to math.comb
-_SIEVE_BINOMIAL_MIN_N = 4096
 _LN2 = log(2)
 
 # the five-digit base-3 str of every value below 3^5
@@ -177,43 +175,6 @@ def unpack_trits(s, m):
     return "".join(out)
 
 
-def binomial(n, k):
-    """C(n, k) for 0 <= k <= n.
-
-    ``math.comb`` divides big ints, which is quadratic in the size of the
-    result (0.2 s at n = 1e5, 12 s at 1e6 for k = n/2).  When k and n-k
-    are both at least n/64, the result is instead the product of its
-    prime powers p^e, e = sum over i of floor(n/p^i) - floor(k/p^i) -
-    floor((n-k)/p^i) (Legendre), multiplied in a balanced tree: no
-    division, and a sieve of n bytes (2 ms at n = 2e4, 17 ms at 1e5,
-    0.17 s at 1e6).  A smaller k or n-k goes to ``math.comb``, which is
-    fast there, so the sieve never outgrows 64 times the result's bit
-    length.
-    """
-    m = min(k, n - k)
-    if m < 0:
-        raise ValueError("need 0 <= k <= n")
-    if n < _SIEVE_BINOMIAL_MIN_N or 64 * m < n:
-        return comb(n, k)
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    factors = []
-    for p in itertools.compress(itertools.count(), sieve):
-        e = 0
-        q = p
-        while q <= n:
-            e += n // q - k // q - (n - k) // q
-            q *= p
-        if e:
-            factors.append(p ** e)
-    while len(factors) > 1:
-        factors = [prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    return factors[0] if factors else 1
-
-
 def _fold(b, P, Q, S):
     """(b*S/P, b*Q/P) for a block of scan steps whose two results are
     both integers.
@@ -315,7 +276,7 @@ def subset_unrank(k, rank, length):
     positions = []
     c = length - 1
     j = k
-    b = binomial(c, j)
+    b = comb(c, j)
     r = rank
     while j:
         if c == j:
@@ -400,4 +361,4 @@ def subset_rank_width(length, k):
         width = ceil(bits)
         if width - bits > margin and bits - (width - 1) > margin:
             return width
-    return (binomial(length, k) - 1).bit_length()
+    return (comb(length, k) - 1).bit_length()

@@ -171,7 +171,7 @@ class TestSubsetCoding:
         def counted(n, k):
             calls.append((n, k))
             return comb(n, k)
-        monkeypatch.setattr(bitio, "binomial", counted)
+        monkeypatch.setattr(bitio, "comb", counted)
         k, rank = subset_rank([3, 17, 40, 41, 99], 100)
         calls.clear()
         assert subset_unrank(k, rank, 100) == [3, 17, 40, 41, 99]
@@ -245,7 +245,7 @@ class TestBlockedSubsetCoder:
         if length <= 3_000:
             assert rank == _reference_rank(positions, length)
         assert subset_unrank(k, rank, length) == positions
-        total = bitio.binomial(length, k)
+        total = comb(length, k)
         assert subset_unrank(k, 0, length) == list(range(k))
         assert subset_unrank(k, total - 1, length) == list(range(length - k, length))
         assert subset_rank(range(length - k, length), length) == (k, total - 1)
@@ -282,7 +282,6 @@ class TestBlockedSubsetCoder:
     def test_rank_computes_no_binomial(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("binomial computed while ranking")
-        monkeypatch.setattr(bitio, "binomial", refuse)
         monkeypatch.setattr(bitio, "comb", refuse)
         rng = make_rng(4)
         positions = _random_subset(rng, 5_000, 0.5, True)
@@ -314,13 +313,3 @@ class TestBlockedSubsetCoder:
         for k in (-1, 11):
             with pytest.raises(ValueError):
                 subset_rank_width(10, k)
-
-    def test_binomial_matches_math_comb(self):
-        rng = make_rng(6)
-        for n in [0, 1, 2, 100, 4_095, 4_096, 6_000, 20_000]:
-            ks = {0, 1, n // 64, n // 64 + 1, n // 13, n // 2, n - 1, n, rng.randint(0, n)}
-            for k in ks:
-                if 0 <= k <= n:
-                    assert bitio.binomial(n, k) == comb(n, k), (n, k)
-        with pytest.raises(ValueError):
-            bitio.binomial(5, 6)
