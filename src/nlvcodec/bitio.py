@@ -13,9 +13,13 @@ unranker's range check.  ``subset_rank_width`` comes from ``lgamma``,
 with the exact binomial only where the float sum could round the wrong
 way.
 
-A bit segment is one immutable ``'0'/'1'`` str: encoders build it by
-joining string chunks, and bytes come from one base-2 ``int``
-conversion, which Python's int/str digit limit does not apply to.
+A bit segment is a plain ``'0'/'1'`` str from the encoder to the
+container and back: encoders build it by joining string chunks, the
+container joins and slices segments, and bytes come from one base-2
+``int`` conversion, which Python's int/str digit limit does not apply
+to.  A decoder reads a segment through a ``BitStream`` cursor it builds
+for itself, so an encoding holds no read state and several decodes of
+it may run at once.
 """
 
 import itertools
@@ -43,66 +47,52 @@ _LN2 = log(2)
 _FIVE_TRITS = ["".join(d) for d in itertools.product("012", repeat=5)]
 
 
-class BitStream:
-    """An immutable MSB-first ``'0'/'1'`` str (``text``) with a read cursor.
+def check_bits(*segments):
+    """Raise ValueError unless every segment is a str of '0' and '1'."""
+    for bits in segments:
+        if not isinstance(bits, str) or bits.strip("01"):
+            raise ValueError("bits must be a str of '0' and '1'")
 
-    The cursor is the only state; ``reset`` rewinds it for a new reader.
-    Unary degree codes are still read one ``read_bit`` at a time, so the
-    decoders stay one loop over nodes and traced runs can count bit reads.
+
+class BitStream:
+    """A decoder's MSB-first read cursor over one bit segment.
+
+    Each decode builds its own cursor, so the segment str it reads stays
+    shared and immutable.  Unary degree codes are read one ``read_bit``
+    at a time, so the decoders stay one loop over nodes and traced runs
+    can count bit reads.
     """
 
-    __slots__ = ("text", "_pos")
+    __slots__ = ("_bits", "_pos")
 
-    def __init__(self, text=""):
-        if not isinstance(text, str) or text.strip("01"):
-            raise ValueError("bits must be a str of '0' and '1'")
-        self.text = text
+    def __init__(self, bits=""):
+        check_bits(bits)
+        self._bits = bits
         self._pos = 0
-
-    def __len__(self):
-        return len(self.text)
-
-    def __eq__(self, other):
-        return isinstance(other, BitStream) and self.text == other.text
-
-    def __repr__(self):
-        return "BitStream(%r)" % self.text
 
     def at_end(self):
-        return self._pos == len(self.text)
-
-    def reset(self):
-        self._pos = 0
+        return self._pos == len(self._bits)
 
     def read_bit(self):
         """The next bit as the character '0' or '1'."""
-        if self._pos >= len(self.text):
+        if self._pos >= len(self._bits):
             raise CorruptionError("bitstream truncated: read past end")
-        b = self.text[self._pos]
+        b = self._bits[self._pos]
         self._pos += 1
         return b
 
-    def read_uint(self, width):
-        end = self._pos + width
-        if end > len(self.text):
-            raise CorruptionError("bitstream truncated: read past end")
-        value = int("0" + self.text[self._pos:end], 2)
-        self._pos = end
-        return value
-
     def to_bytes(self):
         """Pack into bytes, MSB first, final byte zero-padded."""
-        pad = -len(self.text) % 8
-        return int("0" + self.text + "0" * pad, 2).to_bytes(
-            (len(self.text) + pad) // 8, "big")
+        pad = -len(self._bits) % 8
+        return int("0" + self._bits + "0" * pad, 2).to_bytes(
+            (len(self._bits) + pad) // 8, "big")
 
     @classmethod
     def from_bytes(cls, data, nbits):
-        """The first ``nbits`` bits of ``data``, MSB first."""
+        """The first ``nbits`` bits of ``data``, MSB first, as a str."""
         if nbits > 8 * len(data):
             raise CorruptionError("declared bit length exceeds payload")
-        text = format(int.from_bytes(data, "big"), "b").zfill(8 * len(data))
-        return cls(text[:nbits])
+        return format(int.from_bytes(data, "big"), "b").zfill(8 * len(data))[:nbits]
 
 
 def uint_bits(value, width):
@@ -141,7 +131,7 @@ def _block_width(count):
 
 
 def pack_trits(trits):
-    """Pack a str of trit digits '0'/'1'/'2' into a BitStream, 41 trits per
+    """Pack a str of trit digits '0'/'1'/'2' into a bit str, 41 trits per
     65-bit block.
 
     A final partial block of t trits uses bitlen(3^t - 1) bits.
@@ -152,16 +142,20 @@ def pack_trits(trits):
     for start in range(0, len(trits), TRITS_PER_BLOCK):
         block = trits[start:start + TRITS_PER_BLOCK]
         chunks.append(uint_bits(int(block, 3), _block_width(len(block))))
-    return BitStream("".join(chunks))
+    return "".join(chunks)
 
 
-def unpack_trits(s, m):
-    """Read m trits previously written by pack_trits, as a str of digits."""
+def unpack_trits(bits, m):
+    """The m trits that pack_trits wrote into the bit str ``bits``, as a
+    str of digits; ``bits`` must be exactly trit_pack_bits(m) long."""
+    if len(bits) != trit_pack_bits(m):
+        raise CorruptionError("trit segment has %d bits, not %d"
+                              % (len(bits), trit_pack_bits(m)))
     out = []
-    remaining = m
-    while remaining > 0:
-        blen = min(remaining, TRITS_PER_BLOCK)
-        value = s.read_uint(_block_width(blen))
+    for start in range(0, m, TRITS_PER_BLOCK):
+        blen = min(m - start, TRITS_PER_BLOCK)
+        pos = start // TRITS_PER_BLOCK * BITS_PER_BLOCK
+        value = int(bits[pos:pos + _block_width(blen)], 2)
         if value >= 3 ** blen:
             raise CorruptionError("trit block value %d out of range" % value)
         # five digits per divmod, least significant group first; the
@@ -171,7 +165,6 @@ def unpack_trits(s, m):
             value, low = divmod(value, 243)
             groups.append(_FIVE_TRITS[low])
         out.append("".join(reversed(groups))[-blen:])
-        remaining -= blen
     return "".join(out)
 
 

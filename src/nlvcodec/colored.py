@@ -15,7 +15,7 @@ bad indices the payload approaches (2 + log2 3) * n bits.
 
 import math
 
-from .bitio import BitStream, trit_pack_bits
+from .bitio import BitStream, check_bits, trit_pack_bits
 from .errors import CorruptionError, PreconditionError
 from .joint import decode_heaps, encode_heaps
 from .trees import ColoredTree, check_red_leaf_rule
@@ -33,13 +33,15 @@ TRIT_NO_SIBLINGS = "2"
 
 
 class ColoredEncoding:
-    """Degree streams plus the per-class side strings: ``u_gb`` and
-    ``v_bad`` are BitStreams, ``v_neutral`` a str of trit digits."""
+    """Degree streams plus the per-class side strings: ``t_min``,
+    ``t_max``, ``u_gb`` and ``v_bad`` are bit strs, ``v_neutral`` a str
+    of trit digits."""
 
     scheme = "colored"
     __slots__ = ("n", "t_min", "t_max", "u_gb", "v_bad", "v_neutral", "g")
 
     def __init__(self, n, t_min, t_max, u_gb, v_bad, v_neutral):
+        check_bits(t_min, t_max, u_gb, v_bad)
         if len(u_gb) % 2 != 0 or len(v_bad) * 2 != len(u_gb):
             raise CorruptionError("|u_gb| must equal 2g and |v_bad| must equal g")
         g = len(v_bad)
@@ -100,7 +102,6 @@ def encode_colored(cmin, cmax):
             raise PreconditionError(
                 "blue leaf with right sibling: array had consecutive equal "
                 "elements or colors are inconsistent")
-    u = u.text
     sib_min, sib_max = min_t.right_sib, max_t.right_sib
     red_min, red_max = cmin.is_red, cmax.is_red
     u_gb, v_bad, v_neutral = [], [], []
@@ -118,15 +119,15 @@ def encode_colored(cmin, cmax):
             v_neutral.append(COLOR_RED if red else COLOR_BLUE)
         else:
             v_neutral.append(TRIT_NO_SIBLINGS)
-    return ColoredEncoding(min_t.n, t_min, t_max, BitStream("".join(u_gb)),
-                           BitStream("".join(v_bad)), "".join(v_neutral))
+    return ColoredEncoding(min_t.n, t_min, t_max, "".join(u_gb),
+                           "".join(v_bad), "".join(v_neutral))
 
 
 def decode_colored(enc):
     """Rebuild both colored trees; exact inverse of encode_colored."""
-    n, u_gb, v_bad, v_neutral = enc.n, enc.u_gb, enc.v_bad, enc.v_neutral
-    u_gb.reset()
-    v_bad.reset()
+    n, v_neutral = enc.n, enc.v_neutral
+    u_gb = BitStream(enc.u_gb)
+    v_bad = BitStream(enc.v_bad)
     red_min = [False] * (n + 1)
     red_max = [False] * (n + 1)
     j = 0  # next v_neutral trit

@@ -9,7 +9,7 @@ little-endian, no redundant trailing zero group) of at most 64 bits.
 
 from .bitio import BitStream, subset_rank_width, trit_pack_bits, pack_trits, unpack_trits
 from .colored import ColoredEncoding, decode_colored, encode_colored
-from .errors import CorruptionError, PreconditionError
+from .errors import CorruptionError
 from .general import GeneralEncoding, decode_general, decode_runs, encode_general
 from .joint import JointEncoding, decode_joint, encode_joint
 from .queries import QueryStructure, tables_of
@@ -31,17 +31,13 @@ def encode(a, scheme):
     """Encode a ValueArray under the named scheme.
 
     ``joint`` and ``colored`` need an array with no consecutive equal
-    elements and raise PreconditionError otherwise.
+    elements and raise PreconditionError otherwise (``joint.encode_heaps``
+    checks it).
     """
     if scheme not in SCHEME_NAMES:
         raise ValueError("unknown scheme %r" % (scheme,))
     if scheme == "general":
         return encode_general(a)
-    bad = a.has_consecutive_equal()
-    if bad is not None:
-        raise PreconditionError(
-            "scheme %s requires no consecutive equal elements; "
-            "A[%d] == A[%d]" % (scheme, bad, bad + 1), index=bad)
     min_t = build_min_heap(a)
     max_t = build_max_heap(a)
     if scheme == "joint":
@@ -137,7 +133,7 @@ def serialize(enc):
         listed = segments[1:]
     for seg in listed:
         write_varint(buf, len(seg))
-    buf.extend(BitStream("".join(seg.text for seg in segments)).to_bytes())
+    buf.extend(BitStream("".join(segments)).to_bytes())
     return bytes(buf)
 
 
@@ -147,11 +143,11 @@ def _split_segments(payload_bytes, lengths):
         raise CorruptionError("segment lengths do not match payload size")
     if total % 8 and payload_bytes[-1] & ((1 << (8 - total % 8)) - 1):
         raise CorruptionError("nonzero padding bits")
-    text = BitStream.from_bytes(payload_bytes, total).text
+    bits = BitStream.from_bytes(payload_bytes, total)
     parts = []
     start = 0
     for length in lengths:
-        parts.append(BitStream(text[start:start + length]))
+        parts.append(bits[start:start + length])
         start += length
     return parts
 
@@ -219,7 +215,4 @@ def deserialize(data):
 
 def _colored_encoding(n, m, parts):
     u_gb, v_bad, packed, t_min, t_max = parts
-    v_neutral = unpack_trits(packed, m)
-    if not packed.at_end():
-        raise CorruptionError("trailing bits in trit segment")
-    return ColoredEncoding(n, t_min, t_max, u_gb, v_bad, v_neutral)
+    return ColoredEncoding(n, t_min, t_max, u_gb, v_bad, unpack_trits(packed, m))

@@ -10,7 +10,7 @@ from math import comb
 
 from .arrays import (QUERY_KINDS, RunStructure, compute_runs,
                      map_answer_to_original, map_query_index)
-from .bitio import (BitStream, subset_rank, subset_rank_width, subset_unrank,
+from .bitio import (check_bits, subset_rank, subset_rank_width, subset_unrank,
                     uint_bits)
 from .colored import decode_colored, encode_colored
 from .errors import CorruptionError
@@ -21,7 +21,8 @@ LOG2_13 = math.log2(13)
 
 
 class GeneralEncoding:
-    """Run bitmap rank plus the colored encoding of the reduced array."""
+    """Run bitmap rank, as a bit str, plus the colored encoding of the
+    reduced array."""
 
     scheme = "general"
     __slots__ = ("n", "k", "c_rank_bits", "colored")
@@ -29,6 +30,7 @@ class GeneralEncoding:
     def __init__(self, n, k, c_rank_bits, colored, rank_width=None):
         """``rank_width`` is subset_rank_width(n-1, k) when the caller has
         it already, so an encode or a load computes it once."""
+        check_bits(c_rank_bits)
         if not 0 <= k <= max(n - 1, 0):
             raise CorruptionError("run count k out of range")
         if rank_width is None:
@@ -57,7 +59,7 @@ def encode_general(a):
     ones = [i - 1 for i in range(1, a.n) if rs.c_bits[i - 1] == 1]
     k, rank = subset_rank(ones, a.n - 1)
     width = subset_rank_width(a.n - 1, k)
-    c_rank_bits = BitStream(uint_bits(rank, width))
+    c_rank_bits = uint_bits(rank, width)
     reduced = rs.reduced_array()
     min_t = build_min_heap(reduced)
     max_t = build_max_heap(reduced)
@@ -67,9 +69,9 @@ def encode_general(a):
 
 def decode_runs(enc):
     """The run structure of a general encoding, from its rank bits."""
-    # the constructor checked the segment against the exact rank width
-    enc.c_rank_bits.reset()
-    rank = enc.c_rank_bits.read_uint(len(enc.c_rank_bits))
+    # the constructor checked the segment against the exact rank width;
+    # a width of 0 leaves it empty
+    rank = int(enc.c_rank_bits or "0", 2)
     c_bits = bytearray(enc.n - 1)
     for p in subset_unrank(enc.k, rank, enc.n - 1):
         c_bits[p] = 1

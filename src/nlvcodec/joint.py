@@ -11,18 +11,20 @@ The joint scheme stores U as is, so its heaps answer PSV/PLV only; the
 colored scheme (``colored.py``) folds the choice into the colors.
 """
 
-from .bitio import BitStream, read_degree, write_degree
+from .bitio import BitStream, check_bits, read_degree, write_degree
 from .errors import CorruptionError, PreconditionError
 from .trees import OrdinalTree, check_leaf_internal_duality
 
 
 class JointEncoding:
-    """U, T_min, T_max for one array; payload is exactly 3n-1 bits."""
+    """U, T_min, T_max for one array as bit strs; payload is exactly
+    3n-1 bits."""
 
     scheme = "joint"
     __slots__ = ("n", "u", "t_min", "t_max")
 
     def __init__(self, n, u, t_min, t_max):
+        check_bits(u, t_min, t_max)
         if len(u) != n - 1:
             raise ValueError("U must have length n-1")
         if len(t_min) + len(t_max) != 2 * n:
@@ -44,14 +46,12 @@ class JointEncoding:
 def leaf_bitmap(min_t):
     """U[i] = 1 iff i is a leaf in the min heap, for 1 <= i <= n-1."""
     first = min_t.first_child
-    return BitStream("".join(["0" if first[i] else "1"
-                              for i in range(1, min_t.n)]))
+    return "".join(["0" if first[i] else "1" for i in range(1, min_t.n)])
 
 
 def degree_streams(min_t, max_t, u):
     """Interleaved unary degree codes: node 0 contributes to both streams,
     node i < n to the stream of the tree where it is internal."""
-    u = u.text
     deg_min, deg_max = min_t.degrees, max_t.degrees
     t_min = [write_degree(deg_min[0])]
     t_max = [write_degree(deg_max[0])]
@@ -60,20 +60,22 @@ def degree_streams(min_t, max_t, u):
             t_min.append(write_degree(deg_min[i]))
         else:
             t_max.append(write_degree(deg_max[i]))
-    return BitStream("".join(t_min)), BitStream("".join(t_max))
+    return "".join(t_min), "".join(t_max)
 
 
 def encode_heaps(min_t, max_t):
     """U and the two degree streams of a heap pair, which must come from
-    one array with no consecutive equal elements (checked via
-    leaf/internal duality)."""
+    one array with no consecutive equal elements.  The duality check
+    finds the first i with A[i] == A[i+1]: for 0 < i < n, i is internal
+    in the min heap iff A[i] < A[i+1], in the max heap iff A[i] > A[i+1].
+    """
     if min_t.n != max_t.n:
         raise ValueError("tree sizes differ")
     bad = check_leaf_internal_duality(min_t, max_t)
     if bad is not None:
         raise PreconditionError(
-            "leaf/internal duality violated at index %d "
-            "(consecutive equal elements?)" % bad, index=bad)
+            "no consecutive equal elements allowed; A[%d] == A[%d]"
+            % (bad, bad + 1), index=bad)
     u = leaf_bitmap(min_t)
     t_min, t_max = degree_streams(min_t, max_t, u)
     return u, t_min, t_max
@@ -94,8 +96,8 @@ def decode_heaps(n, t_min, t_max, choose):
     sibling in each heap and returns True when i is internal in the min
     heap, False for the max heap; that heap's stream gives i's degree.
     """
-    t_min.reset()
-    t_max.reset()
+    t_min = BitStream(t_min)
+    t_max = BitStream(t_max)
     parent_min = [None] * (n + 1)
     parent_max = [None] * (n + 1)
     # children each node still expects; positive exactly on the stack
@@ -139,6 +141,6 @@ def decode_heaps(n, t_min, t_max, choose):
 
 def decode_joint(enc):
     """Rebuild the (min, max) heap pair; exact inverse of encode_joint."""
-    u = enc.u.text
+    u = enc.u
     return decode_heaps(enc.n, enc.t_min, enc.t_max,
                         lambda i, sib_min, sib_max: u[i - 1] == "0")

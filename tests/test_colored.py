@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from nlvcodec import (BitStream, ColoredEncoding, CorruptionError,
+from nlvcodec import (ColoredEncoding, CorruptionError,
                       PreconditionError, ValueArray, build_max_heap,
                       build_min_heap, classify_index, colored_size_bits,
                       colored_size_bound, colorize, count_good_bad,
@@ -57,17 +57,17 @@ class TestCountGoodBad:
 class TestEncode:
     def test_figure_strings(self, figure_array):
         enc = encode_colored(*colored_pair(figure_array))
-        assert enc.u_gb.text == "0100"
-        assert enc.v_bad.text == "10"
+        assert enc.u_gb == "0100"
+        assert enc.v_bad == "10"
         assert enc.v_neutral == "2022"
         assert enc.g == 2
         assert enc.payload_bits() == 9 + 9 + 4 + 2 + 7 == 31
 
     def test_singleton(self):
         enc = encode_colored(*colored_pair(ValueArray([5])))
-        assert enc.u_gb.text == "" and enc.v_bad.text == ""
+        assert enc.u_gb == "" and enc.v_bad == ""
         assert enc.v_neutral == ""
-        assert enc.t_min.text == "0" and enc.t_max.text == "0"
+        assert enc.t_min == "0" and enc.t_max == "0"
         assert enc.payload_bits() == 2
 
     def test_precondition(self):
@@ -95,8 +95,7 @@ class TestDecode:
         assert {i for i in range(1, 10) if dmax.is_red[i]} == {1, 2, 3, 4}
 
     def test_singleton(self):
-        enc = ColoredEncoding(1, BitStream("0"), BitStream("0"), BitStream(""),
-                              BitStream(""), "")
+        enc = ColoredEncoding(1, "0", "0", "", "", "")
         dmin, dmax = decode_colored(enc)
         assert dmin.tree.parent == [None, 0]
         assert not dmin.is_red[1] and not dmax.is_red[1]
@@ -127,6 +126,15 @@ class TestDecode:
             dmin, dmax = decode_colored(enc)
             assert dmin == cmin and dmax == cmax
 
+    def test_bit_segments_must_be_bits(self, figure_array):
+        enc = encode_colored(*colored_pair(figure_array))
+        fields = {"t_min": enc.t_min, "t_max": enc.t_max, "u_gb": enc.u_gb,
+                  "v_bad": enc.v_bad}
+        for name, bits in fields.items():
+            args = dict(fields, **{name: "2" + bits[1:]})
+            with pytest.raises(ValueError):
+                ColoredEncoding(enc.n, v_neutral=enc.v_neutral, **args)
+
     def test_invalid_trit(self):
         enc = encode_colored(*colored_pair(ValueArray([3, 8, 5])))
         assert len(enc.v_neutral) == 2
@@ -139,8 +147,8 @@ class TestDecode:
         # the constructor checks the lengths against n and g, so the
         # decoder's own checks are reached by editing a built encoding
         edits = {
-            "u_gb": lambda e: BitStream(e.u_gb.text[:-1]),
-            "v_bad": lambda e: BitStream(e.v_bad.text + "0"),
+            "u_gb": lambda e: e.u_gb[:-1],
+            "v_bad": lambda e: e.v_bad + "0",
             "v_neutral": lambda e: e.v_neutral[:-1],
         }
         for name, edit in edits.items():

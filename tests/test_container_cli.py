@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -85,6 +86,40 @@ class TestContainer:
                 encode(ValueArray([1, 2, 2]), scheme)
         with pytest.raises(ValueError):
             encode(ValueArray([1, 2]), "bogus")
+
+    def test_threads_decode_one_parsed_container(self):
+        # a parsed encoding holds no read state, so decodes of one object
+        # may run at once; a short switch interval interleaves them often
+        rng = make_rng(29)
+        arrays = {"joint": random_no_equal_neighbours(rng, 2000),
+                  "colored": random_no_equal_neighbours(rng, 2000),
+                  "general": ValueArray([rng.randint(1, 3) for _ in range(2000)])}
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for scheme, a in arrays.items():
+                enc = deserialize(serialize(encode(a, scheme)))
+                expected = decode(enc).tables
+                results, errors = [], []
+
+                def work():
+                    try:
+                        for _ in range(3):
+                            results.append(decode(enc).tables)
+                    except Exception as exc:  # reported by the assert below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=work) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert errors == [], (scheme, errors)
+                assert len(results) == 12
+                assert all(r == expected for r in results), scheme
+        finally:
+            sys.setswitchinterval(old_interval)
 
     def test_hostile_general_header_rejected_cheaply(self, monkeypatch):
         def refuse(*args):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from nlvcodec import (BitStream, CorruptionError, GeneralEncoding, RangeError,
+from nlvcodec import (CorruptionError, GeneralEncoding, RangeError,
                       ValueArray, check_subset_coding_inequality, container,
                       decode_general, deserialize, encode_general, general,
                       serialize, subset_rank_width)
@@ -62,7 +62,13 @@ class TestEncode:
     def test_constructor_checks_rank_width(self):
         enc = encode_general(ValueArray([5, 5, 2, 8, 8, 8, 1, 1]))
         with pytest.raises(CorruptionError):
-            GeneralEncoding(enc.n, enc.k, BitStream("1"), enc.colored)
+            GeneralEncoding(enc.n, enc.k, "1", enc.colored)
+
+    def test_constructor_checks_rank_bits(self):
+        enc = encode_general(ValueArray([5, 5, 2, 8, 8, 8, 1, 1]))
+        bits = enc.c_rank_bits
+        with pytest.raises(ValueError):
+            GeneralEncoding(enc.n, enc.k, "2" + bits[1:], enc.colored)
 
 
 class TestDecodeAndQuery:

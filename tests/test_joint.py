@@ -1,6 +1,6 @@
 import pytest
 
-from nlvcodec import (BitStream, CorruptionError, JointEncoding,
+from nlvcodec import (CorruptionError, JointEncoding,
                       PreconditionError, ValueArray, build_max_heap,
                       build_min_heap, decode_joint, encode_joint)
 
@@ -14,23 +14,23 @@ def encode_array(a):
 class TestEncode:
     def test_figure(self, figure_array):
         enc = encode_array(figure_array)
-        assert enc.u.text == "01011001"
-        assert enc.t_min.text == "110100010"
-        assert enc.t_max.text == "110110000"
+        assert enc.u == "01011001"
+        assert enc.t_min == "110100010"
+        assert enc.t_max == "110110000"
         assert enc.payload_bits() == 26 == 3 * 9 - 1
 
     def test_singleton(self):
         enc = encode_array(ValueArray([5]))
-        assert enc.u.text == ""
-        assert enc.t_min.text == "0"
-        assert enc.t_max.text == "0"
+        assert enc.u == ""
+        assert enc.t_min == "0"
+        assert enc.t_max == "0"
         assert enc.payload_bits() == 2
 
     def test_two_elements(self):
         enc = encode_array(ValueArray([1, 2]))
-        assert enc.u.text == "0"
-        assert enc.t_min.text == "00"
-        assert enc.t_max.text == "10"
+        assert enc.u == "0"
+        assert enc.t_min == "00"
+        assert enc.t_max == "10"
         assert enc.payload_bits() == 5
 
     def test_degree_stream_total(self):
@@ -56,7 +56,7 @@ class TestDecode:
         assert dmin == min_t and dmax == max_t
 
     def test_singleton(self):
-        enc = JointEncoding(1, BitStream(""), BitStream("0"), BitStream("0"))
+        enc = JointEncoding(1, "", "0", "0")
         dmin, dmax = decode_joint(enc)
         assert dmin.parent == [None, 0]
         assert dmax.parent == [None, 0]
@@ -74,17 +74,22 @@ class TestDecode:
 
     def test_truncated_stream(self):
         with pytest.raises(CorruptionError):
-            decode_joint(JointEncoding(2, BitStream("0"), BitStream("10"),
-                                       BitStream("10")))
+            decode_joint(JointEncoding(2, "0", "10", "10"))
 
     def test_trailing_bits(self):
         # U says node 1 is a leaf in min, so t_min's second 0 is never read
         with pytest.raises(CorruptionError):
-            decode_joint(JointEncoding(2, BitStream("1"), BitStream("00"),
-                                       BitStream("10")))
+            decode_joint(JointEncoding(2, "1", "00", "10"))
+
+    def test_segments_must_be_bits(self):
+        good = ["0", "00", "10"]
+        for slot in range(3):
+            args = list(good)
+            args[slot] = "2" + args[slot][1:]
+            with pytest.raises(ValueError):
+                JointEncoding(2, *args)
 
     def test_unattachable_node(self):
         # root degree 1 in both, but node 2 then has nowhere to go
         with pytest.raises(CorruptionError):
-            decode_joint(JointEncoding(2, BitStream("1"), BitStream("00"),
-                                       BitStream("00")))
+            decode_joint(JointEncoding(2, "1", "00", "00"))

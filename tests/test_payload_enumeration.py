@@ -8,7 +8,7 @@ numbers.
 
 import itertools
 
-from nlvcodec import (BitStream, ColoredEncoding, CorruptionError,
+from nlvcodec import (ColoredEncoding, CorruptionError,
                       JointEncoding, decode_colored, decode_joint,
                       encode_colored, encode_joint)
 
@@ -21,9 +21,8 @@ def strings(alphabet, length):
 
 
 def streams(length):
-    """Every BitStream of ``length`` bits; decoders rewind them, so one
-    object serves every payload it appears in."""
-    return [BitStream(s) for s in strings("01", length)]
+    """Every bit str of ``length`` bits."""
+    return strings("01", length)
 
 
 def degree_stream_pairs(n):
