@@ -27,9 +27,9 @@ class ValueArray:
             raise ValueError("array values must be integers: %s" % exc) from None
         if not vals:
             raise EmptyArrayError("array must contain at least one element")
-        for v in vals:
-            if not INT64_MIN <= v <= INT64_MAX:
-                raise ValueError("value %d outside signed 64-bit range" % v)
+        if not INT64_MIN <= min(vals) <= max(vals) <= INT64_MAX:
+            bad = next(v for v in vals if not INT64_MIN <= v <= INT64_MAX)
+            raise ValueError("value %d outside signed 64-bit range" % bad)
         self.values = vals
         self.n = len(vals)
 
@@ -63,12 +63,16 @@ def parse_array_text(text):
     tokens = text.split()
     if not tokens:
         raise ParseError("no integers found in input")
-    values = []
-    for tok in tokens:
-        try:
-            values.append(int(tok, 10))
-        except ValueError:
-            raise ParseError("not an integer: %r" % tok) from None
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        # name the first bad token
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                raise ParseError("not an integer: %r" % tok) from None
+        raise
     try:
         return ValueArray(values)
     except ValueError as exc:
@@ -136,14 +140,17 @@ class RunStructure:
     c_bits[i-1] == 1 (for 1 <= i <= n-1) iff A[i] == A[i+1].  The reduced
     array keeps the last element of every run, so kept positions are the
     indices i with i == n or c_bits[i-1] == 0.  ``run_starts[r-1]`` is the
-    first index of run r, the one after the end of run r-1.
+    first index of run r, the one after the end of run r-1, and
+    ``rank_map[i-1]`` the reduced position of i's run.  Only decoding reads
+    these two maps, so each is built on its first read.
     """
 
-    __slots__ = ("n", "c_bits", "k", "kept_positions", "run_starts",
-                 "rank_map", "_values")
+    __slots__ = ("n", "c_bits", "k", "kept_positions", "_run_starts",
+                 "_rank_map", "_values")
 
     def __init__(self, c_bits, n, values=None):
-        c_bits = tuple(map(int, c_bits))
+        # bytes() takes ints and bools alike and rejects any outside 0..255
+        c_bits = tuple(bytes(c_bits))
         if n < 1:
             raise EmptyArrayError("run structure requires n >= 1")
         if len(c_bits) != n - 1:
@@ -153,27 +160,40 @@ class RunStructure:
         self.n = n
         self.c_bits = c_bits
         self.k = sum(c_bits)
-        kept = (*itertools.compress(range(1, n), map(operator.not_, c_bits)), n)
-        self.kept_positions = kept
-        self.run_starts = (1, *map((1).__add__, kept[:-1]))
-        # rank_map[i-1]: reduced position of the last element of i's run,
-        # one int object repeated over each run
-        run_lengths = map(operator.sub, kept, (0, *kept[:-1]))
-        self.rank_map = tuple(itertools.chain.from_iterable(
-            map(itertools.repeat, itertools.count(1), run_lengths)))
+        self.kept_positions = (
+            *itertools.compress(range(1, n), map(operator.not_, c_bits)), n)
+        self._run_starts = None
+        self._rank_map = None
         self._values = values
+
+    @property
+    def run_starts(self):
+        if self._run_starts is None:
+            self._run_starts = (1, *map((1).__add__, self.kept_positions[:-1]))
+        return self._run_starts
+
+    @property
+    def rank_map(self):
+        # one int object repeated over each run
+        if self._rank_map is None:
+            kept = self.kept_positions
+            run_lengths = map(operator.sub, kept, (0, *kept[:-1]))
+            self._rank_map = tuple(itertools.chain.from_iterable(
+                map(itertools.repeat, itertools.count(1), run_lengths)))
+        return self._rank_map
 
     def reduced_array(self):
         """The array A' of run-last elements (requires source values)."""
         if self._values is None:
             raise ValueError("run structure was built without values")
-        return ValueArray(self._values[p - 1] for p in self.kept_positions)
+        kept = itertools.chain(map(operator.not_, self.c_bits), (True,))
+        return ValueArray(itertools.compress(self._values, kept))
 
 
 def compute_runs(a):
-    """Build the RunStructure of a ValueArray."""
-    c_bits = [1 if a.values[i - 1] == a.values[i] else 0 for i in range(1, a.n)]
-    return RunStructure(c_bits, a.n, values=a.values)
+    """Build the RunStructure of a ValueArray in one C-level scan."""
+    v = a.values
+    return RunStructure(map(operator.eq, v, v[1:]), a.n, values=v)
 
 
 def map_query_index(rs, table):

@@ -18,7 +18,7 @@ import math
 from .bitio import BitStream, check_bits, trit_pack_bits
 from .errors import CorruptionError, PreconditionError
 from .joint import decode_heaps, encode_heaps
-from .trees import ColoredTree, check_red_leaf_rule
+from .trees import ColoredTree
 
 GOOD = "good"
 BAD = "bad"
@@ -94,31 +94,40 @@ def count_good_bad(min_t, max_t):
 
 
 def encode_colored(cmin, cmax):
-    """Encode a colored heap pair from a no-consecutive-equals array."""
+    """Encode a colored heap pair from a no-consecutive-equals array.
+
+    The class loop also checks the red-leaf rule (``check_red_leaf_rule``
+    on both trees): index 0 < i < n is a leaf only in the heap where it is
+    not internal, and node n has no right sibling in either heap.
+    """
     min_t, max_t = cmin.tree, cmax.tree
     u, t_min, t_max = encode_heaps(min_t, max_t)
-    for ct in (cmin, cmax):
-        if not check_red_leaf_rule(ct):
-            raise PreconditionError(
-                "blue leaf with right sibling: array had consecutive equal "
-                "elements or colors are inconsistent")
     sib_min, sib_max = min_t.right_sib, max_t.right_sib
     red_min, red_max = cmin.is_red, cmax.is_red
     u_gb, v_bad, v_neutral = [], [], []
-    for i in range(1, min_t.n):
-        # the relevant tree is the one where i is internal
-        relevant_is_min = u[i - 1] == "0"
-        in_min = sib_min[i] > 0
-        in_max = sib_max[i] > 0
-        red = red_min[i] if relevant_is_min else red_max[i]
-        if in_min == in_max:  # good (neither) or bad (both)
-            u_gb.append(u[i - 1])
-            if in_min:
-                v_bad.append(COLOR_RED if red else COLOR_BLUE)
-        elif in_min == relevant_is_min:  # neutral, relevant tree has one
-            v_neutral.append(COLOR_RED if red else COLOR_BLUE)
+    for i, c in enumerate(u, 1):
+        # "own" is the tree where i is internal, "leaf" the other one
+        if c == "0":
+            own_sib, own_red = sib_min[i], red_min[i]
+            leaf_sib, leaf_red = sib_max[i], red_max[i]
         else:
+            own_sib, own_red = sib_max[i], red_max[i]
+            leaf_sib, leaf_red = sib_min[i], red_min[i]
+        if leaf_sib and not leaf_red:
+            raise PreconditionError(
+                "blue leaf with right sibling: array had consecutive equal "
+                "elements or colors are inconsistent")
+        if own_sib:
+            color = COLOR_RED if own_red else COLOR_BLUE
+            if leaf_sib:  # bad: right siblings in both trees
+                u_gb.append(c)
+                v_bad.append(color)
+            else:  # neutral, the tree where i is internal has one
+                v_neutral.append(color)
+        elif leaf_sib:
             v_neutral.append(TRIT_NO_SIBLINGS)
+        else:  # good: right siblings in neither tree
+            u_gb.append(c)
     return ColoredEncoding(min_t.n, t_min, t_max, "".join(u_gb),
                            "".join(v_bad), "".join(v_neutral))
 

@@ -5,6 +5,7 @@ Payload approaches log2(13) * n bits; decoding lifts the answer tables
 through the run index maps once.
 """
 
+import itertools
 import math
 from math import comb
 
@@ -56,8 +57,7 @@ class GeneralEncoding:
 def encode_general(a):
     """Encode any array: runs first, then the reduced array's colored pair."""
     rs = compute_runs(a)
-    ones = [i - 1 for i in range(1, a.n) if rs.c_bits[i - 1] == 1]
-    k, rank = subset_rank(ones, a.n - 1)
+    k, rank = subset_rank(itertools.compress(range(a.n - 1), rs.c_bits), a.n - 1)
     width = subset_rank_width(a.n - 1, k)
     c_rank_bits = uint_bits(rank, width)
     reduced = rs.reduced_array()

@@ -4,16 +4,17 @@ that stores it in 3n-1 bits.
 With no consecutive equal elements, each index 0 < i < n is internal in
 exactly one heap.  Both shapes are then 2n unary degree bits (node 0 in
 each heap, every other i < n in the heap where it is internal) plus that
-choice of heap per index.  ``encode_heaps`` gives the choice as the
-min-heap leaf bitmap U with the degree streams; ``decode_heaps`` rebuilds
-both shapes in one pass and asks a ``choose`` function for each choice.
-The joint scheme stores U as is, so its heaps answer PSV/PLV only; the
-colored scheme (``colored.py``) folds the choice into the colors.
+choice of heap per index.  ``degree_streams`` gives the choice as the
+min-heap leaf bitmap U, found in the same loop as the degree streams, and
+``decode_heaps`` rebuilds both shapes and their tables in one pass,
+asking a ``choose`` function for each choice.  The joint scheme stores U
+as is, so its heaps answer PSV/PLV only; the colored scheme
+(``colored.py``) folds the choice into the colors.
 """
 
 from .bitio import BitStream, check_bits, read_degree, write_degree
 from .errors import CorruptionError, PreconditionError
-from .trees import OrdinalTree, check_leaf_internal_duality
+from .trees import OrdinalTree
 
 
 class JointEncoding:
@@ -43,42 +44,45 @@ class JointEncoding:
         return len(self.u) + len(self.t_min) + len(self.t_max)
 
 
-def leaf_bitmap(min_t):
-    """U[i] = 1 iff i is a leaf in the min heap, for 1 <= i <= n-1."""
-    first = min_t.first_child
-    return "".join(["0" if first[i] else "1" for i in range(1, min_t.n)])
+def degree_streams(min_t, max_t):
+    """U and the interleaved unary degree streams, in one loop over i.
 
-
-def degree_streams(min_t, max_t, u):
-    """Interleaved unary degree codes: node 0 contributes to both streams,
-    node i < n to the stream of the tree where it is internal."""
+    U[i] = 1 iff i is a leaf in the min heap, for 1 <= i <= n-1.  Node 0
+    contributes to both streams, node i < n to the stream of the tree
+    where it is internal.  The first i that is a leaf in both heaps, or
+    internal in both, breaks leaf/internal duality and raises
+    PreconditionError: for heaps of one array that is the first i with
+    A[i] == A[i+1], since i is internal in the min heap iff A[i] < A[i+1]
+    and in the max heap iff A[i] > A[i+1].
+    """
     deg_min, deg_max = min_t.degrees, max_t.degrees
+    u = []
     t_min = [write_degree(deg_min[0])]
     t_max = [write_degree(deg_max[0])]
     for i in range(1, min_t.n):
-        if u[i - 1] == "0":
-            t_min.append(write_degree(deg_min[i]))
+        # write_degree, inlined: d and e are the two degrees of i
+        d = deg_min[i]
+        e = deg_max[i]
+        if d and not e:
+            u.append("0")
+            t_min.append("1" * (d - 1) + "0")
+        elif e and not d:
+            u.append("1")
+            t_max.append("1" * (e - 1) + "0")
         else:
-            t_max.append(write_degree(deg_max[i]))
-    return "".join(t_min), "".join(t_max)
+            raise PreconditionError(
+                "no consecutive equal elements allowed; A[%d] == A[%d]"
+                % (i, i + 1), index=i)
+    return "".join(u), "".join(t_min), "".join(t_max)
 
 
 def encode_heaps(min_t, max_t):
     """U and the two degree streams of a heap pair, which must come from
-    one array with no consecutive equal elements.  The duality check
-    finds the first i with A[i] == A[i+1]: for 0 < i < n, i is internal
-    in the min heap iff A[i] < A[i+1], in the max heap iff A[i] > A[i+1].
-    """
+    one array with no consecutive equal elements (``degree_streams``
+    checks it)."""
     if min_t.n != max_t.n:
         raise ValueError("tree sizes differ")
-    bad = check_leaf_internal_duality(min_t, max_t)
-    if bad is not None:
-        raise PreconditionError(
-            "no consecutive equal elements allowed; A[%d] == A[%d]"
-            % (bad, bad + 1), index=bad)
-    u = leaf_bitmap(min_t)
-    t_min, t_max = degree_streams(min_t, max_t, u)
-    return u, t_min, t_max
+    return degree_streams(min_t, max_t)
 
 
 def encode_joint(min_t, max_t):
@@ -91,20 +95,25 @@ def decode_heaps(n, t_min, t_max, choose):
     max) OrdinalTree pair.
 
     Each heap's stack holds its nodes still expecting children, deepest
-    last, and node i becomes the next child of each top.  For i < n,
-    ``choose(i, sib_min, sib_max)`` learns whether i will get a right
-    sibling in each heap and returns True when i is internal in the min
-    heap, False for the max heap; that heap's stream gives i's degree.
+    last, and node i becomes the next child of each top: the first child
+    if the top has none yet, else the right sibling of its last child.
+    For i < n, ``choose(i, sib_min, sib_max)`` learns whether i will get a
+    right sibling in each heap and returns True when i is internal in the
+    min heap, False for the max heap; that heap's stream gives i's degree.
     """
     t_min = BitStream(t_min)
     t_max = BitStream(t_max)
-    parent_min = [None] * (n + 1)
-    parent_max = [None] * (n + 1)
-    # children each node still expects; positive exactly on the stack
-    left_min = [0] * (n + 1)
-    left_max = [0] * (n + 1)
-    left_min[0] = read_degree(t_min)
-    left_max[0] = read_degree(t_max)
+    size = n + 1
+    parent_min, parent_max = [None] * size, [None] * size
+    first_min, first_max = [0] * size, [0] * size
+    sib_min, sib_max = [0] * size, [0] * size
+    deg_min, deg_max = [0] * size, [0] * size
+    # per node: children it still expects (positive exactly while it is
+    # on the stack), and its last child attached so far
+    left_min, left_max = [0] * size, [0] * size
+    last_min, last_max = [0] * size, [0] * size
+    left_min[0] = deg_min[0] = read_degree(t_min)
+    left_max[0] = deg_max[0] = read_degree(t_max)
     stack_min = [0]
     stack_max = [0]
     for i in range(1, n + 1):
@@ -112,23 +121,35 @@ def decode_heaps(n, t_min, t_max, choose):
             raise CorruptionError("no open node to attach node %d" % i)
         p = stack_min[-1]
         parent_min[i] = p
-        sib_min = left_min[p] - 1
-        left_min[p] = sib_min
-        if not sib_min:
+        prev = last_min[p]
+        if prev:
+            sib_min[prev] = i
+        else:
+            first_min[p] = i
+        last_min[p] = i
+        more_min = left_min[p] - 1
+        left_min[p] = more_min
+        if not more_min:
             stack_min.pop()
         p = stack_max[-1]
         parent_max[i] = p
-        sib_max = left_max[p] - 1
-        left_max[p] = sib_max
-        if not sib_max:
+        prev = last_max[p]
+        if prev:
+            sib_max[prev] = i
+        else:
+            first_max[p] = i
+        last_max[p] = i
+        more_max = left_max[p] - 1
+        left_max[p] = more_max
+        if not more_max:
             stack_max.pop()
         if i == n:
             break
-        if choose(i, sib_min > 0, sib_max > 0):
-            left_min[i] = read_degree(t_min)
+        if choose(i, more_min > 0, more_max > 0):
+            left_min[i] = deg_min[i] = read_degree(t_min)
             stack_min.append(i)
         else:
-            left_max[i] = read_degree(t_max)
+            left_max[i] = deg_max[i] = read_degree(t_max)
             stack_max.append(i)
     if not t_min.at_end() or not t_max.at_end():
         raise CorruptionError("unconsumed trailing degree bits")
@@ -136,7 +157,8 @@ def decode_heaps(n, t_min, t_max, choose):
         if stack:
             raise CorruptionError("node %d still expects %d more children"
                                   % (stack[-1], left[stack[-1]]))
-    return OrdinalTree(parent_min), OrdinalTree(parent_max)
+    return (OrdinalTree.from_tables(parent_min, first_min, sib_min, deg_min),
+            OrdinalTree.from_tables(parent_max, first_max, sib_max, deg_max))
 
 
 def decode_joint(enc):

@@ -11,30 +11,41 @@ answers are parents.  Next-value answers come from the table a
 
 from .arrays import QUERY_KINDS
 from .errors import RangeError
-from .trees import node_index_check
+
+
+def _out_of_range(i, n):
+    return RangeError("index %d out of range 1..%d" % (i, n))
 
 
 def psv_from_tree(cmin, i):
     """PSV(i) = parent of i in the min heap."""
-    node_index_check(cmin.tree, i)
-    return cmin.tree.parent[i]
+    tree = cmin.tree
+    if not 1 <= i <= tree.n:
+        raise _out_of_range(i, tree.n)
+    return tree.parent[i]
 
 
 def plv_from_tree(cmax, i):
     """PLV(i) = parent of i in the max heap."""
-    node_index_check(cmax.tree, i)
-    return cmax.tree.parent[i]
+    tree = cmax.tree
+    if not 1 <= i <= tree.n:
+        raise _out_of_range(i, tree.n)
+    return tree.parent[i]
 
 
 def nsv_from_tree(cmin, i):
     """NSV(i) from the colored min heap alone."""
-    node_index_check(cmin.tree, i)
+    n = cmin.tree.n
+    if not 1 <= i <= n:
+        raise _out_of_range(i, n)
     return cmin.next_value[i]
 
 
 def nlv_from_tree(cmax, i):
     """NLV(i) from the colored max heap alone."""
-    node_index_check(cmax.tree, i)
+    n = cmax.tree.n
+    if not 1 <= i <= n:
+        raise _out_of_range(i, n)
     return cmax.next_value[i]
 
 
@@ -73,7 +84,7 @@ class QueryStructure:
                 raise RangeError("joint scheme answers psv/plv only") from None
             raise ValueError("unknown query kind %r" % (kind,)) from None
         if not 1 <= i <= self.n:
-            raise RangeError("index %d out of range 1..%d" % (i, self.n))
+            raise _out_of_range(i, self.n)
         return table[i]
 
     def psv(self, i):

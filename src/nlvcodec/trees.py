@@ -6,14 +6,15 @@ preorder ranks.  A node is red when its immediate right sibling holds a
 different value, blue otherwise.
 
 Trees are flat per-node tables (parent, first child, right sibling,
-degree); a colored tree adds its colors and the next-value answer of
-every node, computed once when it is built, or on first read for the
+degree), filled by the pass that finds the tree: the stack scan of
+``build_min_heap``/``build_max_heap`` or the decoder's pass over the
+degree streams.  A colored tree adds its colors and the next-value answer
+of every node, computed once when it is built, or on first read for the
 trees ``colorize`` makes for the encoders.
 """
 
 import math
-
-from .errors import RangeError
+import operator
 
 RED = "red"
 BLUE = "blue"
@@ -22,10 +23,13 @@ BLUE = "blue"
 class OrdinalTree:
     """Preorder-labeled ordinal tree on nodes 0..n, held as flat tables.
 
-    ``parent[i]`` is the parent of node i (None for the root 0).  One
-    right-to-left pass over it derives ``first_child``, ``right_sib`` and
-    ``degrees``; 0 stands for "none" in the first two, since the root is
-    nobody's child or sibling.  The constructor validates parent(i) < i.
+    ``parent[i]`` is the parent of node i (None for the root 0);
+    ``first_child``, ``right_sib`` and ``degrees`` go with it, 0 standing
+    for "none" in the first two, since the root is nobody's child or
+    sibling.  The heap builders and decoders fill all four tables in the
+    pass that finds the tree (``from_tables``).  The constructor is for
+    parent lists from outside: it validates parent(i) < i and derives the
+    other three tables in one right-to-left pass.
     """
 
     __slots__ = ("n", "parent", "first_child", "right_sib", "degrees")
@@ -45,9 +49,20 @@ class OrdinalTree:
             right_sib[i] = first[p]
             first[p] = i
             degrees[p] += 1
-        self.n = n
+        self._set_tables(parent, first, right_sib, degrees)
+
+    @classmethod
+    def from_tables(cls, parent, first_child, right_sib, degrees):
+        """A tree over tables that already agree; nothing is checked or
+        copied."""
+        tree = cls.__new__(cls)
+        tree._set_tables(parent, first_child, right_sib, degrees)
+        return tree
+
+    def _set_tables(self, parent, first_child, right_sib, degrees):
+        self.n = len(parent) - 1
         self.parent = parent
-        self.first_child = first
+        self.first_child = first_child
         self.right_sib = right_sib
         self.degrees = degrees
 
@@ -172,17 +187,34 @@ def _next_value_table(tree, is_red):
 
 def _build_heap(values):
     # Stack scan for PSV: node 0 holds a virtual value below every other,
-    # so it is never popped.
-    padded = (-math.inf,) + tuple(values)
-    parent = [None] * len(padded)
+    # so it is never popped.  The stack is the rightmost path and p its
+    # top.  The last node popped before i is attached was its parent's
+    # last child so far; when nothing is popped, i is the first child of
+    # p = i-1.
+    padded = (-math.inf, *values)
+    size = len(padded)
+    parent = [None] * size
+    first = [0] * size
+    right_sib = [0] * size
+    degrees = [0] * size
     stack = [0]
-    for i in range(1, len(padded)):
+    p = 0
+    for i in range(1, size):
         v = padded[i]
-        while padded[stack[-1]] >= v:
-            stack.pop()
-        parent[i] = stack[-1]
+        if padded[p] >= v:
+            while True:
+                last = stack.pop()
+                p = stack[-1]
+                if padded[p] < v:
+                    break
+            right_sib[last] = i
+        else:
+            first[p] = i
+        parent[i] = p
+        degrees[p] += 1
         stack.append(i)
-    return OrdinalTree(parent)
+        p = i
+    return OrdinalTree.from_tables(parent, first, right_sib, degrees)
 
 
 def build_min_heap(a):
@@ -192,7 +224,7 @@ def build_min_heap(a):
 
 def build_max_heap(a):
     """Tree with parent(i) = PLV(i): the min heap of the negated values."""
-    return _build_heap(-v for v in a.values)
+    return _build_heap(map(operator.neg, a.values))
 
 
 def colorize(tree, a):
@@ -270,7 +302,3 @@ def tree_to_text(tree, colors=None):
         stack.append(tree.first_child[c])
     return " ".join(out).replace(" )", ")")
 
-
-def node_index_check(tree, i):
-    if not 1 <= i <= tree.n:
-        raise RangeError("node %d out of range 1..%d" % (i, tree.n))

@@ -55,6 +55,25 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_array_text("1.5")
 
+    def test_first_bad_token_named_deep_in_input(self):
+        tokens = [str(i) for i in range(20_000)]
+        tokens[15_000] = "1.5"
+        tokens[17_000] = "x"
+        with pytest.raises(ParseError, match=r"^not an integer: '1\.5'$"):
+            parse_array_text(" ".join(tokens))
+
+    def test_first_out_of_range_value_named_deep_in_input(self):
+        values = list(range(20_000))
+        values[12_000] = -(1 << 63) - 1
+        values[16_000] = 1 << 63
+        with pytest.raises(ParseError, match=r"^value %d outside signed 64-bit range$"
+                           % (-(1 << 63) - 1)):
+            parse_array_text(" ".join(map(str, values)))
+        values[12_000] = 0
+        with pytest.raises(ParseError, match=r"^value %d outside signed 64-bit range$"
+                           % (1 << 63)):
+            parse_array_text(" ".join(map(str, values)))
+
     def test_format_round_trip(self):
         a = ValueArray([5, -1, 0])
         assert parse_array_text(format_array_text(a)) == a

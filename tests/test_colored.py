@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
-from nlvcodec import (ColoredEncoding, CorruptionError,
+from nlvcodec import (ColoredEncoding, ColoredTree, CorruptionError,
                       PreconditionError, ValueArray, build_max_heap,
-                      build_min_heap, classify_index, colored_size_bits,
-                      colored_size_bound, colorize, count_good_bad,
-                      decode_colored, encode_colored)
+                      build_min_heap, check_leaf_internal_duality,
+                      check_red_leaf_rule, classify_index,
+                      colored_size_bits, colored_size_bound, colorize,
+                      count_good_bad, decode_colored, encode, encode_colored,
+                      encode_joint)
 import nlvcodec.trees as trees_module
 from nlvcodec.arrays import ORACLES
 from nlvcodec.queries import TREE_QUERIES
@@ -84,6 +86,73 @@ class TestEncode:
             assert len(enc.v_bad) == enc.g
             assert len(enc.v_neutral) == a.n - 1 - 2 * enc.g
             assert len(enc.t_min) + len(enc.t_max) == 2 * a.n
+
+
+class TestEncodeErrors:
+    """The duality and red-leaf checks run inside the encoders' loops and
+    must fail exactly where the reference checks do."""
+
+    @staticmethod
+    def arrays():
+        for n in range(1, 8):
+            yield from map(ValueArray, itertools.product(range(3), repeat=n))
+        rng = make_rng(23)
+        for _ in range(200):
+            n = rng.randint(2, 300)
+            yield ValueArray([rng.randint(0, rng.choice((2, 3, 1000)))
+                              for _ in range(n)])
+
+    def test_precondition_iff_consecutive_equal(self):
+        for a in self.arrays():
+            bad = a.has_consecutive_equal()
+            for scheme in ("joint", "colored"):
+                if bad is None:
+                    encode(a, scheme)
+                    continue
+                with pytest.raises(PreconditionError) as exc:
+                    encode(a, scheme)
+                assert exc.value.index == bad, (list(a.values), scheme)
+
+    def test_duality_failure_on_heaps_of_two_arrays(self):
+        # an index may then be internal in both heaps, not only a leaf in
+        # both; the encoder fails where the reference check does
+        rng = make_rng(25)
+        failures = 0
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            min_t = build_min_heap(random_no_equal_neighbours(rng, n, hi=6))
+            max_t = build_max_heap(random_no_equal_neighbours(rng, n, hi=6))
+            bad = check_leaf_internal_duality(min_t, max_t)
+            if bad is None:
+                encode_joint(min_t, max_t)
+                continue
+            failures += 1
+            with pytest.raises(PreconditionError) as exc:
+                encode_joint(min_t, max_t)
+            assert exc.value.index == bad
+        assert failures > 200
+
+    def test_blue_leaf_with_right_sibling_rejected(self):
+        rng = make_rng(24)
+        flips = 0
+        for _ in range(20):
+            a = random_no_equal_neighbours(rng, rng.randint(2, 60), hi=5)
+            cmin, cmax = colored_pair(a)
+            for side in (0, 1):
+                t = (cmin, cmax)[side].tree
+                for i in range(1, a.n + 1):
+                    if not (t.is_leaf(i) and t.has_right_sibling(i)):
+                        continue
+                    is_red = list((cmin, cmax)[side].is_red)
+                    is_red[i] = False
+                    flipped = ColoredTree(t, is_red)
+                    assert not check_red_leaf_rule(flipped)
+                    pair = [cmin, cmax]
+                    pair[side] = flipped
+                    with pytest.raises(PreconditionError):
+                        encode_colored(*pair)
+                    flips += 1
+        assert flips > 100
 
 
 class TestDecode:

@@ -7,7 +7,7 @@ from nlvcodec import (CorruptionError, GeneralEncoding, RangeError,
                       ValueArray, check_subset_coding_inequality, container,
                       decode_general, deserialize, encode_general, general,
                       serialize, subset_rank_width)
-from nlvcodec.arrays import ORACLES, QUERY_KINDS
+from nlvcodec.arrays import ORACLES, QUERY_KINDS, RunStructure
 from nlvcodec.fuzz import general_payload_bound
 from nlvcodec.general import LOG2_13
 
@@ -58,6 +58,19 @@ class TestEncode:
         assert calls == [(7, 4)]
         decode_general(deserialize(data))
         assert calls == [(7, 4), (7, 4)]
+
+    def test_run_maps_built_only_by_decode_and_once(self, monkeypatch):
+        builds = []
+        for name in ("run_starts", "rank_map"):
+            def counted(rs, name=name, build=getattr(RunStructure, name).fget):
+                if getattr(rs, "_" + name) is None:
+                    builds.append(name)
+                return build(rs)
+            monkeypatch.setattr(RunStructure, name, property(counted))
+        enc = encode_general(ValueArray([5, 5, 2, 8, 8, 8, 1, 1]))
+        assert builds == []
+        decode_general(enc)
+        assert sorted(builds) == ["rank_map", "run_starts"]
 
     def test_constructor_checks_rank_width(self):
         enc = encode_general(ValueArray([5, 5, 2, 8, 8, 8, 1, 1]))

@@ -44,6 +44,14 @@ class TestParentQueries:
         with pytest.raises(RangeError):
             nsv_from_tree(figure_cmin, 10)
 
+    def test_range_errors_all_kinds(self, figure_cmin, figure_cmax):
+        # the same message as QueryStructure.query's
+        for kind, query in TREE_QUERIES.items():
+            tree = figure_cmin if kind in ("psv", "nsv") else figure_cmax
+            for i in (0, 10):
+                with pytest.raises(RangeError, match=r"^index %d out of range 1\.\.9$" % i):
+                    query(tree, i)
+
 
 class TestColorWalk:
     def test_nsv_blue_hop(self, figure_cmin):

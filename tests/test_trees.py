@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from nlvcodec import (ValueArray, build_max_heap, build_min_heap, check_leaf_internal_duality,
-                      check_red_leaf_rule, colorize, tree_to_text)
+                      check_red_leaf_rule, colorize, decode_colored, decode_joint,
+                      encode_colored, encode_joint, tree_to_text)
 from nlvcodec.arrays import oracle_plv, oracle_psv
 from nlvcodec.trees import (OrdinalTree, check_preorder_labels,
                             check_sibling_monotonicity)
@@ -102,6 +103,49 @@ class TestColorize:
             for build in (build_min_heap, build_max_heap):
                 ct = colorize(build(a), a)
                 assert not ct.is_red[0] and not ct.is_red[a.n]
+
+
+class TestOnePassTables:
+    """The heap builders and decoders fill first_child, right_sib and
+    degrees in the pass that finds the tree; they must equal the tables
+    OrdinalTree derives from the parent list."""
+
+    @staticmethod
+    def assert_tables_derived(tree):
+        derived = OrdinalTree(tree.parent)
+        assert tree.n == derived.n
+        assert tree.first_child == derived.first_child
+        assert tree.right_sib == derived.right_sib
+        assert tree.degrees == derived.degrees
+
+    def check(self, a, decode):
+        min_t, max_t = build_min_heap(a), build_max_heap(a)
+        self.assert_tables_derived(min_t)
+        self.assert_tables_derived(max_t)
+        if decode:
+            for tree in decode_joint(encode_joint(min_t, max_t)):
+                self.assert_tables_derived(tree)
+            pair = encode_colored(colorize(min_t, a), colorize(max_t, a))
+            for ct in decode_colored(pair):
+                self.assert_tables_derived(ct.tree)
+
+    def test_random_no_equal_neighbours(self):
+        rng = make_rng(71)
+        for n in list(range(1, 20)) + [rng.randint(20, 300) for _ in range(40)]:
+            self.check(random_no_equal_neighbours(rng, n, hi=rng.choice((3, 50, 10**6))),
+                       decode=True)
+
+    def test_random_with_equal_neighbours(self):
+        rng = make_rng(72)
+        for n in list(range(1, 20)) + [rng.randint(20, 300) for _ in range(40)]:
+            self.check(ValueArray([rng.randint(1, rng.choice((2, 3, 10)))
+                                   for _ in range(n)]), decode=False)
+
+    def test_deep_stack_and_wide_root(self):
+        # increasing: a min-heap chain and a max heap whose root has n
+        # children; decreasing: the mirror image
+        for values in (range(5000), range(5000, 0, -1)):
+            self.check(ValueArray(values), decode=True)
 
 
 class TestStructuralRules:

@@ -51,6 +51,10 @@ CASES = {
     "binary-5000": (alphabet(3, 5000, 2), GENERAL),
     "alphabet5-1000": (alphabet(4, 1000, 5), GENERAL),
     "monotone-runs-4000": (monotone_runs(5, 4000), GENERAL),
+    # the benchmark's n
+    "perm-20000": (permutation(9, 20000), ALL),
+    "binary-20000": (alphabet(10, 20000, 2), GENERAL),
+    "monotone-runs-20000": (monotone_runs(11, 20000), GENERAL),
 }
 
 DIGESTS = {
@@ -112,6 +116,16 @@ DIGESTS = {
         "00b83dd26eab1eaaa802dc07c22199238d88e1f96b2893c13d278928048e0e0a",
     ("monotone-runs-4000", "general"):
         "487b51960fd426777b7a2aaab002821ea98e8d6aca9ad57f421392cc1788ad0f",
+    ("perm-20000", "joint"):
+        "bf69ece6af81a51d683fa1d83245710c1765510a53be940aed9893d47505ac4e",
+    ("perm-20000", "colored"):
+        "63783be75009ac6a89553d6ca3755df40100540f7850f142dc670be5e52b692b",
+    ("perm-20000", "general"):
+        "5a6b262e7f58def56d966b3b50dd6bdb366a9ba4ede3b1275ab9918ddc672eae",
+    ("binary-20000", "general"):
+        "cdc5dba2b43b6ce4731d472dde1c2ac32f2b45ff5a3835eb58ace8ad906b9ad8",
+    ("monotone-runs-20000", "general"):
+        "27f2365f07103bd8e655379c429b295bb6c48710d5a41bd514a0f531e61b3c62",
 }
 
 
