@@ -11,7 +11,7 @@ from .bitio import (BitStream, pack_trits, read_degree, subset_rank,
 from .colored import (ColoredEncoding, classify_index, colored_size_bits,
                       colored_size_bound, count_good_bad, decode_colored,
                       encode_colored)
-from .container import decode, deserialize, encode, serialize
+from .container import MAX_N, decode, deserialize, encode, serialize
 from .errors import (CorruptionError, EmptyArrayError, NlvError, ParseError,
                      PreconditionError, RangeError)
 from .general import (GeneralEncoding, decode_general, encode_general,

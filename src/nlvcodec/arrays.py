@@ -33,6 +33,15 @@ class ValueArray:
         self.values = vals
         self.n = len(vals)
 
+    @classmethod
+    def _from_checked(cls, vals):
+        """A ValueArray over a non-empty tuple of values that a ValueArray
+        already checked, without checking them again."""
+        a = object.__new__(cls)
+        a.values = vals
+        a.n = len(vals)
+        return a
+
     def __getitem__(self, i):
         if not 1 <= i <= self.n:
             raise RangeError("index %d out of range 1..%d" % (i, self.n))
@@ -149,6 +158,9 @@ class RunStructure:
                  "_rank_map", "_values")
 
     def __init__(self, c_bits, n, values=None):
+        """``values``, if given, is the ``values`` tuple of the ValueArray
+        whose runs these are, so ``reduced_array`` does not check them
+        again."""
         # bytes() takes ints and bools alike and rejects any outside 0..255
         c_bits = tuple(bytes(c_bits))
         if n < 1:
@@ -187,7 +199,8 @@ class RunStructure:
         if self._values is None:
             raise ValueError("run structure was built without values")
         kept = itertools.chain(map(operator.not_, self.c_bits), (True,))
-        return ValueArray(itertools.compress(self._values, kept))
+        return ValueArray._from_checked(
+            tuple(itertools.compress(self._values, kept)))
 
 
 def compute_runs(a):

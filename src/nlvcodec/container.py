@@ -5,11 +5,16 @@ Layout: magic "NLVE", version byte, scheme byte, varint header fields,
 then the payload bit segments concatenated MSB-first with the final byte
 zero-padded.  Varints are canonical LEB128 (base-128 groups,
 little-endian, no redundant trailing zero group) of at most 64 bits.
+
+Arrays hold at most MAX_N elements.  A few header bytes can declare any
+n, and a decode builds answer tables of n entries, so ``deserialize``
+rejects a larger n before it reads further, and ``encode`` refuses to
+write one.
 """
 
 from .bitio import BitStream, subset_rank_width, trit_pack_bits, pack_trits, unpack_trits
 from .colored import ColoredEncoding, decode_colored, encode_colored
-from .errors import CorruptionError
+from .errors import CorruptionError, PreconditionError
 from .general import GeneralEncoding, decode_general, decode_runs, encode_general
 from .joint import JointEncoding, decode_joint, encode_joint
 from .queries import QueryStructure, tables_of
@@ -17,6 +22,10 @@ from .trees import build_max_heap, build_min_heap, colorize
 
 MAGIC = b"NLVE"
 VERSION = 1
+
+# the largest n that encode writes and deserialize reads; every index
+# fits a signed 32-bit int
+MAX_N = 2 ** 31 - 1
 
 SCHEME_JOINT = 1
 SCHEME_COLORED = 2
@@ -32,10 +41,12 @@ def encode(a, scheme):
 
     ``joint`` and ``colored`` need an array with no consecutive equal
     elements and raise PreconditionError otherwise (``joint.encode_heaps``
-    checks it).
+    checks it).  Every scheme raises PreconditionError for n > MAX_N.
     """
     if scheme not in SCHEME_NAMES:
         raise ValueError("unknown scheme %r" % (scheme,))
+    if a.n > MAX_N:
+        raise PreconditionError("n = %d exceeds MAX_N = %d" % (a.n, MAX_N))
     if scheme == "general":
         return encode_general(a)
     min_t = build_min_heap(a)
@@ -179,6 +190,8 @@ def deserialize(data):
     n, pos = read_varint(data, pos)
     if n < 1:
         raise CorruptionError("n must be >= 1")
+    if n > MAX_N:
+        raise CorruptionError("n = %d exceeds MAX_N = %d" % (n, MAX_N))
     k = None
     if scheme == SCHEME_GENERAL:
         k, pos = read_varint(data, pos)

@@ -7,12 +7,11 @@ through the run index maps once.
 
 import itertools
 import math
-from math import comb
 
 from .arrays import (QUERY_KINDS, RunStructure, compute_runs,
                      map_answer_to_original, map_query_index)
-from .bitio import (check_bits, subset_rank, subset_rank_width, subset_unrank,
-                    uint_bits)
+from .bitio import (check_bits, comb, subset_rank, subset_rank_width,
+                    subset_unrank, uint_bits)
 from .colored import decode_colored, encode_colored
 from .errors import CorruptionError
 from .queries import QueryStructure, tables_of

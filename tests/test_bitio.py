@@ -1,4 +1,5 @@
 import itertools
+import math
 from math import comb
 
 import pytest
@@ -194,6 +195,53 @@ class TestSubsetCoding:
         positions = sorted(posset)
         k, rank = subset_rank(positions, 500)
         assert subset_unrank(k, rank, 500) == positions
+
+
+class TestComb:
+    """bitio.comb against math.comb, on both sides of its switch to the
+    prime-power product."""
+
+    @staticmethod
+    def _first_sieved(n):
+        """The least m = min(k, n-k) at which comb sieves for this n."""
+        return max(-(-n // 4), math.isqrt(bitio._SIEVE_MIN_SQUARE * n - 1) + 1)
+
+    def test_exhaustive_small(self):
+        for n in range(301):
+            for k in range(n + 1):
+                assert bitio.comb(n, k) == comb(n, k)
+                # comb leaves all of these to math.comb
+                assert bitio._prime_power_comb(n, k) == comb(n, k)
+
+    @pytest.mark.parametrize("n", [1_023, 1_024, 2 ** 14, 19_998, 50_000,
+                                   19_997, 3 ** 9])
+    def test_large_on_each_side_of_the_switch(self, n, monkeypatch):
+        sieved = []
+
+        def spy(n, k):
+            sieved.append((n, k))
+            return prime_power_comb(n, k)
+        prime_power_comb = bitio._prime_power_comb
+        monkeypatch.setattr(bitio, "_prime_power_comb", spy)
+        m0 = self._first_sieved(n)
+        ks = {0, 1, 2, n // 13, m0 - 1, m0, n - m0, n - m0 + 1, n // 2, n - 1, n}
+        for k in sorted(k for k in ks if 0 <= k <= n):
+            sieved.clear()
+            assert bitio.comb(n, k) == comb(n, k), (n, k)
+            assert bool(sieved) == (m0 <= min(k, n - k)), (n, k)
+        # below n = 1280 no k sieves; from there k = n/2 does
+        assert (m0 <= n // 2) == (n >= 1280)
+
+    def test_hostile_sizes_never_sieve(self, monkeypatch):
+        def refuse(n, k):
+            raise AssertionError("sieved for C(%d, %d)" % (n, k))
+        monkeypatch.setattr(bitio, "_prime_power_comb", refuse)
+        big = 2 ** 40
+        assert bitio.comb(big, 1) == big
+        assert bitio.comb(big, big - 1) == big
+        assert bitio.comb(big, 2) == big * (big - 1) // 2
+        # 4 min(k, n-k) < n: math.comb, however large the result
+        assert bitio.comb(40_001, 10_000) == comb(40_001, 10_000)
 
 
 def _reference_rank(positions, length):

@@ -8,17 +8,22 @@ import pytest
 
 import nlvcodec
 
-from nlvcodec import (ORACLES, QUERY_KINDS, CorruptionError,
+from nlvcodec import (ORACLES, QUERY_KINDS, BitStream, CorruptionError,
                       PreconditionError, RangeError, ValueArray,
                       build_max_heap, build_min_heap, colorize, decode,
                       deserialize, encode, encode_colored, encode_general,
                       encode_joint, serialize, trit_pack_bits)
-from nlvcodec import container
+from nlvcodec import bitio, container
 from nlvcodec.cli import main
 from nlvcodec.container import (MAGIC, SCHEME_GENERAL, VERSION, read_varint,
                                 write_varint)
 
 from conftest import FIGURE_VALUES, make_rng, random_no_equal_neighbours
+
+
+# a general container whose header declares n = 2^40 and k = n - 2
+HUGE_N_CONTAINER = bytes.fromhex(
+    "4e4c56450103808080808020feffffffff1f0000020202000000000088")
 
 
 def all_encodings(a):
@@ -143,6 +148,44 @@ class TestContainer:
             buf += bytes(payload_bytes)
             with pytest.raises(CorruptionError):
                 deserialize(bytes(buf))
+
+    def test_max_n(self, monkeypatch):
+        monkeypatch.setattr(container, "MAX_N", 5)
+        for scheme in ("joint", "colored", "general"):
+            data = serialize(encode(ValueArray([3, 1, 4, 2, 5]), scheme))
+            assert deserialize(data).n == 5
+            with pytest.raises(PreconditionError, match="MAX_N"):
+                encode(ValueArray([3, 1, 4, 2, 5, 6]), scheme)
+            monkeypatch.setattr(container, "MAX_N", 6)
+            data = serialize(encode(ValueArray([3, 1, 4, 2, 5, 6]), scheme))
+            monkeypatch.setattr(container, "MAX_N", 5)
+            with pytest.raises(CorruptionError, match="MAX_N"):
+                deserialize(data)
+
+    def test_huge_n_rejected_before_decoding(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("big binomial work for a hostile header")
+        monkeypatch.setattr(container, "subset_rank_width", refuse)
+        # general, n = 2^40, k = n - 2: two runs, one of length n - 1
+        assert len(HUGE_N_CONTAINER) == 29
+        with pytest.raises(CorruptionError, match="MAX_N"):
+            deserialize(HUGE_N_CONTAINER)
+
+    def test_largest_n_with_two_runs_parses_without_sieving(self, monkeypatch):
+        def refuse(n, k):
+            raise AssertionError("sieved for C(%d, %d)" % (n, k))
+        monkeypatch.setattr(bitio, "_prime_power_comb", refuse)
+        n = container.MAX_N
+        buf = bytearray(MAGIC)
+        buf += bytes([VERSION, SCHEME_GENERAL])
+        # the colored segments of [1, 2]: u_gb and v_bad empty, 2 packed
+        # bits for one trit, two degree streams
+        for value in [n, n - 2, 0, 0, 2, 2, 2]:
+            write_varint(buf, value)
+        width = (n - 2).bit_length()
+        buf += BitStream("0" * width + "100010").to_bytes()
+        enc = deserialize(bytes(buf))
+        assert (enc.n, enc.k, len(enc.c_rank_bits)) == (n, n - 2, width)
 
     def test_magic_and_version(self):
         data = serialize(encode_general(ValueArray([1, 2])))
@@ -317,6 +360,13 @@ class TestCli:
         bad.write_bytes(b"not a container")
         rc = main(["decode", "--in", str(bad)])
         assert rc == 4
+
+    def test_decode_huge_n_exit(self, tmp_path, capsys):
+        bad = tmp_path / "huge.nlve"
+        bad.write_bytes(HUGE_N_CONTAINER)
+        rc = main(["decode", "--in", str(bad)])
+        assert rc == 4
+        assert "MAX_N" in capsys.readouterr().err
 
     def test_stats(self, figure_file, tmp_path, capsys):
         out = tmp_path / "fig.nlve"
