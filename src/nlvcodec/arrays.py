@@ -14,6 +14,9 @@ INT64_MAX = (1 << 63) - 1
 
 QUERY_KINDS = ("psv", "plv", "nsv", "nlv")
 
+# swaps the bytes 0 and 1: run bits to kept flags and back
+_FLIP_BITS = bytes.maketrans(b"\0\1", b"\1\0")
+
 
 class ValueArray:
     """An immutable array of signed 64-bit integers, indexed 1..n."""
@@ -152,9 +155,13 @@ class RunStructure:
     first index of run r, the one after the end of run r-1, and
     ``rank_map[i-1]`` the reduced position of i's run.  Only decoding reads
     these two maps, so each is built on its first read.
+
+    The structure holds the complement of c_bits as bytes (``_keep``,
+    1 at each kept position below n), and every map comes from one
+    C-level scan of it; ``c_bits`` is built from it on each read.
     """
 
-    __slots__ = ("n", "c_bits", "k", "kept_positions", "_run_starts",
+    __slots__ = ("n", "k", "kept_positions", "_keep", "_run_starts",
                  "_rank_map", "_values")
 
     def __init__(self, c_bits, n, values=None):
@@ -162,45 +169,66 @@ class RunStructure:
         whose runs these are, so ``reduced_array`` does not check them
         again."""
         # bytes() takes ints and bools alike and rejects any outside 0..255
-        c_bits = tuple(bytes(c_bits))
+        c_bits = bytes(c_bits)
         if n < 1:
             raise EmptyArrayError("run structure requires n >= 1")
         if len(c_bits) != n - 1:
             raise ValueError("c_bits must have length n-1")
-        if not set(c_bits) <= {0, 1}:
+        if c_bits.translate(None, b"\0\1"):
             raise ValueError("c_bits must be binary")
+        self._set_runs(c_bits.translate(_FLIP_BITS), n, values)
+
+    @classmethod
+    def _from_positions(cls, positions, n):
+        """The runs of an n-element array from the 0-based positions p of
+        its equal pairs A[p+1] == A[p+2]: distinct ints in 0..n-2, as a
+        decoder's unrank makes them, so nothing is checked."""
+        keep = bytearray(b"\1") * (n - 1)
+        for p in positions:
+            keep[p] = 0
+        rs = cls.__new__(cls)
+        rs._set_runs(keep, n, None)
+        return rs
+
+    def _set_runs(self, keep, n, values):
         self.n = n
-        self.c_bits = c_bits
-        self.k = sum(c_bits)
-        self.kept_positions = (
-            *itertools.compress(range(1, n), map(operator.not_, c_bits)), n)
+        self.k = keep.count(0)
+        self.kept_positions = (*itertools.compress(range(1, n), keep), n)
+        self._keep = keep
         self._run_starts = None
         self._rank_map = None
         self._values = values
 
     @property
+    def c_bits(self):
+        """The run bits as a tuple of 0 and 1, built on each read."""
+        return tuple(self._keep.translate(_FLIP_BITS))
+
+    @property
     def run_starts(self):
+        # i starts a run iff i == 1 or i-1 is kept
         if self._run_starts is None:
-            self._run_starts = (1, *map((1).__add__, self.kept_positions[:-1]))
+            self._run_starts = tuple(itertools.compress(
+                range(1, self.n + 1), b"\1" + self._keep))
         return self._run_starts
 
     @property
     def rank_map(self):
-        # one int object repeated over each run
+        # the reduced position of i is one more than the count of kept
+        # positions below i; each running count indexes a list of the
+        # positions, so one int object is repeated over each run
         if self._rank_map is None:
-            kept = self.kept_positions
-            run_lengths = map(operator.sub, kept, (0, *kept[:-1]))
-            self._rank_map = tuple(itertools.chain.from_iterable(
-                map(itertools.repeat, itertools.count(1), run_lengths)))
+            ranks = list(range(1, len(self.kept_positions) + 1))
+            self._rank_map = tuple(map(ranks.__getitem__, itertools.accumulate(
+                self._keep, initial=0)))
         return self._rank_map
 
     def reduced_array(self):
         """The array A' of run-last elements (requires source values)."""
         if self._values is None:
             raise ValueError("run structure was built without values")
-        kept = itertools.chain(map(operator.not_, self.c_bits), (True,))
         return ValueArray._from_checked(
-            tuple(itertools.compress(self._values, kept)))
+            tuple(itertools.compress(self._values, self._keep + b"\1")))
 
 
 def compute_runs(a):
@@ -226,3 +254,26 @@ def map_answer_to_original(rs, answers, kind):
     # entry 0 is unused; the sentinels 0 and n-k+1 map to 0 and n+1
     lookup = (0,) + targets + (rs.n + 1,)
     return [None, *map(lookup.__getitem__, answers[1:])]
+
+
+def lift_answers(rs, reduced):
+    """The four answer tables on original indices, from the reduced
+    array's: ``reduced`` maps each kind to its table and is emptied as
+    the tables are lifted, so each reduced table is freed after its pass.
+
+    Each table equals map_query_index(rs, map_answer_to_original(rs,
+    table, kind)) and comes from one C-level pass over the original
+    indices: i's run (``rank_map``), that run's reduced answer, then the
+    answer's original coordinate, with no list in between.  Each kind
+    builds its own lookup, so the lookups of all four never exist at once.
+    """
+    rank_map = rs.rank_map
+    lifted = {}
+    for kind in QUERY_KINDS:
+        targets = rs.kept_positions if kind in ("psv", "plv") else rs.run_starts
+        # the sentinels 0 and n-k+1 map to 0 and n+1; a list, since a
+        # list's bound __getitem__ is faster to call than a tuple's
+        lookup = [0, *targets, rs.n + 1]
+        lifted[kind] = [None, *map(lookup.__getitem__,
+                                   map(reduced.pop(kind).__getitem__, rank_map))]
+    return lifted

@@ -58,6 +58,27 @@ _SIEVE_MIN_SQUARE = 320
 _FIVE_TRITS = ["".join(d) for d in itertools.product("012", repeat=5)]
 
 
+class Encoding:
+    """Base of the three encodings, whose fields are set once, by their
+    constructors (``_set``).
+
+    Assigning or deleting a field afterwards raises AttributeError, so a
+    decoder reads only segments that its encoding's constructor checked.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s fields are read-only" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s fields are read-only" % type(self).__name__)
+
+
 def check_bits(*segments):
     """Raise ValueError unless every segment is a str of '0' and '1'."""
     for bits in segments:
@@ -69,9 +90,11 @@ class BitStream:
     """A decoder's MSB-first read cursor over one bit segment.
 
     Each decode builds its own cursor, so the segment str it reads stays
-    shared and immutable.  Unary degree codes are read one ``read_bit``
-    at a time, so the decoders stay one loop over nodes and traced runs
-    can count bit reads.
+    shared and immutable.  Decoders call the cursor's bound ``read_bit``
+    once per bit: ``joint.decode_heaps`` reads each unary degree code in
+    place with it (``read_degree`` is the same loop as a function), and
+    ``colored.decode_colored`` reads ``u_gb`` and ``v_bad`` with it, so
+    traced runs count every bit a decode consumes.
     """
 
     __slots__ = ("_bits", "_pos")
@@ -86,10 +109,12 @@ class BitStream:
 
     def read_bit(self):
         """The next bit as the character '0' or '1'."""
-        if self._pos >= len(self._bits):
-            raise CorruptionError("bitstream truncated: read past end")
-        b = self._bits[self._pos]
-        self._pos += 1
+        pos = self._pos
+        try:
+            b = self._bits[pos]
+        except IndexError:
+            raise CorruptionError("bitstream truncated: read past end") from None
+        self._pos = pos + 1
         return b
 
     def to_bytes(self):

@@ -2,7 +2,8 @@
 report bit budgets, and run the fuzz suites.
 
 Exit codes: 0 success, 1 usage, 2 parse, 3 precondition, 4 corruption,
-5 fuzz failure.
+5 fuzz failure, 6 a container whose n-entry decode tables do not fit in
+memory.
 """
 
 import argparse
@@ -11,7 +12,8 @@ import sys
 from .arrays import parse_array_text
 from .colored import colored_size_bound
 from .container import decode, decode_shapes, deserialize, encode, serialize
-from .errors import CorruptionError, ParseError, PreconditionError, RangeError
+from .errors import (AllocationError, CorruptionError, ParseError,
+                     PreconditionError, RangeError)
 from .fuzz import run_fuzz
 from .general import LOG2_13
 from .trees import tree_to_text
@@ -22,6 +24,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_CORRUPTION = 4
 EXIT_FUZZ = 5
+EXIT_ALLOCATION = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,6 +164,9 @@ def main(argv=None):
     except RangeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except AllocationError as exc:
+        print("allocation error: %s" % exc, file=sys.stderr)
+        return EXIT_ALLOCATION
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -9,13 +9,15 @@ Good and bad indices keep their U bit (``u_gb``), and a bad one adds its
 color in the heap where it is internal (``v_bad``).  A neutral index
 stores one trit (``v_neutral``): its color in the heap where it has
 right siblings if it is internal there, else 2.  The decoder's
-``choose`` sees the class from the rebuilt shapes.  With g good and g
-bad indices the payload approaches (2 + log2 3) * n bits.
+``choose`` sees the class from the rebuilt shapes and reads the side
+strings through iterators: bound ``read_bit`` methods for ``u_gb`` and
+``v_bad``, ``iter`` over the trits.  With g good and g bad indices the
+payload approaches (2 + log2 3) * n bits.
 """
 
 import math
 
-from .bitio import BitStream, check_bits, trit_pack_bits
+from .bitio import BitStream, Encoding, check_bits, trit_pack_bits
 from .errors import CorruptionError, PreconditionError
 from .joint import decode_heaps, encode_heaps
 from .trees import ColoredTree
@@ -32,7 +34,7 @@ COLOR_BLUE = "1"
 TRIT_NO_SIBLINGS = "2"
 
 
-class ColoredEncoding:
+class ColoredEncoding(Encoding):
     """Degree streams plus the per-class side strings: ``t_min``,
     ``t_max``, ``u_gb`` and ``v_bad`` are bit strs, ``v_neutral`` a str
     of trit digits."""
@@ -49,13 +51,8 @@ class ColoredEncoding:
             raise CorruptionError("|v_neutral| must equal n-1-2g")
         if len(t_min) + len(t_max) != 2 * n:
             raise CorruptionError("degree streams must total 2n bits")
-        self.n = n
-        self.t_min = t_min
-        self.t_max = t_max
-        self.u_gb = u_gb
-        self.v_bad = v_bad
-        self.v_neutral = v_neutral
-        self.g = g
+        self._set(n=n, t_min=t_min, t_max=t_max, u_gb=u_gb, v_bad=v_bad,
+                  v_neutral=v_neutral, g=g)
 
     def __eq__(self, other):
         return (isinstance(other, ColoredEncoding) and self.n == other.n
@@ -133,37 +130,46 @@ def encode_colored(cmin, cmax):
 
 
 def decode_colored(enc):
-    """Rebuild both colored trees; exact inverse of encode_colored."""
+    """Rebuild both colored trees; exact inverse of encode_colored.
+
+    ``choose`` reads ``u_gb`` and ``v_bad`` through their cursors' bound
+    ``read_bit`` methods and the trits through one iterator over
+    ``v_neutral``.  Trits outside 0, 1, 2 are found before the shape
+    pass, by one C-level scan, so a bad trit costs no degree bit.
+    """
     n, v_neutral = enc.n, enc.v_neutral
+    # strip drops the valid trits at both ends; what is left starts at the
+    # first invalid one
+    bad = v_neutral.strip(COLOR_RED + COLOR_BLUE + TRIT_NO_SIBLINGS)
+    if bad:
+        raise CorruptionError("invalid trit %r in v_neutral" % (bad[0],))
     u_gb = BitStream(enc.u_gb)
     v_bad = BitStream(enc.v_bad)
+    gb_bit = u_gb.read_bit
+    bad_bit = v_bad.read_bit
+    trits = iter(v_neutral)
     red_min = [False] * (n + 1)
     red_max = [False] * (n + 1)
-    j = 0  # next v_neutral trit
 
     def choose(i, sib_min, sib_max):
-        nonlocal j
         if sib_min == sib_max:
             # good (neither) or bad (both): U bit names the relevant tree
-            relevant_is_min = u_gb.read_bit() == "0"
+            relevant_is_min = gb_bit() == "0"
             if sib_min:  # bad: red where it is a leaf with right siblings
                 red_min[i] = red_max[i] = True
-                red = v_bad.read_bit() == COLOR_RED
+                red = bad_bit() == COLOR_RED
                 (red_min if relevant_is_min else red_max)[i] = red
             return relevant_is_min
-        if j == len(v_neutral):
+        c = next(trits, None)
+        if c is None:
             raise CorruptionError("string v_neutral exhausted")
-        c = v_neutral[j]
-        j += 1
-        if c not in (COLOR_RED, COLOR_BLUE, TRIT_NO_SIBLINGS):
-            raise CorruptionError("invalid trit %r in v_neutral" % (c,))
         # c colors i in the tree where it has right siblings; a 2 says i
         # is internal in the other tree, so a leaf here, hence red
         (red_min if sib_min else red_max)[i] = c != COLOR_BLUE
         return sib_max if c == TRIT_NO_SIBLINGS else sib_min
 
     min_t, max_t = decode_heaps(n, enc.t_min, enc.t_max, choose)
-    if not (u_gb.at_end() and v_bad.at_end() and j == len(v_neutral)):
+    if not (u_gb.at_end() and v_bad.at_end() and next(trits, None) is None):
         raise CorruptionError("unconsumed side-string characters")
     return ColoredTree(min_t, red_min), ColoredTree(max_t, red_max)
 

@@ -9,7 +9,9 @@ little-endian, no redundant trailing zero group) of at most 64 bits.
 Arrays hold at most MAX_N elements.  A few header bytes can declare any
 n, and a decode builds answer tables of n entries, so ``deserialize``
 rejects a larger n before it reads further, and ``encode`` refuses to
-write one.
+write one.  Below MAX_N a general container of a few bytes can still
+declare long runs; a decode whose n-entry tables do not fit in memory
+raises AllocationError.
 """
 
 from .bitio import BitStream, subset_rank_width, trit_pack_bits, pack_trits, unpack_trits

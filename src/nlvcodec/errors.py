@@ -31,3 +31,9 @@ class PreconditionError(NlvError, ValueError):
 
 class CorruptionError(NlvError, ValueError):
     """Raised when a bitstream or container cannot be decoded."""
+
+
+class AllocationError(NlvError, MemoryError):
+    """Raised when a decode cannot allocate the n-entry tables that a
+    container's header asks for.  A general container of a few bytes can
+    declare any n up to MAX_N, since a long run costs it almost no bits."""

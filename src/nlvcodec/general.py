@@ -1,26 +1,27 @@
 """Encoding for arbitrary arrays: a run bitmap stored by combinadic rank
 plus the colored encoding of the run-compressed array.
 
-Payload approaches log2(13) * n bits; decoding lifts the answer tables
-through the run index maps once.
+Payload approaches log2(13) * n bits.  Decoding builds the run maps
+once, from the unranked positions, and lifts each of the reduced
+array's answer tables to original indices in one composed C-level pass
+(``arrays.lift_answers``).
 """
 
 import itertools
 import math
 
-from .arrays import (QUERY_KINDS, RunStructure, compute_runs,
-                     map_answer_to_original, map_query_index)
-from .bitio import (check_bits, comb, subset_rank, subset_rank_width,
+from .arrays import RunStructure, compute_runs, lift_answers
+from .bitio import (Encoding, check_bits, comb, subset_rank, subset_rank_width,
                     subset_unrank, uint_bits)
 from .colored import decode_colored, encode_colored
-from .errors import CorruptionError
+from .errors import AllocationError, CorruptionError
 from .queries import QueryStructure, tables_of
 from .trees import build_max_heap, build_min_heap, colorize
 
 LOG2_13 = math.log2(13)
 
 
-class GeneralEncoding:
+class GeneralEncoding(Encoding):
     """Run bitmap rank, as a bit str, plus the colored encoding of the
     reduced array."""
 
@@ -39,10 +40,7 @@ class GeneralEncoding:
             raise CorruptionError("c rank segment has wrong width")
         if colored.n != n - k:
             raise CorruptionError("colored part must cover n-k elements")
-        self.n = n
-        self.k = k
-        self.c_rank_bits = c_rank_bits
-        self.colored = colored
+        self._set(n=n, k=k, c_rank_bits=c_rank_bits, colored=colored)
 
     def __eq__(self, other):
         return (isinstance(other, GeneralEncoding) and self.n == other.n
@@ -67,14 +65,18 @@ def encode_general(a):
 
 
 def decode_runs(enc):
-    """The run structure of a general encoding, from its rank bits."""
+    """The run structure of a general encoding, from its rank bits.
+
+    Raises AllocationError when its n-entry maps do not fit in memory.
+    """
     # the constructor checked the segment against the exact rank width;
     # a width of 0 leaves it empty
     rank = int(enc.c_rank_bits or "0", 2)
-    c_bits = bytearray(enc.n - 1)
-    for p in subset_unrank(enc.k, rank, enc.n - 1):
-        c_bits[p] = 1
-    return RunStructure(c_bits, enc.n)
+    try:
+        return RunStructure._from_positions(
+            subset_unrank(enc.k, rank, enc.n - 1), enc.n)
+    except MemoryError:
+        raise _allocation_error(enc.n) from None
 
 
 def decode_general(enc):
@@ -83,9 +85,14 @@ def decode_general(enc):
     # keeps setup's peak memory low
     reduced = tables_of(*decode_colored(enc.colored))
     runs = decode_runs(enc)
-    return QueryStructure(enc.n, {
-        kind: map_query_index(runs, map_answer_to_original(runs, reduced.pop(kind), kind))
-        for kind in QUERY_KINDS})
+    try:
+        return QueryStructure(enc.n, lift_answers(runs, reduced))
+    except MemoryError:
+        raise _allocation_error(enc.n) from None
+
+
+def _allocation_error(n):
+    return AllocationError("cannot allocate the decode tables for n = %d" % n)
 
 
 def check_subset_coding_inequality(c, n, k, tol_per_n=1e-6):

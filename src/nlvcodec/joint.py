@@ -7,17 +7,18 @@ each heap, every other i < n in the heap where it is internal) plus that
 choice of heap per index.  ``degree_streams`` gives the choice as the
 min-heap leaf bitmap U, found in the same loop as the degree streams, and
 ``decode_heaps`` rebuilds both shapes and their tables in one pass,
-asking a ``choose`` function for each choice.  The joint scheme stores U
-as is, so its heaps answer PSV/PLV only; the colored scheme
-(``colored.py``) folds the choice into the colors.
+asking a ``choose`` function for each choice and reading each unary
+degree code in place, one ``BitStream.read_bit`` call per bit.  The
+joint scheme stores U as is, so its heaps answer PSV/PLV only; the
+colored scheme (``colored.py``) folds the choice into the colors.
 """
 
-from .bitio import BitStream, check_bits, read_degree, write_degree
+from .bitio import BitStream, Encoding, check_bits, read_degree, write_degree
 from .errors import CorruptionError, PreconditionError
 from .trees import OrdinalTree
 
 
-class JointEncoding:
+class JointEncoding(Encoding):
     """U, T_min, T_max for one array as bit strs; payload is exactly
     3n-1 bits."""
 
@@ -30,10 +31,7 @@ class JointEncoding:
             raise ValueError("U must have length n-1")
         if len(t_min) + len(t_max) != 2 * n:
             raise CorruptionError("degree streams must total 2n bits")
-        self.n = n
-        self.u = u
-        self.t_min = t_min
-        self.t_max = t_max
+        self._set(n=n, u=u, t_min=t_min, t_max=t_max)
 
     def __eq__(self, other):
         return (isinstance(other, JointEncoding) and self.n == other.n
@@ -100,9 +98,15 @@ def decode_heaps(n, t_min, t_max, choose):
     For i < n, ``choose(i, sib_min, sib_max)`` learns whether i will get a
     right sibling in each heap and returns True when i is internal in the
     min heap, False for the max heap; that heap's stream gives i's degree.
+    Below the root, each unary code is read in place through the
+    stream's bound ``read_bit`` (``bitio.read_degree``, inlined), so
+    every degree bit is one ``BitStream.read_bit`` call and no node pays
+    for another call.
     """
     t_min = BitStream(t_min)
     t_max = BitStream(t_max)
+    bit_min = t_min.read_bit
+    bit_max = t_max.read_bit
     size = n + 1
     parent_min, parent_max = [None] * size, [None] * size
     first_min, first_max = [0] * size, [0] * size
@@ -145,11 +149,16 @@ def decode_heaps(n, t_min, t_max, choose):
             stack_max.pop()
         if i == n:
             break
+        d = 1
         if choose(i, more_min > 0, more_max > 0):
-            left_min[i] = deg_min[i] = read_degree(t_min)
+            while bit_min() == "1":
+                d += 1
+            left_min[i] = deg_min[i] = d
             stack_min.append(i)
         else:
-            left_max[i] = deg_max[i] = read_degree(t_max)
+            while bit_max() == "1":
+                d += 1
+            left_max[i] = deg_max[i] = d
             stack_max.append(i)
     if not t_min.at_end() or not t_max.at_end():
         raise CorruptionError("unconsumed trailing degree bits")

@@ -67,7 +67,9 @@ class QueryStructure:
     """Answers the four queries on original indices, without the array.
 
     ``tables[kind][i]`` answers kind at i (entry 0 unused).  A joint
-    container decodes to psv/plv tables only.
+    container decodes to psv/plv tables only.  A bad query raises, in
+    this order: ValueError for an unknown kind, RangeError for nsv/nlv on
+    a joint container, RangeError for an index outside 1..n.
     """
 
     __slots__ = ("n", "tables")
@@ -77,15 +79,18 @@ class QueryStructure:
         self.tables = tables
 
     def query(self, kind, i):
-        try:
-            table = self.tables[kind]
-        except KeyError:
+        # the range check and one lookup on the answering path; the
+        # errors, in their order, only once that path fails
+        if 0 < i <= self.n:
+            try:
+                return self.tables[kind][i]
+            except KeyError:
+                pass
+        if kind not in self.tables:
             if kind in QUERY_KINDS:
-                raise RangeError("joint scheme answers psv/plv only") from None
-            raise ValueError("unknown query kind %r" % (kind,)) from None
-        if not 1 <= i <= self.n:
-            raise _out_of_range(i, self.n)
-        return table[i]
+                raise RangeError("joint scheme answers psv/plv only")
+            raise ValueError("unknown query kind %r" % (kind,))
+        raise _out_of_range(i, self.n)
 
     def psv(self, i):
         return self.query("psv", i)

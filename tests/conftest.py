@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nlvcodec import ValueArray
+from nlvcodec import BitStream, ValueArray
 
 FIGURE_VALUES = [3, 8, 5, 6, 3, 2, 7, 10, 9]
 
@@ -25,3 +25,16 @@ def random_no_equal_neighbours(rng, n, lo=1, hi=50):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def count_bit_reads(monkeypatch):
+    """A list that gets one entry per BitStream.read_bit call from now on,
+    as perfbench's read_bit counter sees them."""
+    reads = []
+    read_bit = BitStream.read_bit
+
+    def counted(stream):
+        reads.append(stream)
+        return read_bit(stream)
+    monkeypatch.setattr(BitStream, "read_bit", counted)
+    return reads

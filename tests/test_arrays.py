@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from nlvcodec import (EmptyArrayError, ParseError, RangeError, ValueArray,
-                      compute_runs, map_answer_to_original, map_query_index,
-                      oracle_nlv, oracle_nsv, oracle_plv, oracle_psv,
-                      parse_array_text)
+                      compute_runs, lift_answers, map_answer_to_original,
+                      map_query_index, oracle_nlv, oracle_nsv, oracle_plv,
+                      oracle_psv, parse_array_text)
 from nlvcodec.arrays import ORACLES, QUERY_KINDS, RunStructure, format_array_text
 
 from conftest import make_rng
@@ -166,6 +166,25 @@ class TestRuns:
                 assert rs.rank_map == tuple(rank_map)
                 assert rs.k == sum(c_bits)
 
+    def test_from_positions_matches_the_checked_constructor(self):
+        rng = make_rng(13)
+        for n in list(range(1, 9)) + [300]:
+            for density in (0.0, 0.5, 1.0):
+                c_bits = [int(rng.random() < density) for _ in range(n - 1)]
+                positions = [p for p in range(n - 2, -1, -1) if c_bits[p]]
+                rs = RunStructure._from_positions(positions, n)
+                ref = RunStructure(c_bits, n)
+                assert (rs.n, rs.k, rs.c_bits, rs.kept_positions) == \
+                    (ref.n, ref.k, ref.c_bits, ref.kept_positions)
+                assert (rs.run_starts, rs.rank_map) == (ref.run_starts, ref.rank_map)
+
+    def test_rank_map_shares_one_int_per_run(self):
+        # 300 runs of one index, then one of 601 whose rank, 301, is
+        # beyond CPython's cache of small ints
+        rs = RunStructure([0] * 300 + [1] * 600 + [0], 902)
+        assert rs.rank_map[300:901] == (301,) * 601
+        assert len({id(r) for r in rs.rank_map[300:901]}) == 1
+
     def test_bits_must_be_binary(self):
         for c_bits in ([0, 2], [-1, 0]):
             with pytest.raises(ValueError):
@@ -200,6 +219,20 @@ class TestIndexMaps:
         rs = compute_runs(ValueArray([1, 2]))
         with pytest.raises(ValueError):
             map_answer_to_original(rs, [None, 1], "bogus")
+
+    def test_lift_answers_matches_the_two_step_lift(self):
+        rng = make_rng(14)
+        for n in list(range(1, 9)) + [200]:
+            for density in (0.0, 0.3, 1.0):
+                rs = RunStructure([int(rng.random() < density)
+                                   for _ in range(n - 1)], n)
+                m = n - rs.k
+                reduced = {kind: [None] + [rng.randint(0, m + 1) for _ in range(m)]
+                           for kind in QUERY_KINDS}
+                expected = {kind: map_query_index(rs, map_answer_to_original(rs, table, kind))
+                            for kind, table in reduced.items()}
+                assert lift_answers(rs, reduced) == expected
+                assert reduced == {}
 
     def test_psv_answers_are_run_ends(self):
         # the full-array oracle only ever lands on the last index of a run

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlvcodec import (BitStream, CorruptionError, bitio, pack_trits,
+from nlvcodec import (BitStream, CorruptionError, ValueArray, bitio, decode_colored,
+                      decode_general, decode_joint, encode, pack_trits,
                       read_degree, subset_rank, subset_rank_width,
                       subset_unrank, trit_pack_bits, unpack_trits,
                       write_degree)
 from nlvcodec.bitio import BITS_PER_BLOCK, TRITS_PER_BLOCK, uint_bits
 
-from conftest import make_rng
+from conftest import count_bit_reads, make_rng, random_no_equal_neighbours
 
 
 class TestBitStream:
@@ -76,6 +77,38 @@ class TestDegreeCodes:
         s = BitStream("".join(write_degree(d) for d in degrees))
         assert [read_degree(s) for _ in degrees] == degrees
         assert s.at_end()
+
+
+class TestBitReadContract:
+    """Every bit of the degree streams, u_gb and v_bad goes through one
+    BitStream.read_bit call, and no other bit does."""
+
+    def arrays(self):
+        rng = make_rng(31)
+        yield ValueArray([3, 8, 5, 6, 3, 2, 7, 10, 9])
+        yield ValueArray([1])
+        for n in (2, 17, 300):
+            yield random_no_equal_neighbours(rng, n, hi=n)
+            yield ValueArray([rng.getrandbits(1) for _ in range(n)])
+
+    def test_reads_per_decode(self, monkeypatch):
+        reads = count_bit_reads(monkeypatch)
+        for a in self.arrays():
+            general = encode(a, "general")
+            reads.clear()
+            decode_general(general)
+            c = general.colored
+            assert len(reads) == (len(c.t_min) + len(c.t_max) + len(c.u_gb)
+                                  + len(c.v_bad)), a
+            if a.has_consecutive_equal():
+                continue
+            for scheme, decoder in (("colored", decode_colored),
+                                    ("joint", decode_joint)):
+                enc = encode(a, scheme)
+                reads.clear()
+                decoder(enc)
+                side = len(enc.u_gb) + len(enc.v_bad) if scheme == "colored" else 0
+                assert len(reads) == len(enc.t_min) + len(enc.t_max) + side, (a, scheme)
 
 
 class TestTritPacking:

@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import pytest
 
@@ -13,7 +14,7 @@ import nlvcodec.trees as trees_module
 from nlvcodec.arrays import ORACLES
 from nlvcodec.queries import TREE_QUERIES
 
-from conftest import make_rng, random_no_equal_neighbours
+from conftest import count_bit_reads, make_rng, random_no_equal_neighbours
 
 
 def colored_pair(a):
@@ -213,22 +214,42 @@ class TestDecode:
             decode_colored(broken)
 
     def test_side_strings_exhausted_or_trailing(self, figure_array):
-        # the constructor checks the lengths against n and g, so the
-        # decoder's own checks are reached by editing a built encoding
-        edits = {
-            "u_gb": lambda e: e.u_gb[:-1],
-            "v_bad": lambda e: e.v_bad + "0",
-            "v_neutral": lambda e: e.v_neutral[:-1],
-        }
-        for name, edit in edits.items():
-            enc = encode_colored(*colored_pair(figure_array))
-            setattr(enc, name, edit(enc))
-            with pytest.raises(CorruptionError):
-                decode_colored(enc)
+        # the degree streams of the figure array (g = 2) with the side
+        # strings of another array of n = 9 and a different g: the
+        # constructor's length checks pass, and the shape pass runs out of
+        # trits (g = 3) or of u_gb bits (g = 1)
+        fig = encode_colored(*colored_pair(figure_array))
+        cases = {(1, 2, 4, 6, 5, 3, 8, 7, 9): "string v_neutral exhausted",
+                 (1, 2, 3, 4, 5, 6, 8, 7, 9): "bitstream truncated"}
+        for values, message in cases.items():
+            other = encode_colored(*colored_pair(ValueArray(values)))
+            assert other.n == fig.n and other.g != fig.g
+            spliced = ColoredEncoding(fig.n, fig.t_min, fig.t_max, other.u_gb,
+                                      other.v_bad, other.v_neutral)
+            with pytest.raises(CorruptionError, match=message):
+                decode_colored(spliced)
+
+    def test_trailing_side_strings_guard(self, figure_array):
+        # a decoded heap pair has as many good as bad indices, so side
+        # strings of the lengths the constructor checks are never left
+        # over; an object that skipped the constructor still is rejected
         enc = encode_colored(*colored_pair(figure_array))
-        enc.v_neutral += "0"
-        with pytest.raises(CorruptionError, match="unconsumed side-string"):
-            decode_colored(enc)
+        fields = {name: getattr(enc, name) for name in ColoredEncoding.__slots__}
+        for name, extra in (("v_neutral", "0"), ("v_bad", "0"), ("u_gb", "00")):
+            loose = types.SimpleNamespace(**dict(fields, **{name: fields[name] + extra}))
+            with pytest.raises(CorruptionError, match="unconsumed side-string"):
+                decode_colored(loose)
+
+    def test_invalid_trit_rejected_before_degree_bits(self, monkeypatch):
+        enc = encode_colored(*colored_pair(ValueArray([3, 8, 5, 1, 4])))
+        assert len(enc.v_neutral) >= 2
+        reads = count_bit_reads(monkeypatch)
+        for bad in ("9" + enc.v_neutral[1:], enc.v_neutral[:-1] + "3"):
+            broken = ColoredEncoding(enc.n, enc.t_min, enc.t_max, enc.u_gb,
+                                     enc.v_bad, bad)
+            with pytest.raises(CorruptionError, match="invalid trit '[93]'"):
+                decode_colored(broken)
+        assert reads == []
 
     def test_decode_twice(self, figure_array):
         cmin, cmax = colored_pair(figure_array)

@@ -24,6 +24,13 @@ from conftest import FIGURE_VALUES, make_rng, random_no_equal_neighbours
 # a general container whose header declares n = 2^40 and k = n - 2
 HUGE_N_CONTAINER = bytes.fromhex(
     "4e4c56450103808080808020feffffffff1f0000020202000000000088")
+# general, n = MAX_N = 2^31 - 1, k = n - 2, rank 0, then the colored part
+# of [1, 2]: it passes deserialize, and its run maps have n entries
+MAX_N_CONTAINER = bytes.fromhex(
+    "4e4c56450103ffffffff07fdffffff0700000202020000000110")
+# the address-space cap of a child process that decodes MAX_N_CONTAINER:
+# far below the gigabytes its tables need, so they fail at once
+CHILD_ADDRESS_SPACE = 1 << 30
 
 
 def all_encodings(a):
@@ -360,6 +367,41 @@ class TestCli:
         bad.write_bytes(b"not a container")
         rc = main(["decode", "--in", str(bad)])
         assert rc == 4
+
+    def test_tables_too_large_for_memory_exit(self, tmp_path):
+        # only ever decoded in a child whose address space is capped
+        resource = pytest.importorskip("resource")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+        path = tmp_path / "max_n.nlve"
+        path.write_bytes(MAX_N_CONTAINER)
+        assert len(MAX_N_CONTAINER) == 26
+        assert deserialize(MAX_N_CONTAINER).n == container.MAX_N
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nlvcodec.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys\n"
+                 "from nlvcodec import AllocationError, NlvError, decode, deserialize\n"
+                 "try:\n"
+                 "    decode(deserialize(open(sys.argv[1], 'rb').read()))\n"
+                 "except AllocationError as exc:\n"
+                 "    assert isinstance(exc, NlvError) and isinstance(exc, MemoryError)\n"
+                 "    print('AllocationError')\n")
+        commands = [["-c", probe, str(path)],
+                    ["-m", "nlvcodec", "decode", "--in", str(path)],
+                    ["-m", "nlvcodec", "decode", "--in", str(path), "--dump-trees"],
+                    ["-m", "nlvcodec", "query", "--in", str(path), "--kind", "nsv",
+                     "--index", "5"]]
+        for args in commands:
+            run = subprocess.run([sys.executable] + args, env=env, preexec_fn=cap,
+                                 capture_output=True, text=True, timeout=60)
+            assert "Traceback" not in run.stderr, run.stderr
+            if args[0] == "-c":
+                assert (run.returncode, run.stdout) == (0, "AllocationError\n")
+            else:
+                assert run.returncode == 6, run.stderr
+                assert "allocation error" in run.stderr
 
     def test_decode_huge_n_exit(self, tmp_path, capsys):
         bad = tmp_path / "huge.nlve"

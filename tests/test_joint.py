@@ -2,7 +2,7 @@ import pytest
 
 from nlvcodec import (CorruptionError, JointEncoding,
                       PreconditionError, ValueArray, build_max_heap,
-                      build_min_heap, decode_joint, encode_joint)
+                      build_min_heap, decode_joint, encode, encode_joint)
 
 from conftest import make_rng, random_no_equal_neighbours
 
@@ -93,3 +93,17 @@ class TestDecode:
         # root degree 1 in both, but node 2 then has nowhere to go
         with pytest.raises(CorruptionError):
             decode_joint(JointEncoding(2, "1", "00", "00"))
+
+
+def test_encodings_refuse_assignment(figure_array):
+    # every scheme's encoding keeps the fields its constructor checked
+    for scheme in ("joint", "colored", "general"):
+        enc = encode(figure_array, scheme)
+        for name in type(enc).__slots__:
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(enc, name, getattr(enc, name))
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(enc, name)
+        with pytest.raises(AttributeError):
+            enc.extra = 1
+        assert enc == encode(figure_array, scheme)

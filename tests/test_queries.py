@@ -183,3 +183,26 @@ def test_unknown_query_kind(scheme):
     qs = decode(encode(ValueArray([3, 1, 2]), scheme))
     with pytest.raises(ValueError, match="unknown query kind 'bogus'"):
         qs.query("bogus", 1)
+
+
+@pytest.mark.parametrize("scheme", ["joint", "colored", "general"])
+def test_query_error_precedence(scheme):
+    # the kind is judged before the index: unknown kind, then joint
+    # nsv/nlv, then the range, whatever else is wrong
+    qs = decode(encode(ValueArray([3, 1, 2]), scheme))
+    for i in (0, 1, 4, -1):
+        with pytest.raises(ValueError, match="unknown query kind 'bogus'"):
+            qs.query("bogus", i)
+    for kind in ("nsv", "nlv"):
+        for i in (0, 2, 4):
+            if scheme == "joint":
+                with pytest.raises(RangeError, match="joint scheme"):
+                    qs.query(kind, i)
+            elif i == 2:
+                assert qs.query(kind, i) == ORACLES[kind](ValueArray([3, 1, 2]), i)
+            else:
+                with pytest.raises(RangeError, match="out of range 1..3"):
+                    qs.query(kind, i)
+    for i in (0, 4):
+        with pytest.raises(RangeError, match="index %d out of range 1..3" % i):
+            qs.query("psv", i)
