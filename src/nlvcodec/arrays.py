@@ -30,16 +30,14 @@ class ValueArray:
             raise ValueError("array values must be integers: %s" % exc) from None
         if not vals:
             raise EmptyArrayError("array must contain at least one element")
-        if not INT64_MIN <= min(vals) <= max(vals) <= INT64_MAX:
-            bad = next(v for v in vals if not INT64_MIN <= v <= INT64_MAX)
-            raise ValueError("value %d outside signed 64-bit range" % bad)
+        _check_int64(vals)
         self.values = vals
         self.n = len(vals)
 
     @classmethod
     def _from_checked(cls, vals):
-        """A ValueArray over a non-empty tuple of values that a ValueArray
-        already checked, without checking them again."""
+        """A ValueArray over a non-empty tuple of ints already checked to
+        be in the signed 64-bit range, without checking them again."""
         a = object.__new__(cls)
         a.values = vals
         a.n = len(vals)
@@ -70,13 +68,21 @@ class ValueArray:
         return None
 
 
+def _check_int64(vals, error=ValueError):
+    """Raise ``error`` naming the first value of the non-empty tuple of
+    ints ``vals`` outside the signed 64-bit range."""
+    if not INT64_MIN <= min(vals) <= max(vals) <= INT64_MAX:
+        bad = next(v for v in vals if not INT64_MIN <= v <= INT64_MAX)
+        raise error("value %d outside signed 64-bit range" % bad)
+
+
 def parse_array_text(text):
     """Parse whitespace-separated integers into a ValueArray; strict."""
     tokens = text.split()
     if not tokens:
         raise ParseError("no integers found in input")
     try:
-        values = list(map(int, tokens))
+        values = tuple(map(int, tokens))
     except ValueError:
         # name the first bad token
         for tok in tokens:
@@ -85,10 +91,9 @@ def parse_array_text(text):
             except ValueError:
                 raise ParseError("not an integer: %r" % tok) from None
         raise
-    try:
-        return ValueArray(values)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    # int() made each value once; one range test checks them all
+    _check_int64(values, ParseError)
+    return ValueArray._from_checked(values)
 
 
 def format_array_text(a):

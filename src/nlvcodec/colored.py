@@ -136,6 +136,12 @@ def decode_colored(enc):
     ``read_bit`` methods and the trits through one iterator over
     ``v_neutral``.  Trits outside 0, 1, 2 are found before the shape
     pass, by one C-level scan, so a bad trit costs no degree bit.
+
+    Each tree keeps only what a query reads, its parents and its
+    next-value table, which is built from the decoded right siblings and
+    colors; those are then dropped, and the tree derives its other
+    tables and its colors from the two it keeps when they are read
+    (``ColoredTree.from_decoded``).
     """
     n, v_neutral = enc.n, enc.v_neutral
     # strip drops the valid trits at both ends; what is left starts at the
@@ -148,8 +154,8 @@ def decode_colored(enc):
     gb_bit = u_gb.read_bit
     bad_bit = v_bad.read_bit
     trits = iter(v_neutral)
-    red_min = [False] * (n + 1)
-    red_max = [False] * (n + 1)
+    red_min = bytearray(n + 1)
+    red_max = bytearray(n + 1)
 
     def choose(i, sib_min, sib_max):
         if sib_min == sib_max:
@@ -168,10 +174,11 @@ def decode_colored(enc):
         (red_min if sib_min else red_max)[i] = c != COLOR_BLUE
         return sib_max if c == TRIT_NO_SIBLINGS else sib_min
 
-    min_t, max_t = decode_heaps(n, enc.t_min, enc.t_max, choose)
+    heaps = decode_heaps(n, enc.t_min, enc.t_max, choose)
     if not (u_gb.at_end() and v_bad.at_end() and next(trits, None) is None):
         raise CorruptionError("unconsumed side-string characters")
-    return ColoredTree(min_t, red_min), ColoredTree(max_t, red_max)
+    return tuple(ColoredTree.from_decoded(parent, sib, red)
+                 for (parent, sib), red in zip(heaps, (red_min, red_max)))
 
 
 def colored_size_bits(n, g, m):

@@ -6,9 +6,9 @@ exactly one heap.  Both shapes are then 2n unary degree bits (node 0 in
 each heap, every other i < n in the heap where it is internal) plus that
 choice of heap per index.  ``degree_streams`` gives the choice as the
 min-heap leaf bitmap U, found in the same loop as the degree streams, and
-``decode_heaps`` rebuilds both shapes and their tables in one pass,
-asking a ``choose`` function for each choice and reading each unary
-degree code in place, one ``BitStream.read_bit`` call per bit.  The
+``decode_heaps`` rebuilds both shapes (parents and right siblings) in
+one pass, asking a ``choose`` function for each choice and reading each
+unary degree code in place, one ``BitStream.read_bit`` call per bit.  The
 joint scheme stores U as is, so its heaps answer PSV/PLV only; the
 colored scheme (``colored.py``) folds the choice into the colors.
 """
@@ -90,18 +90,22 @@ def encode_joint(min_t, max_t):
 
 def decode_heaps(n, t_min, t_max, choose):
     """Rebuild both heap shapes in one preorder pass; returns the (min,
-    max) OrdinalTree pair.
+    max) pair of (parent, right_sib) tables.
 
     Each heap's stack holds its nodes still expecting children, deepest
-    last, and node i becomes the next child of each top: the first child
-    if the top has none yet, else the right sibling of its last child.
-    For i < n, ``choose(i, sib_min, sib_max)`` learns whether i will get a
+    last, and node i becomes the next child of each top, so the right
+    sibling of the top's last child so far, if it has one.  For i < n,
+    ``choose(i, sib_min, sib_max)`` learns whether i will get a
     right sibling in each heap and returns True when i is internal in the
     min heap, False for the max heap; that heap's stream gives i's degree.
     Below the root, each unary code is read in place through the
     stream's bound ``read_bit`` (``bitio.read_degree``, inlined), so
     every degree bit is one ``BitStream.read_bit`` call and no node pays
-    for another call.
+    for another call.  First children and degrees are not kept: a tree
+    derives them from its parents when they are read.  Every
+    ``right_sib`` entry but 0 is the int object of the loop that made the
+    node, as is every non-root ``parent`` entry, so tables built from
+    these share their ints.
     """
     t_min = BitStream(t_min)
     t_max = BitStream(t_max)
@@ -109,15 +113,13 @@ def decode_heaps(n, t_min, t_max, choose):
     bit_max = t_max.read_bit
     size = n + 1
     parent_min, parent_max = [None] * size, [None] * size
-    first_min, first_max = [0] * size, [0] * size
     sib_min, sib_max = [0] * size, [0] * size
-    deg_min, deg_max = [0] * size, [0] * size
     # per node: children it still expects (positive exactly while it is
     # on the stack), and its last child attached so far
     left_min, left_max = [0] * size, [0] * size
     last_min, last_max = [0] * size, [0] * size
-    left_min[0] = deg_min[0] = read_degree(t_min)
-    left_max[0] = deg_max[0] = read_degree(t_max)
+    left_min[0] = read_degree(t_min)
+    left_max[0] = read_degree(t_max)
     stack_min = [0]
     stack_max = [0]
     for i in range(1, n + 1):
@@ -125,11 +127,7 @@ def decode_heaps(n, t_min, t_max, choose):
             raise CorruptionError("no open node to attach node %d" % i)
         p = stack_min[-1]
         parent_min[i] = p
-        prev = last_min[p]
-        if prev:
-            sib_min[prev] = i
-        else:
-            first_min[p] = i
+        sib_min[last_min[p]] = i
         last_min[p] = i
         more_min = left_min[p] - 1
         left_min[p] = more_min
@@ -137,11 +135,7 @@ def decode_heaps(n, t_min, t_max, choose):
             stack_min.pop()
         p = stack_max[-1]
         parent_max[i] = p
-        prev = last_max[p]
-        if prev:
-            sib_max[prev] = i
-        else:
-            first_max[p] = i
+        sib_max[last_max[p]] = i
         last_max[p] = i
         more_max = left_max[p] - 1
         left_max[p] = more_max
@@ -153,12 +147,12 @@ def decode_heaps(n, t_min, t_max, choose):
         if choose(i, more_min > 0, more_max > 0):
             while bit_min() == "1":
                 d += 1
-            left_min[i] = deg_min[i] = d
+            left_min[i] = d
             stack_min.append(i)
         else:
             while bit_max() == "1":
                 d += 1
-            left_max[i] = deg_max[i] = d
+            left_max[i] = d
             stack_max.append(i)
     if not t_min.at_end() or not t_max.at_end():
         raise CorruptionError("unconsumed trailing degree bits")
@@ -166,12 +160,15 @@ def decode_heaps(n, t_min, t_max, choose):
         if stack:
             raise CorruptionError("node %d still expects %d more children"
                                   % (stack[-1], left[stack[-1]]))
-    return (OrdinalTree.from_tables(parent_min, first_min, sib_min, deg_min),
-            OrdinalTree.from_tables(parent_max, first_max, sib_max, deg_max))
+    # a first child went to entry 0, as the right sibling of "none"
+    sib_min[0] = sib_max[0] = 0
+    return (parent_min, sib_min), (parent_max, sib_max)
 
 
 def decode_joint(enc):
-    """Rebuild the (min, max) heap pair; exact inverse of encode_joint."""
+    """Rebuild the (min, max) heap pair; exact inverse of encode_joint.
+    The trees keep their parents and derive the rest on read."""
     u = enc.u
-    return decode_heaps(enc.n, enc.t_min, enc.t_max,
-                        lambda i, sib_min, sib_max: u[i - 1] == "0")
+    heaps = decode_heaps(enc.n, enc.t_min, enc.t_max,
+                         lambda i, sib_min, sib_max: u[i - 1] == "0")
+    return tuple(OrdinalTree.from_tables(parent) for parent, _ in heaps)

@@ -5,12 +5,15 @@ node i is PSV(i); the max heap uses PLV.  Node labels coincide with
 preorder ranks.  A node is red when its immediate right sibling holds a
 different value, blue otherwise.
 
-Trees are flat per-node tables (parent, first child, right sibling,
-degree), filled by the pass that finds the tree: the stack scan of
-``build_min_heap``/``build_max_heap`` or the decoder's pass over the
-degree streams.  A colored tree adds its colors and the next-value answer
-of every node, computed once when it is built, or on first read for the
-trees ``colorize`` makes for the encoders.
+A tree is its parent list plus the first-child, right-sibling and degree
+tables that go with it.  The heap builders fill all four in their stack
+scan; every other tree derives the three from the parents, on first read,
+in one right-to-left pass (``OrdinalTree._derive``).  A colored tree adds
+the next-value answer of every node and the colors that determine it.  A
+decoded tree keeps only ``parent`` and ``next_value``, the two tables a
+query reads, and derives the rest, colors included, when something reads
+them; the trees ``colorize`` makes for the encoders hold the colors and
+build ``next_value`` on first read.
 """
 
 import math
@@ -26,45 +29,71 @@ class OrdinalTree:
     ``parent[i]`` is the parent of node i (None for the root 0);
     ``first_child``, ``right_sib`` and ``degrees`` go with it, 0 standing
     for "none" in the first two, since the root is nobody's child or
-    sibling.  The heap builders and decoders fill all four tables in the
-    pass that finds the tree (``from_tables``).  The constructor is for
-    parent lists from outside: it validates parent(i) < i and derives the
-    other three tables in one right-to-left pass.
+    sibling.  These three are read-only properties: the heap builders
+    pass them in (``from_tables``), and a tree made from parents alone,
+    as the decoders make them, derives them on first read.  The
+    constructor is for parent lists from outside: it raises ValueError
+    unless every parent(i) is an int in 0..i-1, then derives the three
+    tables by the same pass.
     """
 
-    __slots__ = ("n", "parent", "first_child", "right_sib", "degrees")
+    __slots__ = ("n", "parent", "_derived")
 
     def __init__(self, parent):
         parent = list(parent)
         if len(parent) < 2 or parent[0] is not None:
             raise ValueError("parent list must start with None and cover node 1")
-        n = len(parent) - 1
-        first = [0] * (n + 1)
-        right_sib = [0] * (n + 1)
-        degrees = [0] * (n + 1)
-        for i in range(n, 0, -1):
+        for i in range(1, len(parent)):
             p = parent[i]
-            if not 0 <= p < i:
-                raise ValueError("parent of node %d must be in 0..%d" % (i, i - 1))
+            if not (isinstance(p, int) and 0 <= p < i):
+                raise ValueError("parent of node %d must be an int in 0..%d"
+                                 % (i, i - 1))
+        self.n = len(parent) - 1
+        self.parent = parent
+        self._derive()
+
+    @classmethod
+    def from_tables(cls, parent, first_child=None, right_sib=None, degrees=None):
+        """A tree over tables that already agree; nothing is checked or
+        copied.  Given the parents alone, the tree derives the other three
+        tables on first read."""
+        tree = cls.__new__(cls)
+        tree.n = len(parent) - 1
+        tree.parent = parent
+        tree._derived = (None if first_child is None
+                         else (first_child, right_sib, degrees))
+        return tree
+
+    def _derive(self):
+        """First-child, right-sibling and degree tables from the parents,
+        in one right-to-left pass; returns them and keeps them."""
+        parent = self.parent
+        size = self.n + 1
+        first = [0] * size
+        right_sib = [0] * size
+        degrees = [0] * size
+        for i in range(size - 1, 0, -1):
+            p = parent[i]
             right_sib[i] = first[p]
             first[p] = i
             degrees[p] += 1
-        self._set_tables(parent, first, right_sib, degrees)
+        self._derived = tables = (first, right_sib, degrees)
+        return tables
 
-    @classmethod
-    def from_tables(cls, parent, first_child, right_sib, degrees):
-        """A tree over tables that already agree; nothing is checked or
-        copied."""
-        tree = cls.__new__(cls)
-        tree._set_tables(parent, first_child, right_sib, degrees)
-        return tree
+    def _tables(self):
+        return self._derived or self._derive()
 
-    def _set_tables(self, parent, first_child, right_sib, degrees):
-        self.n = len(parent) - 1
-        self.parent = parent
-        self.first_child = first_child
-        self.right_sib = right_sib
-        self.degrees = degrees
+    @property
+    def first_child(self):
+        return self._tables()[0]
+
+    @property
+    def right_sib(self):
+        return self._tables()[1]
+
+    @property
+    def degrees(self):
+        return self._tables()[2]
 
     def __eq__(self, other):
         return isinstance(other, OrdinalTree) and self.parent == other.parent
@@ -84,11 +113,12 @@ class OrdinalTree:
 
     def children(self, i):
         """Children of i, left to right."""
+        first, right_sib, _ = self._tables()
         out = []
-        c = self.first_child[i]
+        c = first[i]
         while c:
             out.append(c)
-            c = self.right_sib[c]
+            c = right_sib[c]
         return out
 
     def preorder(self):
@@ -110,20 +140,48 @@ class ColoredTree:
     a max heap, n+1 when there is none; the constructor computes it for
     every node.  Together with ``tree.parent`` it is all a query reads, so
     ``queries.tables_of`` keeps just those two lists of each heap.
+
+    ``is_red`` is a read-only property.  A decoded tree
+    (``from_decoded``) keeps no colors: node x is red iff it has a
+    right sibling s and ``next_value[x] == s``, since a blue node with a
+    sibling takes ``next_value[s]``, which is greater than s.  So the
+    colors are derived on first read, and equal the ones decoded.
     """
 
-    __slots__ = ("tree", "is_red", "next_value")
+    __slots__ = ("tree", "_red", "next_value")
 
     def __init__(self, tree, is_red):
         self._set_colors(tree, is_red)
-        self.next_value = _next_value_table(tree, self.is_red)
+        self.next_value = _next_value_table(tree.parent, tree.right_sib,
+                                            self._red)
+
+    @classmethod
+    def from_decoded(cls, parent, right_sib, is_red):
+        """The colored tree of decoded parent, right-sibling and color
+        tables.  It keeps the parents and the next-value table built from
+        the three, not the other two; its colors and other tables are
+        derived on first read."""
+        ct = cls.__new__(cls)
+        ct.tree = OrdinalTree.from_tables(parent)
+        ct._red = None
+        ct.next_value = _next_value_table(parent, right_sib, is_red)
+        return ct
 
     def _set_colors(self, tree, is_red):
         is_red = list(is_red)
         if len(is_red) != tree.n + 1:
             raise ValueError("need one color per node")
         self.tree = tree
-        self.is_red = is_red
+        self._red = is_red
+
+    @property
+    def is_red(self):
+        red = self._red
+        if red is None:
+            # a sibling-less node has right_sib 0, never a next value
+            red = self._red = list(map(operator.eq, self.tree.right_sib,
+                                       self.next_value))
+        return red
 
     def __eq__(self, other):
         return (isinstance(other, ColoredTree)
@@ -154,11 +212,13 @@ class LazyColoredTree(ColoredTree):
         # reached only while a slot is unset
         if name != "next_value":
             raise AttributeError(name)
-        self.next_value = _next_value_table(self.tree, self.is_red)
+        tree = self.tree
+        self.next_value = _next_value_table(tree.parent, tree.right_sib,
+                                            self._red)
         return self.next_value
 
 
-def _next_value_table(tree, is_red):
+def _next_value_table(parent, right_sib, is_red):
     """Next-value answer of every node, from the tree and colors alone.
 
     A red node's answer is its right sibling.  A blue node with a right
@@ -168,11 +228,11 @@ def _next_value_table(tree, is_red):
     the extreme), else n+1.  So one top-down pass stores the climb answer
     (own right sibling, else the parent's climb answer), which already is
     the answer of red nodes and last children; one right-to-left pass then
-    copies each sibling's answer into the blue node before it.
+    copies each sibling's answer into the blue node before it.  Every
+    answer is an object of ``right_sib`` or the one n+1, so the table
+    holds no int of its own.
     """
-    n = tree.n
-    parent = tree.parent
-    right_sib = tree.right_sib
+    n = len(parent) - 1
     table = [n + 1] * (n + 1)
     for j in range(1, n + 1):
         s = right_sib[j]

@@ -1,4 +1,7 @@
+import gc
 import itertools
+import sys
+import tracemalloc
 import types
 
 import pytest
@@ -258,7 +261,7 @@ class TestDecode:
 
 
 def refuse_tables(monkeypatch, message):
-    def refuse(tree, is_red):
+    def refuse(parent, right_sib, is_red):
         raise AssertionError(message)
     monkeypatch.setattr(trees_module, "_next_value_table", refuse)
 
@@ -285,6 +288,30 @@ class TestNextValueTables:
         dmin, dmax = decode_colored(encode_colored(cmin, cmax))
         assert cmin.next_value == dmin.next_value
         assert cmax.next_value == dmax.next_value
+
+
+class TestDecodedMemory:
+    """A decoded tree keeps only its parent and next-value lists; every
+    other table is derived when read."""
+
+    def test_decoded_pair_holds_two_lists_per_heap(self):
+        n = 5000
+        rng = make_rng(3)
+        values = list(range(1, n + 1))
+        rng.shuffle(values)
+        enc = encode_colored(*colored_pair(ValueArray(values)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pair = decode_colored(enc)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # four n-entry lists, plus one int object per node shared by them
+        bound = 1.2 * (4 * sys.getsizeof([0] * (n + 1)) + n * sys.getsizeof(n))
+        assert held <= bound, (held, bound)
+        assert pair == colored_pair(ValueArray(values))
 
 
 class TestSizeAccounting:

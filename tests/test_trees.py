@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from nlvcodec import (ValueArray, build_max_heap, build_min_heap, check_leaf_internal_duality,
-                      check_red_leaf_rule, colorize, decode_colored, decode_joint,
-                      encode_colored, encode_joint, tree_to_text)
+                      check_red_leaf_rule, colorize, compute_runs, decode_colored,
+                      decode_joint, encode_colored, encode_general, encode_joint,
+                      tree_to_text)
 from nlvcodec.arrays import oracle_plv, oracle_psv
 from nlvcodec.trees import (OrdinalTree, check_preorder_labels,
                             check_sibling_monotonicity)
@@ -29,6 +30,19 @@ class TestOrdinalTree:
             OrdinalTree([None, 1])
         with pytest.raises(ValueError):
             OrdinalTree([0, 0])
+
+    @pytest.mark.parametrize("parent", [[None, None], [None, 0, "1"],
+                                        [None, 0, 0.5]])
+    def test_non_int_parent_is_value_error(self, parent):
+        with pytest.raises(ValueError, match="must be an int in"):
+            OrdinalTree(parent)
+
+    def test_derived_tables_are_read_only(self):
+        t = OrdinalTree.from_tables([None, 0, 0, 2])
+        assert t.first_child == [1, 0, 3, 0]
+        for name in ("first_child", "right_sib", "degrees"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, [])
 
 
 class TestBuilders:
@@ -106,9 +120,10 @@ class TestColorize:
 
 
 class TestOnePassTables:
-    """The heap builders and decoders fill first_child, right_sib and
-    degrees in the pass that finds the tree; they must equal the tables
-    OrdinalTree derives from the parent list."""
+    """The heap builders fill first_child, right_sib and degrees in their
+    stack scan, and decoded trees derive them from their parents on first
+    read; both must equal the tables OrdinalTree's constructor derives
+    from the parent list."""
 
     @staticmethod
     def assert_tables_derived(tree):
@@ -146,6 +161,62 @@ class TestOnePassTables:
         # children; decreasing: the mirror image
         for values in (range(5000), range(5000, 0, -1)):
             self.check(ValueArray(values), decode=True)
+
+
+class TestDerivedEqualsBuilt:
+    """A decoded tree keeps its parents and next-value table and derives
+    first_child, right_sib, degrees and its colors on read; they must
+    equal what the heap builders and ``colorize`` make from the array,
+    and encoding the decoded trees must give back the encoding.  Binary
+    and alphabet-3 input has blue siblings, which equal values make."""
+
+    @staticmethod
+    def assert_same_tree(decoded, built):
+        assert decoded.first_child == built.first_child
+        assert decoded.right_sib == built.right_sib
+        assert decoded.degrees == built.degrees
+
+    def check_colored(self, a):
+        cmin, cmax = colorize(build_min_heap(a), a), colorize(build_max_heap(a), a)
+        enc = encode_colored(cmin, cmax)
+        decoded = decode_colored(enc)
+        for dec, built in zip(decoded, (cmin, cmax)):
+            # colors first, while the tree has not derived its tables yet
+            assert dec.is_red == built.is_red
+            self.assert_same_tree(dec.tree, built.tree)
+            assert dec.next_value == built.next_value
+        assert encode_colored(*decoded) == enc
+        return enc
+
+    def arrays(self, seed, alphabet):
+        rng = make_rng(seed)
+        for n in list(range(1, 12)) + [rng.randint(12, 200) for _ in range(30)]:
+            yield ValueArray([rng.randint(1, alphabet) for _ in range(n)])
+
+    @pytest.mark.parametrize("alphabet", [2, 3, 10**6])
+    def test_joint_and_colored(self, alphabet):
+        blue_siblings = 0
+        for a in self.arrays(81, alphabet):
+            reduced = compute_runs(a).reduced_array()
+            min_t, max_t = build_min_heap(reduced), build_max_heap(reduced)
+            enc = encode_joint(min_t, max_t)
+            decoded = decode_joint(enc)
+            for dec, built in zip(decoded, (min_t, max_t)):
+                self.assert_same_tree(dec, built)
+            assert encode_joint(*decoded) == enc
+            self.check_colored(reduced)
+            blue_siblings += sum(
+                1 for ct in (colorize(min_t, reduced), colorize(max_t, reduced))
+                for i in range(1, reduced.n + 1)
+                if ct.tree.right_sib[i] and not ct.is_red[i])
+        if alphabet < 10:
+            assert blue_siblings > 50
+
+    @pytest.mark.parametrize("alphabet", [2, 3])
+    def test_reduced_part_of_general(self, alphabet):
+        for a in self.arrays(82, alphabet):
+            enc = encode_general(a)
+            assert self.check_colored(compute_runs(a).reduced_array()) == enc.colored
 
 
 class TestStructuralRules:
