@@ -1,7 +1,7 @@
 """Encoding of the colored (min, max) heap pair for arrays with no
 consecutive equal elements.
 
-The shape is stored as in the joint scheme (``joint.encode_heaps``,
+The shape is stored as in the joint scheme (``joint.degree_streams``,
 ``joint.decode_heaps``); U's per-index choice of heap is folded into the
 colors the shape does not imply.  Index 0 < i < n is good when it has
 right siblings in neither heap, bad when in both, neutral otherwise.
@@ -13,13 +13,17 @@ right siblings if it is internal there, else 2.  The decoder's
 strings through iterators: bound ``read_bit`` methods for ``u_gb`` and
 ``v_bad``, ``iter`` over the trits.  With g good and g bad indices the
 payload approaches (2 + log2 3) * n bits.
+
+``encode_colored`` reads the colors of the trees ``colorize`` makes;
+``decode_colored`` returns trees in the decoded form, which hold the
+next-value tables queries read (``trees.ColoredTree``).
 """
 
 import math
 
 from .bitio import BitStream, Encoding, check_bits, trit_pack_bits
 from .errors import CorruptionError, PreconditionError
-from .joint import decode_heaps, encode_heaps
+from .joint import decode_heaps, degree_streams
 from .trees import ColoredTree
 
 GOOD = "good"
@@ -98,7 +102,7 @@ def encode_colored(cmin, cmax):
     not internal, and node n has no right sibling in either heap.
     """
     min_t, max_t = cmin.tree, cmax.tree
-    u, t_min, t_max = encode_heaps(min_t, max_t)
+    u, t_min, t_max = degree_streams(min_t, max_t)
     sib_min, sib_max = min_t.right_sib, max_t.right_sib
     red_min, red_max = cmin.is_red, cmax.is_red
     u_gb, v_bad, v_neutral = [], [], []

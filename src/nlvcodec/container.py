@@ -42,7 +42,7 @@ def encode(a, scheme):
     """Encode a ValueArray under the named scheme.
 
     ``joint`` and ``colored`` need an array with no consecutive equal
-    elements and raise PreconditionError otherwise (``joint.encode_heaps``
+    elements and raise PreconditionError otherwise (``joint.degree_streams``
     checks it).  Every scheme raises PreconditionError for n > MAX_N.
     """
     if scheme not in SCHEME_NAMES:

@@ -28,7 +28,7 @@ class JointEncoding(Encoding):
     def __init__(self, n, u, t_min, t_max):
         check_bits(u, t_min, t_max)
         if len(u) != n - 1:
-            raise ValueError("U must have length n-1")
+            raise CorruptionError("U must have length n-1")
         if len(t_min) + len(t_max) != 2 * n:
             raise CorruptionError("degree streams must total 2n bits")
         self._set(n=n, u=u, t_min=t_min, t_max=t_max)
@@ -51,8 +51,11 @@ def degree_streams(min_t, max_t):
     internal in both, breaks leaf/internal duality and raises
     PreconditionError: for heaps of one array that is the first i with
     A[i] == A[i+1], since i is internal in the min heap iff A[i] < A[i+1]
-    and in the max heap iff A[i] > A[i+1].
+    and in the max heap iff A[i] > A[i+1].  Trees of different sizes
+    raise ValueError.
     """
+    if min_t.n != max_t.n:
+        raise ValueError("tree sizes differ")
     deg_min, deg_max = min_t.degrees, max_t.degrees
     u = []
     t_min = [write_degree(deg_min[0])]
@@ -74,18 +77,9 @@ def degree_streams(min_t, max_t):
     return "".join(u), "".join(t_min), "".join(t_max)
 
 
-def encode_heaps(min_t, max_t):
-    """U and the two degree streams of a heap pair, which must come from
-    one array with no consecutive equal elements (``degree_streams``
-    checks it)."""
-    if min_t.n != max_t.n:
-        raise ValueError("tree sizes differ")
-    return degree_streams(min_t, max_t)
-
-
 def encode_joint(min_t, max_t):
     """Encode a heap pair as U plus the degree streams."""
-    return JointEncoding(min_t.n, *encode_heaps(min_t, max_t))
+    return JointEncoding(min_t.n, *degree_streams(min_t, max_t))
 
 
 def decode_heaps(n, t_min, t_max, choose):

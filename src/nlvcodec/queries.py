@@ -2,9 +2,11 @@
 colored max heap, without the source array.
 
 Every query is a range check plus one table lookup.  Previous-value
-answers are parents.  Next-value answers come from the table a
-``ColoredTree`` builds from its colors when it is made (see
-``trees._next_value_table``), so no query walks siblings or ancestors.
+answers are parents.  Next-value answers come from the table that
+decoding builds from the decoded colors (``ColoredTree.from_decoded``,
+see ``trees._next_value_table``), so no query walks siblings or
+ancestors.  The ``*_from_tree`` functions take decoded trees; the trees
+``colorize`` makes hold colors only.
 
 ``QueryStructure`` holds one answer table per kind, for all three schemes.
 """

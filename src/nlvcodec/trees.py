@@ -9,11 +9,11 @@ A tree is its parent list plus the first-child, right-sibling and degree
 tables that go with it.  The heap builders fill all four in their stack
 scan; every other tree derives the three from the parents, on first read,
 in one right-to-left pass (``OrdinalTree._derive``).  A colored tree adds
-the next-value answer of every node and the colors that determine it.  A
-decoded tree keeps only ``parent`` and ``next_value``, the two tables a
-query reads, and derives the rest, colors included, when something reads
-them; the trees ``colorize`` makes for the encoders hold the colors and
-build ``next_value`` on first read.
+a color per node, and the colors determine every next-value answer.  The
+trees ``colorize`` makes for the encoders hold the colors, one bytearray
+per heap, and no answers.  A decoded tree keeps only ``parent`` and
+``next_value``, the two tables a query reads, and derives the rest,
+colors included, when something reads them.
 """
 
 import math
@@ -33,8 +33,8 @@ class OrdinalTree:
     pass them in (``from_tables``), and a tree made from parents alone,
     as the decoders make them, derives them on first read.  The
     constructor is for parent lists from outside: it raises ValueError
-    unless every parent(i) is an int in 0..i-1, then derives the three
-    tables by the same pass.
+    unless every parent(i) is an int, not a bool, in 0..i-1, then derives
+    the three tables by the same pass.
     """
 
     __slots__ = ("n", "parent", "_derived")
@@ -45,7 +45,8 @@ class OrdinalTree:
             raise ValueError("parent list must start with None and cover node 1")
         for i in range(1, len(parent)):
             p = parent[i]
-            if not (isinstance(p, int) and 0 <= p < i):
+            # bool subclasses int, but True is no node label
+            if type(p) is not int or not 0 <= p < i:
                 raise ValueError("parent of node %d must be an int in 0..%d"
                                  % (i, i - 1))
         self.n = len(parent) - 1
@@ -133,27 +134,30 @@ class OrdinalTree:
 
 
 class ColoredTree:
-    """An OrdinalTree plus a red/blue color per node and the next-value
-    table those colors determine.
+    """An OrdinalTree plus a red/blue color per node, in one of two forms.
 
+    ``colorize`` makes the encoder form: the tree and ``is_red``, a
+    bytearray with one color per node, which is all the encoders read.
+    ``from_decoded`` makes the decoded form: ``tree.parent`` and
+    ``next_value``, the two lists a query reads (``queries.tables_of``).
     ``next_value[i]`` is the answer to NSV(i) in a min heap and NLV(i) in
-    a max heap, n+1 when there is none; the constructor computes it for
-    every node.  Together with ``tree.parent`` it is all a query reads, so
-    ``queries.tables_of`` keeps just those two lists of each heap.
+    a max heap, n+1 when there is none; only the decoded form has it.
 
-    ``is_red`` is a read-only property.  A decoded tree
-    (``from_decoded``) keeps no colors: node x is red iff it has a
-    right sibling s and ``next_value[x] == s``, since a blue node with a
-    sibling takes ``next_value[s]``, which is greater than s.  So the
-    colors are derived on first read, and equal the ones decoded.
+    ``is_red`` is a read-only property.  The decoded form derives it on
+    first read: node x is red iff it has a right sibling s and
+    ``next_value[x] == s``, since a blue node with a sibling takes
+    ``next_value[s]``, which is greater than s.  So the derived colors
+    equal the ones decoded, and the two forms of one heap compare equal.
     """
 
     __slots__ = ("tree", "_red", "next_value")
 
     def __init__(self, tree, is_red):
-        self._set_colors(tree, is_red)
-        self.next_value = _next_value_table(tree.parent, tree.right_sib,
-                                            self._red)
+        is_red = bytearray(is_red)
+        if len(is_red) != tree.n + 1:
+            raise ValueError("need one color per node")
+        self.tree = tree
+        self._red = is_red
 
     @classmethod
     def from_decoded(cls, parent, right_sib, is_red):
@@ -167,20 +171,13 @@ class ColoredTree:
         ct.next_value = _next_value_table(parent, right_sib, is_red)
         return ct
 
-    def _set_colors(self, tree, is_red):
-        is_red = list(is_red)
-        if len(is_red) != tree.n + 1:
-            raise ValueError("need one color per node")
-        self.tree = tree
-        self._red = is_red
-
     @property
     def is_red(self):
         red = self._red
         if red is None:
             # a sibling-less node has right_sib 0, never a next value
-            red = self._red = list(map(operator.eq, self.tree.right_sib,
-                                       self.next_value))
+            red = self._red = bytearray(map(operator.eq, self.tree.right_sib,
+                                            self.next_value))
         return red
 
     def __eq__(self, other):
@@ -193,29 +190,6 @@ class ColoredTree:
 
     def color(self, i):
         return RED if self.is_red[i] else BLUE
-
-
-class LazyColoredTree(ColoredTree):
-    """A ColoredTree that builds ``next_value`` on its first read.
-
-    ``colorize`` makes these, since the encoders read only the colors.
-    A class with ``__getattr__`` pays for it on every attribute read, so
-    decoded trees, which queries read, stay plain ColoredTrees.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, tree, is_red):
-        self._set_colors(tree, is_red)
-
-    def __getattr__(self, name):
-        # reached only while a slot is unset
-        if name != "next_value":
-            raise AttributeError(name)
-        tree = self.tree
-        self.next_value = _next_value_table(tree.parent, tree.right_sib,
-                                            self._red)
-        return self.next_value
 
 
 def _next_value_table(parent, right_sib, is_red):
@@ -289,17 +263,18 @@ def build_max_heap(a):
 
 def colorize(tree, a):
     """Color nodes of a heap built from ``a``: red iff the immediate right
-    sibling holds a different value."""
+    sibling holds a different value.  Returns the encoder form of
+    ``ColoredTree``, which holds the colors and no next-value table."""
     if tree.n != a.n:
         raise ValueError("tree and array sizes differ")
     values = a.values
     right_sib = tree.right_sib
-    is_red = [False] * (tree.n + 1)
+    is_red = bytearray(tree.n + 1)
     for i in range(1, tree.n + 1):
         j = right_sib[i]
         if j and values[i - 1] != values[j - 1]:
-            is_red[i] = True
-    return LazyColoredTree(tree, is_red)
+            is_red[i] = 1
+    return ColoredTree(tree, is_red)
 
 
 def check_leaf_internal_duality(min_t, max_t):

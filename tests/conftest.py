@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from nlvcodec import BitStream, ValueArray
+from nlvcodec import (BitStream, ValueArray, build_max_heap, build_min_heap,
+                      colorize, decode_colored, encode_colored)
 
 FIGURE_VALUES = [3, 8, 5, 6, 3, 2, 7, 10, 9]
 
@@ -21,6 +22,13 @@ def random_no_equal_neighbours(rng, n, lo=1, hi=50):
         if v != values[-1]:
             values.append(v)
     return ValueArray(values)
+
+
+def decoded_pair(a):
+    """The decoded colored (min, max) heap pair of an array with no
+    consecutive equal elements: the trees queries read."""
+    return decode_colored(encode_colored(colorize(build_min_heap(a), a),
+                                         colorize(build_max_heap(a), a)))
 
 
 def make_rng(seed):

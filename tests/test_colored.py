@@ -164,6 +164,10 @@ class TestDecode:
         cmin, cmax = colored_pair(figure_array)
         dmin, dmax = decode_colored(encode_colored(cmin, cmax))
         assert dmin == cmin and dmax == cmax
+        # colorize's trees hold colors only, in the form decoded trees derive
+        for built, dec in ((cmin, dmin), (cmax, dmax)):
+            assert not hasattr(built, "next_value")
+            assert type(built.is_red) is type(dec.is_red) is bytearray
         assert {i for i in range(1, 10) if dmin.is_red[i]} == {2, 5, 8}
         assert {i for i in range(1, 10) if dmax.is_red[i]} == {1, 2, 3, 4}
 
@@ -282,12 +286,6 @@ class TestNextValueTables:
         for kind, tree in (("nsv", dmin), ("nlv", dmax)):
             for i in range(1, figure_array.n + 1):
                 assert TREE_QUERIES[kind](tree, i) == ORACLES[kind](figure_array, i)
-
-    def test_colorize_table_built_on_first_read(self, figure_array):
-        cmin, cmax = colored_pair(figure_array)
-        dmin, dmax = decode_colored(encode_colored(cmin, cmax))
-        assert cmin.next_value == dmin.next_value
-        assert cmax.next_value == dmax.next_value
 
 
 class TestDecodedMemory:

@@ -88,6 +88,9 @@ class TestDecode:
             args[slot] = "2" + args[slot][1:]
             with pytest.raises(ValueError):
                 JointEncoding(2, *args)
+        # a wrong-length U is corrupt, like every other length check
+        with pytest.raises(CorruptionError, match="U must have length n-1"):
+            JointEncoding(3, "1", "0000", "00")
 
     def test_unattachable_node(self):
         # root degree 1 in both, but node 2 then has nowhere to go

@@ -6,7 +6,7 @@ from nlvcodec import (ValueArray, build_max_heap, build_min_heap, check_leaf_int
                       check_red_leaf_rule, colorize, compute_runs, decode_colored,
                       decode_joint, encode_colored, encode_general, encode_joint,
                       tree_to_text)
-from nlvcodec.arrays import oracle_plv, oracle_psv
+from nlvcodec.arrays import ORACLES, oracle_plv, oracle_psv
 from nlvcodec.trees import (OrdinalTree, check_preorder_labels,
                             check_sibling_monotonicity)
 
@@ -32,7 +32,7 @@ class TestOrdinalTree:
             OrdinalTree([0, 0])
 
     @pytest.mark.parametrize("parent", [[None, None], [None, 0, "1"],
-                                        [None, 0, 0.5]])
+                                        [None, 0, 0.5], [None, 0, True]])
     def test_non_int_parent_is_value_error(self, parent):
         with pytest.raises(ValueError, match="must be an int in"):
             OrdinalTree(parent)
@@ -167,8 +167,9 @@ class TestDerivedEqualsBuilt:
     """A decoded tree keeps its parents and next-value table and derives
     first_child, right_sib, degrees and its colors on read; they must
     equal what the heap builders and ``colorize`` make from the array,
-    and encoding the decoded trees must give back the encoding.  Binary
-    and alphabet-3 input has blue siblings, which equal values make."""
+    its next-value table must hold the oracle answers, and encoding the
+    decoded trees must give back the encoding.  Binary and alphabet-3
+    input has blue siblings, which equal values make."""
 
     @staticmethod
     def assert_same_tree(decoded, built):
@@ -180,11 +181,12 @@ class TestDerivedEqualsBuilt:
         cmin, cmax = colorize(build_min_heap(a), a), colorize(build_max_heap(a), a)
         enc = encode_colored(cmin, cmax)
         decoded = decode_colored(enc)
-        for dec, built in zip(decoded, (cmin, cmax)):
+        for dec, built, kind in zip(decoded, (cmin, cmax), ("nsv", "nlv")):
             # colors first, while the tree has not derived its tables yet
             assert dec.is_red == built.is_red
             self.assert_same_tree(dec.tree, built.tree)
-            assert dec.next_value == built.next_value
+            assert dec.next_value[1:] == [ORACLES[kind](a, i)
+                                          for i in range(1, a.n + 1)]
         assert encode_colored(*decoded) == enc
         return enc
 
