@@ -142,10 +142,12 @@ def decode_colored(enc):
     pass, by one C-level scan, so a bad trit costs no degree bit.
 
     Each tree keeps only what a query reads, its parents and its
-    next-value table, which is built from the decoded right siblings and
-    colors; those are then dropped, and the tree derives its other
-    tables and its colors from the two it keeps when they are read
-    (``ColoredTree.from_decoded``).
+    next-value table, which is written over the decoded right-sibling
+    list, so the table is the very list ``decode_heaps`` returned; the
+    colors are then dropped, and the tree derives its other tables and
+    its colors from the two it keeps when they are read
+    (``ColoredTree.from_decoded``).  Beside those, the decode peaks at
+    the two n-byte color arrays and its open-node stacks.
     """
     n, v_neutral = enc.n, enc.v_neutral
     # strip drops the valid trits at both ends; what is left starts at the

@@ -8,9 +8,11 @@ choice of heap per index.  ``degree_streams`` gives the choice as the
 min-heap leaf bitmap U, found in the same loop as the degree streams, and
 ``decode_heaps`` rebuilds both shapes (parents and right siblings) in
 one pass, asking a ``choose`` function for each choice and reading each
-unary degree code in place, one ``BitStream.read_bit`` call per bit.  The
-joint scheme stores U as is, so its heaps answer PSV/PLV only; the
-colored scheme (``colored.py``) folds the choice into the colors.
+unary degree code in place, one ``BitStream.read_bit`` call per bit.
+Beside the two tables per heap it returns, its only scratch is a stack
+of open nodes and their child counts.  The joint scheme stores U as is,
+so its heaps answer PSV/PLV only; the colored scheme (``colored.py``)
+folds the choice into the colors.
 """
 
 from .bitio import BitStream, Encoding, check_bits, read_degree, write_degree
@@ -86,12 +88,17 @@ def decode_heaps(n, t_min, t_max, choose):
     """Rebuild both heap shapes in one preorder pass; returns the (min,
     max) pair of (parent, right_sib) tables.
 
-    Each heap's stack holds its nodes still expecting children, deepest
-    last, and node i becomes the next child of each top, so the right
-    sibling of the top's last child so far, if it has one.  For i < n,
-    ``choose(i, sib_min, sib_max)`` learns whether i will get a
-    right sibling in each heap and returns True when i is internal in the
-    min heap, False for the max heap; that heap's stream gives i's degree.
+    Each heap's stack holds its open nodes, those still expecting
+    children, deepest last, and a frame stack beside it holds how many
+    children each still expects, so the scratch is O(open nodes).  Node i
+    becomes the next child of each top, so the right sibling of the top's
+    last child so far, if it has one.  An open node's own ``right_sib``
+    slot is free until the node closes (its siblings come after its
+    subtree), so it holds the node's last child so far: the node itself
+    when it is pushed, and 0 again when it pops.  For i < n,
+    ``choose(i, sib_min, sib_max)`` learns whether i will get a right
+    sibling in each heap and returns True when i is internal in the min
+    heap, False for the max heap; that heap's stream gives i's degree.
     Below the root, each unary code is read in place through the
     stream's bound ``read_bit`` (``bitio.read_degree``, inlined), so
     every degree bit is one ``BitStream.read_bit`` call and no node pays
@@ -108,54 +115,56 @@ def decode_heaps(n, t_min, t_max, choose):
     size = n + 1
     parent_min, parent_max = [None] * size, [None] * size
     sib_min, sib_max = [0] * size, [0] * size
-    # per node: children it still expects (positive exactly while it is
-    # on the stack), and its last child attached so far
-    left_min, left_max = [0] * size, [0] * size
-    last_min, last_max = [0] * size, [0] * size
-    left_min[0] = read_degree(t_min)
-    left_max[0] = read_degree(t_max)
-    stack_min = [0]
-    stack_max = [0]
+    # the root is open from the start and marks its own slot: sib[0] = 0
+    stack_min, left_min = [0], [read_degree(t_min)]
+    stack_max, left_max = [0], [read_degree(t_max)]
     for i in range(1, n + 1):
-        if not stack_min or not stack_max:
-            raise CorruptionError("no open node to attach node %d" % i)
-        p = stack_min[-1]
+        try:
+            p = stack_min[-1]
+            q = stack_max[-1]
+        except IndexError:
+            raise CorruptionError("no open node to attach node %d" % i) from None
         parent_min[i] = p
-        sib_min[last_min[p]] = i
-        last_min[p] = i
-        more_min = left_min[p] - 1
-        left_min[p] = more_min
-        if not more_min:
+        sib_min[sib_min[p]] = i
+        more_min = left_min[-1] - 1
+        if more_min:
+            sib_min[p] = i
+            left_min[-1] = more_min
+        else:
+            sib_min[p] = 0
             stack_min.pop()
-        p = stack_max[-1]
-        parent_max[i] = p
-        sib_max[last_max[p]] = i
-        last_max[p] = i
-        more_max = left_max[p] - 1
-        left_max[p] = more_max
-        if not more_max:
+            left_min.pop()
+        parent_max[i] = q
+        sib_max[sib_max[q]] = i
+        more_max = left_max[-1] - 1
+        if more_max:
+            sib_max[q] = i
+            left_max[-1] = more_max
+        else:
+            sib_max[q] = 0
             stack_max.pop()
+            left_max.pop()
         if i == n:
             break
         d = 1
         if choose(i, more_min > 0, more_max > 0):
             while bit_min() == "1":
                 d += 1
-            left_min[i] = d
+            sib_min[i] = i
             stack_min.append(i)
+            left_min.append(d)
         else:
             while bit_max() == "1":
                 d += 1
-            left_max[i] = d
+            sib_max[i] = i
             stack_max.append(i)
+            left_max.append(d)
     if not t_min.at_end() or not t_max.at_end():
         raise CorruptionError("unconsumed trailing degree bits")
     for stack, left in ((stack_min, left_min), (stack_max, left_max)):
         if stack:
             raise CorruptionError("node %d still expects %d more children"
-                                  % (stack[-1], left[stack[-1]]))
-    # a first child went to entry 0, as the right sibling of "none"
-    sib_min[0] = sib_max[0] = 0
+                                  % (stack[-1], left[-1]))
     return (parent_min, sib_min), (parent_max, sib_max)
 
 

@@ -162,9 +162,10 @@ class ColoredTree:
     @classmethod
     def from_decoded(cls, parent, right_sib, is_red):
         """The colored tree of decoded parent, right-sibling and color
-        tables.  It keeps the parents and the next-value table built from
-        the three, not the other two; its colors and other tables are
-        derived on first read."""
+        tables.  It keeps the parents and turns ``right_sib`` in place
+        into the next-value table, so it consumes that list: a caller
+        that still needs the siblings passes a copy.  The colors are not
+        kept; they and the other tables are derived on first read."""
         ct = cls.__new__(cls)
         ct.tree = OrdinalTree.from_tables(parent)
         ct._red = None
@@ -193,29 +194,33 @@ class ColoredTree:
 
 
 def _next_value_table(parent, right_sib, is_red):
-    """Next-value answer of every node, from the tree and colors alone.
+    """Next-value answer of every node, from the tree and colors alone,
+    written over ``right_sib``, which it returns.
 
     A red node's answer is its right sibling.  A blue node with a right
     sibling holds the same value as that sibling and shares its answer.
     A last child takes the right sibling of its nearest strict ancestor
     below the root that has one (ancestor values are strictly closer to
-    the extreme), else n+1.  So one top-down pass stores the climb answer
-    (own right sibling, else the parent's climb answer), which already is
-    the answer of red nodes and last children; one right-to-left pass then
-    copies each sibling's answer into the blue node before it.  Every
-    answer is an object of ``right_sib`` or the one n+1, so the table
-    holds no int of its own.
+    the extreme), else n+1.  So one top-down pass writes each
+    sibling-less node's climb answer (its parent's) over its 0, after
+    which red nodes and last children hold their answers, and collects the
+    blue nodes with a sibling while their entries still tell; one
+    right-to-left pass over those then copies each sibling's answer into
+    the blue node before it.  Every answer is an object of ``right_sib``
+    or the one n+1, so the table holds no int of its own and needs no
+    list beside the siblings.
     """
     n = len(parent) - 1
-    table = [n + 1] * (n + 1)
+    table = right_sib
+    table[0] = n + 1
+    blue = []
     for j in range(1, n + 1):
-        s = right_sib[j]
-        table[j] = s if s else table[parent[j]]
-    for i in range(n, 0, -1):
-        if not is_red[i]:
-            s = right_sib[i]
-            if s:
-                table[i] = table[s]
+        if not table[j]:
+            table[j] = table[parent[j]]
+        elif not is_red[j]:
+            blue.append(j)
+    for i in reversed(blue):
+        table[i] = table[table[i]]
     return table
 
 

@@ -31,6 +31,25 @@ def decoded_pair(a):
                                          colorize(build_max_heap(a), a)))
 
 
+def stack_answers(a, kind):
+    """Answers of one query kind for i = 1..n, in one monotone-stack scan:
+    the linear-time equal of ``ORACLES[kind]`` at every index."""
+    values = a.values
+    n = len(values)
+    forward = kind in ("psv", "plv")
+    smaller = kind in ("psv", "nsv")
+    out = [0] * n
+    stack = []
+    for i in (range(n) if forward else range(n - 1, -1, -1)):
+        v = values[i]
+        while stack and (values[stack[-1]] >= v if smaller
+                         else values[stack[-1]] <= v):
+            stack.pop()
+        out[i] = stack[-1] + 1 if stack else (0 if forward else n + 1)
+        stack.append(i)
+    return out
+
+
 def make_rng(seed):
     return random.Random(seed)
 

@@ -13,8 +13,10 @@ from nlvcodec import (ColoredEncoding, ColoredTree, CorruptionError,
                       colored_size_bits, colored_size_bound, colorize,
                       count_good_bad, decode_colored, encode, encode_colored,
                       encode_joint)
+import nlvcodec.colored as colored_module
 import nlvcodec.trees as trees_module
 from nlvcodec.arrays import ORACLES
+from nlvcodec.joint import decode_heaps
 from nlvcodec.queries import TREE_QUERIES
 
 from conftest import count_bit_reads, make_rng, random_no_equal_neighbours
@@ -290,26 +292,61 @@ class TestNextValueTables:
 
 class TestDecodedMemory:
     """A decoded tree keeps only its parent and next-value lists; every
-    other table is derived when read."""
+    other table is derived when read.  Decoding needs little beside
+    them: its scratch is O(open nodes) and each next-value table is
+    written over the decoded siblings it replaces."""
 
-    def test_decoded_pair_holds_two_lists_per_heap(self):
-        n = 5000
-        rng = make_rng(3)
-        values = list(range(1, n + 1))
-        rng.shuffle(values)
-        enc = encode_colored(*colored_pair(ValueArray(values)))
+    n = 5000
+
+    def encoded_permutation(self):
+        values = list(range(1, self.n + 1))
+        make_rng(3).shuffle(values)
+        return values, encode_colored(*colored_pair(ValueArray(values)))
+
+    def held_bound(self):
+        # four n-entry lists, plus one int object per node shared by them
+        n = self.n
+        return 1.2 * (4 * sys.getsizeof([0] * (n + 1)) + n * sys.getsizeof(n))
+
+    def traced_decode(self, enc):
         gc.collect()
         tracemalloc.start()
         try:
             pair = decode_colored(enc)
+            peak = tracemalloc.get_traced_memory()[1]
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # four n-entry lists, plus one int object per node shared by them
-        bound = 1.2 * (4 * sys.getsizeof([0] * (n + 1)) + n * sys.getsizeof(n))
-        assert held <= bound, (held, bound)
+        return pair, held, peak
+
+    def test_decoded_pair_holds_two_lists_per_heap(self):
+        values, enc = self.encoded_permutation()
+        pair, held, _ = self.traced_decode(enc)
+        assert held <= self.held_bound(), (held, self.held_bound())
         assert pair == colored_pair(ValueArray(values))
+
+    def test_decode_peaks_near_what_it_holds(self):
+        # beside the held tables, only the two color arrays are n-sized
+        _, enc = self.encoded_permutation()
+        _, held, peak = self.traced_decode(enc)
+        bound = (self.held_bound()
+                 + 2 * sys.getsizeof(bytearray(self.n + 1)))
+        assert peak <= bound, (peak, bound, held)
+
+    def test_next_value_is_the_decoded_sibling_list(self, monkeypatch):
+        returned = []
+
+        def recording(*args):
+            heaps = decode_heaps(*args)
+            returned.extend(sib for _, sib in heaps)
+            return heaps
+        monkeypatch.setattr(colored_module, "decode_heaps", recording)
+        _, enc = self.encoded_permutation()
+        pair = decode_colored(enc)
+        assert len(returned) == len(pair) == 2
+        for ct, sib in zip(pair, returned):
+            assert ct.next_value is sib
 
 
 class TestSizeAccounting:

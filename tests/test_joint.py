@@ -4,7 +4,11 @@ from nlvcodec import (CorruptionError, JointEncoding,
                       PreconditionError, ValueArray, build_max_heap,
                       build_min_heap, decode_joint, encode, encode_joint)
 
-from conftest import make_rng, random_no_equal_neighbours
+from nlvcodec.arrays import ORACLES
+from nlvcodec.joint import decode_heaps
+
+from conftest import (decoded_pair, make_rng, random_no_equal_neighbours,
+                      stack_answers)
 
 
 def encode_array(a):
@@ -77,9 +81,14 @@ class TestDecode:
             decode_joint(JointEncoding(2, "0", "10", "10"))
 
     def test_trailing_bits(self):
-        # U says node 1 is a leaf in min, so t_min's second 0 is never read
-        with pytest.raises(CorruptionError):
+        # U says node 1 is internal in max, whose stream is already spent:
+        # streams of 2n bits run out before they leave a bit unread
+        with pytest.raises(CorruptionError, match="^bitstream truncated"):
             decode_joint(JointEncoding(2, "1", "00", "10"))
+        # so only longer streams, passed to decode_heaps directly, do
+        with pytest.raises(CorruptionError,
+                           match="^unconsumed trailing degree bits$"):
+            decode_heaps(1, "00", "0", lambda i, sib_min, sib_max: True)
 
     def test_segments_must_be_bits(self):
         good = ["0", "00", "10"]
@@ -94,8 +103,64 @@ class TestDecode:
 
     def test_unattachable_node(self):
         # root degree 1 in both, but node 2 then has nowhere to go
-        with pytest.raises(CorruptionError):
+        with pytest.raises(CorruptionError,
+                           match="^no open node to attach node 2$"):
             decode_joint(JointEncoding(2, "1", "00", "00"))
+
+    def test_node_left_open(self):
+        # streams of 2n bits are consumed exactly or attach too many
+        # nodes, so only streams of another length, passed to
+        # decode_heaps directly, leave a node open: the min root expects
+        # 2 children and gets node 1, which expects 3 and gets node 2;
+        # the error names the deepest open node and its own count
+        with pytest.raises(CorruptionError,
+                           match="^node 1 still expects 2 more children$"):
+            decode_heaps(2, "10110", "10", lambda i, sib_min, sib_max: True)
+        # the root's frame, when nothing below it is open
+        with pytest.raises(CorruptionError,
+                           match="^node 0 still expects 1 more children$"):
+            decode_heaps(1, "10", "0", lambda i, sib_min, sib_max: True)
+
+
+EXTREME_N = 5000
+EXTREME_ARRAYS = {
+    "increasing": range(1, EXTREME_N + 1),
+    "decreasing": range(EXTREME_N, 0, -1),
+    # 1, n+1, 2, n+3, ...: the min heap is a caterpillar down the small
+    # values, the max heap's root has n/2 + 1 children
+    "zigzag": [i // 2 + 1 if i % 2 == 0 else EXTREME_N + i
+               for i in range(EXTREME_N)],
+}
+
+
+class TestShapeExtremes:
+    """Each heap a path (every node open for one child), or a root of
+    degree about n or n/2 (one frame counting down over the whole
+    decode), at a size where an off-by-one in the frames would show."""
+
+    @pytest.mark.parametrize("name", sorted(EXTREME_ARRAYS))
+    def test_joint_round_trip(self, name):
+        a = ValueArray(EXTREME_ARRAYS[name])
+        min_t, max_t = build_min_heap(a), build_max_heap(a)
+        enc = encode_joint(min_t, max_t)
+        dmin, dmax = decode_joint(enc)
+        assert dmin == min_t and dmax == max_t
+        assert dmin.parent[1:] == stack_answers(a, "psv")
+        assert dmax.parent[1:] == stack_answers(a, "plv")
+        assert encode_joint(dmin, dmax) == enc
+
+    @pytest.mark.parametrize("name", sorted(EXTREME_ARRAYS))
+    def test_colored_round_trip(self, name):
+        a = ValueArray(EXTREME_ARRAYS[name])
+        dmin, dmax = decoded_pair(a)
+        decoded = {"psv": dmin.tree.parent, "plv": dmax.tree.parent,
+                   "nsv": dmin.next_value, "nlv": dmax.next_value}
+        for kind, table in decoded.items():
+            expected = stack_answers(a, kind)
+            assert table[1:] == expected, kind
+            # the stack scan stands in for the quadratic oracle
+            for i in (1, 2, a.n // 2, a.n - 1, a.n):
+                assert expected[i - 1] == ORACLES[kind](a, i)
 
 
 def test_encodings_refuse_assignment(figure_array):

@@ -108,11 +108,12 @@ class TestOracleEquivalence:
         # walk length bounded by depth + sibling hops; indirectly checked by
         # equivalence above, directly here on a long equal-plateau array
         # the colored codec takes no equal neighbours, so the decoded form
-        # is made straight from colorize's tree and colors
+        # is made straight from colorize's tree and colors; from_decoded
+        # consumes the sibling list, so it gets a copy
         a = ValueArray([2, 5, 5, 5, 5, 1][i % 6] for i in range(60))
         ct = colorize(build_min_heap(a), a)
-        cmin = ColoredTree.from_decoded(ct.tree.parent, ct.tree.right_sib,
-                                        ct.is_red)
+        cmin = ColoredTree.from_decoded(ct.tree.parent,
+                                        list(ct.tree.right_sib), ct.is_red)
         for i in range(1, a.n + 1):
             assert nsv_from_tree(cmin, i) == ORACLES["nsv"](a, i)
 
