@@ -8,9 +8,8 @@ from .arrays import (ORACLES, QUERY_KINDS, RunStructure, ValueArray,
 from .bitio import (BitStream, pack_trits, read_degree, subset_rank,
                     subset_rank_width, subset_unrank, trit_pack_bits,
                     unpack_trits, write_degree)
-from .colored import (ColoredEncoding, classify_index, colored_size_bits,
-                      colored_size_bound, count_good_bad, decode_colored,
-                      encode_colored)
+from .colored import (ColoredEncoding, classify_index, count_good_bad,
+                      decode_colored, encode_colored)
 from .container import MAX_N, decode, deserialize, encode, serialize
 from .errors import (AllocationError, CorruptionError, EmptyArrayError,
                      NlvError, ParseError, PreconditionError, RangeError)

@@ -64,6 +64,10 @@ class Encoding:
 
     Assigning or deleting a field afterwards raises AttributeError, so a
     decoder reads only segments that its encoding's constructor checked.
+    Two encodings are equal when they have one type and equal fields; an
+    encoding is not hashable.  Each subclass states the bound its payload
+    is held to, in bits, as ``payload_bound(n)`` next to
+    ``payload_bits()``.
     """
 
     __slots__ = ()
@@ -71,6 +75,11 @@ class Encoding:
     def _set(self, **fields):
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError("%s fields are read-only" % type(self).__name__)

@@ -10,12 +10,10 @@ import argparse
 import sys
 
 from .arrays import parse_array_text
-from .colored import colored_size_bound
 from .container import decode, decode_shapes, deserialize, encode, serialize
 from .errors import (AllocationError, CorruptionError, ParseError,
                      PreconditionError, RangeError)
 from .fuzz import run_fuzz
-from .general import LOG2_13
 from .trees import tree_to_text
 
 EXIT_OK = 0
@@ -88,20 +86,10 @@ def _read_array(path):
     return parse_array_text(text)
 
 
-def _bound_text(enc):
-    n = enc.n
-    if enc.scheme == "joint":
-        return 3 * n - 1, "3n-1"
-    if enc.scheme == "colored":
-        return colored_size_bound(n), "(2+log2 3)n"
-    return LOG2_13 * n, "log2(13) n"
-
-
 def _stats_line(enc):
-    bound, label = _bound_text(enc)
     bits = enc.payload_bits()
-    return ("n=%d scheme=%s payload=%d bits bits/n=%.4f bound=%.2f (%s)"
-            % (enc.n, enc.scheme, bits, bits / enc.n, bound, label))
+    return ("n=%d scheme=%s payload=%d bits bits/n=%.4f bound=%.2f"
+            % (enc.n, enc.scheme, bits, bits / enc.n, enc.payload_bound(enc.n)))
 
 
 def cmd_encode(args):

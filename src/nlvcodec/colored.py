@@ -12,14 +12,13 @@ right siblings if it is internal there, else 2.  The decoder's
 ``choose`` sees the class from the rebuilt shapes and reads the side
 strings through iterators: bound ``read_bit`` methods for ``u_gb`` and
 ``v_bad``, ``iter`` over the trits.  With g good and g bad indices the
-payload approaches (2 + log2 3) * n bits.
+payload is 2n + 3g bits plus n-1-2g packed trits, largest at g = 0
+(``ColoredEncoding.payload_bound``).
 
 ``encode_colored`` reads the colors of the trees ``colorize`` makes;
 ``decode_colored`` returns trees in the decoded form, which hold the
 next-value tables queries read (``trees.ColoredTree``).
 """
-
-import math
 
 from .bitio import BitStream, Encoding, check_bits, trit_pack_bits
 from .errors import CorruptionError, PreconditionError
@@ -29,8 +28,6 @@ from .trees import ColoredTree
 GOOD = "good"
 BAD = "bad"
 NEUTRAL = "neutral"
-
-LOG2_3 = math.log2(3)
 
 # red is encoded as 0, blue as 1
 COLOR_RED = "0"
@@ -58,15 +55,20 @@ class ColoredEncoding(Encoding):
         self._set(n=n, t_min=t_min, t_max=t_max, u_gb=u_gb, v_bad=v_bad,
                   v_neutral=v_neutral, g=g)
 
-    def __eq__(self, other):
-        return (isinstance(other, ColoredEncoding) and self.n == other.n
-                and self.t_min == other.t_min and self.t_max == other.t_max
-                and self.u_gb == other.u_gb and self.v_bad == other.v_bad
-                and self.v_neutral == other.v_neutral)
-
     def payload_bits(self):
         return (len(self.t_min) + len(self.t_max) + len(self.u_gb)
                 + len(self.v_bad) + trit_pack_bits(len(self.v_neutral)))
+
+    @staticmethod
+    def payload_bound(n):
+        """Every payload of n elements: 2n + trit_pack_bits(n-1) bits,
+        the payload at g = 0.
+
+        A good/bad pair adds 3 bits and takes 2 trits away, which saves
+        trit_pack_bits(m) - trit_pack_bits(m-2), 3 or 4 bits at every m,
+        so no g > 0 yields more.
+        """
+        return 2 * n + trit_pack_bits(n - 1)
 
 
 def classify_index(min_t, max_t, i):
@@ -186,15 +188,3 @@ def decode_colored(enc):
     return tuple(ColoredTree.from_decoded(parent, sib, red)
                  for (parent, sib), red in zip(heaps, (red_min, red_max)))
 
-
-def colored_size_bits(n, g, m):
-    """Measured payload size: 2n degree bits, 3g good/bad bits, packed
-    trits for the m = n-1-2g neutral indices."""
-    if m != n - 1 - 2 * g or m < 0 or g < 0:
-        raise ValueError("need m = n-1-2g >= 0")
-    return 2 * n + 3 * g + trit_pack_bits(m)
-
-
-def colored_size_bound(n):
-    """Analytic bound (2 + log2 3) * n, attained as g -> 0."""
-    return (2 + LOG2_3) * n

@@ -35,13 +35,13 @@ class JointEncoding(Encoding):
             raise CorruptionError("degree streams must total 2n bits")
         self._set(n=n, u=u, t_min=t_min, t_max=t_max)
 
-    def __eq__(self, other):
-        return (isinstance(other, JointEncoding) and self.n == other.n
-                and self.u == other.u and self.t_min == other.t_min
-                and self.t_max == other.t_max)
-
     def payload_bits(self):
         return len(self.u) + len(self.t_min) + len(self.t_max)
+
+    @staticmethod
+    def payload_bound(n):
+        """Every payload of n elements: 3n-1 bits."""
+        return 3 * n - 1
 
 
 def degree_streams(min_t, max_t):

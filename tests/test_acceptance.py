@@ -7,12 +7,12 @@ import itertools
 import math
 import time
 
-from nlvcodec import (ValueArray, build_max_heap, build_min_heap, check_leaf_internal_duality,
+from nlvcodec import (ColoredEncoding, GeneralEncoding, ValueArray,
+                      build_max_heap, build_min_heap, check_leaf_internal_duality,
                       check_red_leaf_rule, colorize, count_good_bad, decode_colored,
                       decode_general, deserialize, encode_colored,
                       encode_general, encode_joint, serialize)
 from nlvcodec.arrays import ORACLES, QUERY_KINDS
-from nlvcodec.fuzz import colored_payload_bound, general_payload_bound
 from nlvcodec.general import LOG2_13
 from nlvcodec.queries import TREE_QUERIES
 
@@ -44,8 +44,8 @@ def test_criterion_1_joint_size_exact():
 
 
 def test_criterion_2_colored_size_and_speed():
-    """Colored payload <= 3.586n + 70 up to n = 1e5; figure array is 31 bits;
-    < 1 s at n = 1e5."""
+    """Colored payload <= 2n + trit_pack_bits(n-1) up to n = 1e5; figure
+    array is 31 bits; < 1 s at n = 1e5."""
     a = ValueArray(FIGURE_VALUES)
     enc = colored_encode(a)
     assert enc.payload_bits() == 31
@@ -60,10 +60,11 @@ def test_criterion_2_colored_size_and_speed():
             t0 = time.perf_counter()
             e = colored_encode(b)
             elapsed = min(elapsed, time.perf_counter() - t0)
-        assert e.payload_bits() <= colored_payload_bound(n), n
+        assert e.payload_bits() <= ColoredEncoding.payload_bound(n), n
         if n == 10**5:
             assert elapsed < 1.0, elapsed
-    print("PASS criterion 2: colored payload <= 3.586n+70 up to n=1e5, "
+    print("PASS criterion 2: colored payload <= 2n + trit_pack_bits(n-1) "
+          "up to n=1e5, "
           "figure = 31 bits, %.2fs at n=1e5" % elapsed)
 
 
@@ -83,7 +84,7 @@ def test_criterion_3_general_size_and_speed():
             t0 = time.perf_counter()
             enc = encode_general(a)
             elapsed = min(elapsed, time.perf_counter() - t0)
-        assert enc.payload_bits() <= general_payload_bound(a.n), a.n
+        assert enc.payload_bits() <= GeneralEncoding.payload_bound(a.n), a.n
         if a.n == 10**5:
             assert elapsed < 5.0, elapsed
             worst = max(worst, elapsed)

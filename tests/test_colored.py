@@ -9,10 +9,9 @@ import pytest
 from nlvcodec import (ColoredEncoding, ColoredTree, CorruptionError,
                       PreconditionError, ValueArray, build_max_heap,
                       build_min_heap, check_leaf_internal_duality,
-                      check_red_leaf_rule, classify_index,
-                      colored_size_bits, colored_size_bound, colorize,
+                      check_red_leaf_rule, classify_index, colorize,
                       count_good_bad, decode_colored, encode, encode_colored,
-                      encode_joint)
+                      encode_joint, trit_pack_bits)
 import nlvcodec.colored as colored_module
 import nlvcodec.trees as trees_module
 from nlvcodec.arrays import ORACLES
@@ -350,30 +349,20 @@ class TestDecodedMemory:
 
 
 class TestSizeAccounting:
-    def test_figure(self):
-        assert colored_size_bits(9, 2, 4) == 31
+    def test_figure(self, figure_array):
+        enc = encode_colored(*colored_pair(figure_array))
+        assert enc.payload_bits() == 31 == ColoredEncoding.payload_bound(9)
 
     def test_singleton(self):
-        assert colored_size_bits(1, 0, 0) == 2
-
-    def test_inconsistent_arguments(self):
-        with pytest.raises(ValueError):
-            colored_size_bits(9, 2, 5)
+        enc = encode_colored(*colored_pair(ValueArray([5])))
+        assert enc.payload_bits() == 2 == ColoredEncoding.payload_bound(1)
 
     def test_matches_measured_payload(self):
+        # 2n degree bits, 3g good/bad bits, the m = n-1-2g packed trits
         rng = make_rng(44)
         for _ in range(50):
             a = random_no_equal_neighbours(rng, rng.randint(1, 200))
             enc = encode_colored(*colored_pair(a))
-            assert enc.payload_bits() == colored_size_bits(
-                a.n, enc.g, len(enc.v_neutral))
-
-    def test_bound_sweep(self):
-        # 2n + 3g + 1.58537(n-1-2g) + 65 <= 3.586n + 70 for all feasible g
-        for n in (1, 2, 10, 100, 1234, 10**4):
-            for g in range(0, (n - 1) // 2 + 1, max(1, n // 97)):
-                measured = 2 * n + 3 * g + 1.58537 * (n - 1 - 2 * g) + 65
-                assert measured <= 3.586 * n + 70
-
-    def test_analytic_bound(self):
-        assert abs(colored_size_bound(1000) - 3584.96) < 0.01
+            m = len(enc.v_neutral)
+            assert m == a.n - 1 - 2 * enc.g
+            assert enc.payload_bits() == 2 * a.n + 3 * enc.g + trit_pack_bits(m)

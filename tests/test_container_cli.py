@@ -422,9 +422,9 @@ class TestCli:
     def test_stats_joint_and_colored(self, figure_file, tmp_path, capsys):
         expected = {
             "joint": "n=9 scheme=joint payload=26 bits bits/n=2.8889 "
-                     "bound=26.00 (3n-1)",
+                     "bound=26.00",
             "colored": "n=9 scheme=colored payload=31 bits bits/n=3.4444 "
-                       "bound=32.26 ((2+log2 3)n)",
+                       "bound=31.00",
         }
         for scheme, line in expected.items():
             out = tmp_path / (scheme + ".nlve")
@@ -434,6 +434,19 @@ class TestCli:
             rc = main(["stats", "--in", str(out)])
             assert rc == 0
             assert capsys.readouterr().out.strip() == line
+
+    def test_stats_at_the_colored_bound(self, tmp_path, capsys):
+        # an increasing array has g = 0: its payload is the bound itself
+        path = tmp_path / "up.txt"
+        path.write_text("\n".join(map(str, range(1, 10**5 + 1))) + "\n")
+        out = tmp_path / "up.nlve"
+        main(["encode", "--scheme", "colored", "--in", str(path),
+              "--out", str(out)])
+        encoded = capsys.readouterr().out.strip()
+        assert main(["stats", "--in", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == encoded == (
+            "n=100000 scheme=colored payload=358535 bits bits/n=3.5854 "
+            "bound=358535.00")
 
     def test_fuzz_small(self, capsys):
         rc = main(["fuzz", "--count", "25", "--max-n", "12", "--alphabet",

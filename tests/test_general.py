@@ -8,7 +8,6 @@ from nlvcodec import (CorruptionError, GeneralEncoding, RangeError,
                       decode_general, deserialize, encode_general, general,
                       serialize, subset_rank_width)
 from nlvcodec.arrays import ORACLES, QUERY_KINDS, RunStructure
-from nlvcodec.fuzz import general_payload_bound
 from nlvcodec.general import LOG2_13
 
 from conftest import make_rng
@@ -123,7 +122,7 @@ class TestSizeBound:
                 n = rng.randint(1, 400)
                 a = ValueArray([rng.randint(1, dist_hi) for _ in range(n)])
                 enc = encode_general(a)
-                assert enc.payload_bits() <= general_payload_bound(n)
+                assert enc.payload_bits() <= enc.payload_bound(n)
 
 
 class TestSubsetCodingInequality:

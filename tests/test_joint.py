@@ -175,3 +175,17 @@ def test_encodings_refuse_assignment(figure_array):
         with pytest.raises(AttributeError):
             enc.extra = 1
         assert enc == encode(figure_array, scheme)
+
+
+def test_encodings_compare_type_and_every_field(figure_array):
+    encs = [encode(figure_array, scheme)
+            for scheme in ("joint", "colored", "general")]
+    for enc in encs:
+        with pytest.raises(TypeError):
+            hash(enc)
+        assert [other == enc for other in encs] == [e is enc for e in encs]
+        for name in type(enc).__slots__:
+            copy = encode(figure_array, enc.scheme)
+            assert copy == enc
+            object.__setattr__(copy, name, object())
+            assert copy != enc, name

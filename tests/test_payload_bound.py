@@ -1,0 +1,77 @@
+"""Each encoding's ``payload_bound(n)``: what it computes, that every
+payload meets it, and that the README's table states it."""
+
+import math
+import os
+import re
+
+from nlvcodec import (ColoredEncoding, GeneralEncoding, JointEncoding,
+                      ValueArray, compute_runs, encode, fuzz, trit_pack_bits)
+from nlvcodec.bitio import BITS_PER_BLOCK, TRITS_PER_BLOCK
+
+from conftest import make_rng
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+ENCODINGS = {"joint": JointEncoding, "colored": ColoredEncoding,
+             "general": GeneralEncoding}
+
+
+def test_two_trits_cost_three_or_four_bits():
+    # so a good/bad pair (3 bits for 2 trits) never makes a payload longer
+    for m in range(2, 2 + TRITS_PER_BLOCK):
+        assert trit_pack_bits(m) - trit_pack_bits(m - 2) in (3, 4), m
+    # one period of trit_pack_bits covers every m
+    for m in range(TRITS_PER_BLOCK):
+        assert trit_pack_bits(m + TRITS_PER_BLOCK) == trit_pack_bits(m) + BITS_PER_BLOCK
+
+
+def test_colored_bound_is_the_largest_payload_over_g():
+    for n in range(1, 301):
+        largest = max(2 * n + 3 * g + trit_pack_bits(n - 1 - 2 * g)
+                      for g in range((n - 1) // 2 + 1))
+        assert ColoredEncoding.payload_bound(n) == largest, n
+
+
+def test_colored_bound_meets_the_linear_gate():
+    # the fuzz gate before the exact bound was 3.586n + 70
+    for n in range(1, 10**6 + 1):
+        assert ColoredEncoding.payload_bound(n) <= 3.586 * n + 70, n
+
+
+def test_payloads_meet_their_bounds():
+    rng = make_rng(61)
+    for dist in fuzz.DISTRIBUTIONS:
+        for _ in range(15):
+            a = fuzz.random_array(rng, 2000, 5, dist)
+            reduced = compute_runs(a).reduced_array()
+            encs = [encode(reduced, "joint"), encode(reduced, "colored"),
+                    encode(a, "general")]
+            for enc in encs:
+                assert enc.payload_bits() <= enc.payload_bound(enc.n), (dist, enc.scheme)
+            assert encs[0].payload_bits() == encs[0].payload_bound(reduced.n)
+
+
+def test_monotone_colored_payload_is_its_bound():
+    # an increasing array has g = 0, the largest colored payload
+    enc = encode(ValueArray(range(1, 1001)), "colored")
+    assert enc.g == 0
+    assert enc.payload_bits() == ColoredEncoding.payload_bound(1000)
+
+
+def test_readme_table_states_each_bound():
+    with open(README, encoding="utf-8") as fh:
+        rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+                for line in fh if line.startswith("|")]
+    column = rows[0].index("at n = 10⁵")
+    stated = {row[0].strip("`"): row[column] for row in rows[2:]}
+    assert sorted(stated) == sorted(ENCODINGS)
+    for scheme, cls in ENCODINGS.items():
+        bound = math.floor(cls.payload_bound(10**5))
+        assert int(re.sub(r"\s", "", stated[scheme])) == bound, scheme
+
+
+def test_fuzz_names_are_the_encodings_bounds():
+    # the benchmark's correctness gate reads the bounds by these names
+    assert fuzz.colored_payload_bound is ColoredEncoding.payload_bound
+    assert fuzz.general_payload_bound is GeneralEncoding.payload_bound
