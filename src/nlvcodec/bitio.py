@@ -23,9 +23,11 @@ A bit segment is a plain ``'0'/'1'`` str from the encoder to the
 container and back: encoders build it by joining string chunks, the
 container joins and slices segments, and bytes come from one base-2
 ``int`` conversion, which Python's int/str digit limit does not apply
-to.  A decoder reads a segment through a ``BitStream`` cursor it builds
-for itself, so an encoding holds no read state and several decodes of
-it may run at once.
+to.  A decoder reads a segment through a cursor it builds for itself, so
+an encoding holds no read state and several decodes of it may run at
+once: ``joint.decode_heaps`` keeps a bit position per degree stream and
+reads each unary code below the root with one ``str.find``, and
+``colored.decode_colored`` reads its side strings through iterators.
 """
 
 import itertools
@@ -38,6 +40,9 @@ from .errors import CorruptionError
 # 3^41 < 2^65, so 41 trits always fit a 65-bit block.
 TRITS_PER_BLOCK = 41
 BITS_PER_BLOCK = 65
+
+# the message of every read past the end of a bit segment
+TRUNCATED = "bitstream truncated: read past end"
 
 # Scan steps of the subset coder folded into one update of its big ints.
 SCAN_BLOCK = 128
@@ -99,11 +104,10 @@ class BitStream:
     """A decoder's MSB-first read cursor over one bit segment.
 
     Each decode builds its own cursor, so the segment str it reads stays
-    shared and immutable.  Decoders call the cursor's bound ``read_bit``
-    once per bit: ``joint.decode_heaps`` reads each unary degree code in
-    place with it (``read_degree`` is the same loop as a function), and
-    ``colored.decode_colored`` reads ``u_gb`` and ``v_bad`` with it, so
-    traced runs count every bit a decode consumes.
+    shared and immutable.  ``read_degree`` reads a unary code through
+    it, one ``read_bit`` call per bit.  Decoders use it only for the two
+    root codes of ``joint.decode_heaps``; every other bit is read at str
+    level with no call of its own, so traced runs count only those.
     """
 
     __slots__ = ("_bits", "_pos")
@@ -122,7 +126,7 @@ class BitStream:
         try:
             b = self._bits[pos]
         except IndexError:
-            raise CorruptionError("bitstream truncated: read past end") from None
+            raise CorruptionError(TRUNCATED) from None
         self._pos = pos + 1
         return b
 

@@ -9,18 +9,17 @@ Good and bad indices keep their U bit (``u_gb``), and a bad one adds its
 color in the heap where it is internal (``v_bad``).  A neutral index
 stores one trit (``v_neutral``): its color in the heap where it has
 right siblings if it is internal there, else 2.  The decoder's
-``choose`` sees the class from the rebuilt shapes and reads the side
-strings through iterators: bound ``read_bit`` methods for ``u_gb`` and
-``v_bad``, ``iter`` over the trits.  With g good and g bad indices the
-payload is 2n + 3g bits plus n-1-2g packed trits, largest at g = 0
-(``ColoredEncoding.payload_bound``).
+``choose`` sees the class from the rebuilt shapes and reads each side
+string through an iterator over its characters.  With g good and g bad
+indices the payload is 2n + 3g bits plus n-1-2g packed trits, largest
+at g = 0 (``ColoredEncoding.payload_bound``).
 
 ``encode_colored`` reads the colors of the trees ``colorize`` makes;
 ``decode_colored`` returns trees in the decoded form, which hold the
 next-value tables queries read (``trees.ColoredTree``).
 """
 
-from .bitio import BitStream, Encoding, check_bits, trit_pack_bits
+from .bitio import TRUNCATED, Encoding, check_bits, trit_pack_bits
 from .errors import CorruptionError, PreconditionError
 from .joint import decode_heaps, degree_streams
 from .trees import ColoredTree
@@ -138,10 +137,11 @@ def encode_colored(cmin, cmax):
 def decode_colored(enc):
     """Rebuild both colored trees; exact inverse of encode_colored.
 
-    ``choose`` reads ``u_gb`` and ``v_bad`` through their cursors' bound
-    ``read_bit`` methods and the trits through one iterator over
-    ``v_neutral``.  Trits outside 0, 1, 2 are found before the shape
-    pass, by one C-level scan, so a bad trit costs no degree bit.
+    ``choose`` reads ``u_gb``, ``v_bad`` and ``v_neutral`` through one
+    iterator each, with ``next(it, None)``; an exhausted bit string is a
+    truncation, as in the degree streams.  Trits outside 0, 1, 2 are
+    found before the shape pass, by one C-level scan, so a bad trit
+    costs no degree bit.
 
     Each tree keeps only what a query reads, its parents and its
     next-value table, which is written over the decoded right-sibling
@@ -157,10 +157,8 @@ def decode_colored(enc):
     bad = v_neutral.strip(COLOR_RED + COLOR_BLUE + TRIT_NO_SIBLINGS)
     if bad:
         raise CorruptionError("invalid trit %r in v_neutral" % (bad[0],))
-    u_gb = BitStream(enc.u_gb)
-    v_bad = BitStream(enc.v_bad)
-    gb_bit = u_gb.read_bit
-    bad_bit = v_bad.read_bit
+    gb_bits = iter(enc.u_gb)
+    bad_bits = iter(enc.v_bad)
     trits = iter(v_neutral)
     red_min = bytearray(n + 1)
     red_max = bytearray(n + 1)
@@ -168,10 +166,16 @@ def decode_colored(enc):
     def choose(i, sib_min, sib_max):
         if sib_min == sib_max:
             # good (neither) or bad (both): U bit names the relevant tree
-            relevant_is_min = gb_bit() == "0"
+            b = next(gb_bits, None)
+            if b is None:
+                raise CorruptionError(TRUNCATED)
+            relevant_is_min = b == "0"
             if sib_min:  # bad: red where it is a leaf with right siblings
                 red_min[i] = red_max[i] = True
-                red = bad_bit() == COLOR_RED
+                c = next(bad_bits, None)
+                if c is None:
+                    raise CorruptionError(TRUNCATED)
+                red = c == COLOR_RED
                 (red_min if relevant_is_min else red_max)[i] = red
             return relevant_is_min
         c = next(trits, None)
@@ -183,7 +187,7 @@ def decode_colored(enc):
         return sib_max if c == TRIT_NO_SIBLINGS else sib_min
 
     heaps = decode_heaps(n, enc.t_min, enc.t_max, choose)
-    if not (u_gb.at_end() and v_bad.at_end() and next(trits, None) is None):
+    if not all(next(it, None) is None for it in (gb_bits, bad_bits, trits)):
         raise CorruptionError("unconsumed side-string characters")
     return tuple(ColoredTree.from_decoded(parent, sib, red)
                  for (parent, sib), red in zip(heaps, (red_min, red_max)))

@@ -30,7 +30,16 @@ class PreconditionError(NlvError, ValueError):
 
 
 class CorruptionError(NlvError, ValueError):
-    """Raised when a bitstream or container cannot be decoded."""
+    """Raised when a bitstream or container cannot be decoded.
+
+    ``segment`` names the payload segment at fault and ``offset`` the bit
+    position in it, when the decoder knows them.
+    """
+
+    def __init__(self, message, segment=None, offset=None):
+        super().__init__(message)
+        self.segment = segment
+        self.offset = offset
 
 
 class AllocationError(NlvError, MemoryError):

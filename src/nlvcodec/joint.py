@@ -8,14 +8,15 @@ choice of heap per index.  ``degree_streams`` gives the choice as the
 min-heap leaf bitmap U, found in the same loop as the degree streams, and
 ``decode_heaps`` rebuilds both shapes (parents and right siblings) in
 one pass, asking a ``choose`` function for each choice and reading each
-unary degree code in place, one ``BitStream.read_bit`` call per bit.
-Beside the two tables per heap it returns, its only scratch is a stack
-of open nodes and their child counts.  The joint scheme stores U as is,
+unary degree code below the roots with one ``str.find``.  Beside the
+two tables per heap it returns, its only scratch is a stack of open
+nodes and their child counts.  The joint scheme stores U as is,
 so its heaps answer PSV/PLV only; the colored scheme (``colored.py``)
 folds the choice into the colors.
 """
 
-from .bitio import BitStream, Encoding, check_bits, read_degree, write_degree
+from .bitio import (TRUNCATED, BitStream, Encoding, check_bits, read_degree,
+                    write_degree)
 from .errors import CorruptionError, PreconditionError
 from .trees import OrdinalTree
 
@@ -84,83 +85,123 @@ def encode_joint(min_t, max_t):
     return JointEncoding(min_t.n, *degree_streams(min_t, max_t))
 
 
+def _root_degree(cursor, segment):
+    """The root's degree, read from the start of its heap's stream."""
+    try:
+        return read_degree(cursor)
+    except CorruptionError:
+        raise CorruptionError(TRUNCATED, segment=segment, offset=0) from None
+
+
 def decode_heaps(n, t_min, t_max, choose):
     """Rebuild both heap shapes in one preorder pass; returns the (min,
     max) pair of (parent, right_sib) tables.
 
-    Each heap's stack holds its open nodes, those still expecting
-    children, deepest last, and a frame stack beside it holds how many
-    children each still expects, so the scratch is O(open nodes).  Node i
-    becomes the next child of each top, so the right sibling of the top's
-    last child so far, if it has one.  An open node's own ``right_sib``
-    slot is free until the node closes (its siblings come after its
-    subtree), so it holds the node's last child so far: the node itself
-    when it is pushed, and 0 again when it pops.  For i < n,
+    Node 0 is internal in both heaps and, for 0 < i < n, i is internal
+    in exactly one, where i + 1 is its first child.  So node i + 1 takes
+    i as its parent there with no stack access, and the other heap
+    attaches it to the top of its stack of open nodes, those still
+    expecting children, deepest last.  A frame stack beside each holds
+    how many children each still expects, so the scratch is O(open
+    nodes); a node is pushed only while it expects a second child.  An
+    open node's own ``right_sib`` slot is free until the node closes
+    (its siblings come after its subtree), so it holds the node's last
+    child so far, and 0 again when it pops.  For i < n,
     ``choose(i, sib_min, sib_max)`` learns whether i will get a right
     sibling in each heap and returns True when i is internal in the min
     heap, False for the max heap; that heap's stream gives i's degree.
-    Below the root, each unary code is read in place through the
-    stream's bound ``read_bit`` (``bitio.read_degree``, inlined), so
-    every degree bit is one ``BitStream.read_bit`` call and no node pays
-    for another call.  First children and degrees are not kept: a tree
-    derives them from its parents when they are read.  Every
-    ``right_sib`` entry but 0 is the int object of the loop that made the
-    node, as is every non-root ``parent`` entry, so tables built from
-    these share their ints.
+    The two root codes go through ``bitio.read_degree``; below the root
+    each heap keeps a cursor into its stream, and one ``str.find`` reads
+    each unary code, so no bit costs a Python call.  A truncated or
+    overlong stream raises ``CorruptionError`` with ``segment`` "t_min"
+    or "t_max" and ``offset`` the cursor's bit position: the first bit
+    of the code that runs past the end, or the first trailing bit.
+    First children and degrees are not kept: a tree derives them from
+    its parents when they are read.  Every ``right_sib`` entry but 0 is
+    the int object of the loop that made the node, as is every non-root
+    ``parent`` entry, so tables built from these share their ints.
     """
-    t_min = BitStream(t_min)
-    t_max = BitStream(t_max)
-    bit_min = t_min.read_bit
-    bit_max = t_max.read_bit
+    if n < 1:
+        raise ValueError("a heap pair has at least one node")
+    min_cursor, max_cursor = BitStream(t_min), BitStream(t_max)
+    root_min = _root_degree(min_cursor, "t_min")
+    root_max = _root_degree(max_cursor, "t_max")
     size = n + 1
     parent_min, parent_max = [None] * size, [None] * size
     sib_min, sib_max = [0] * size, [0] * size
-    # the root is open from the start and marks its own slot: sib[0] = 0
-    stack_min, left_min = [0], [read_degree(t_min)]
-    stack_max, left_max = [0], [read_degree(t_max)]
-    for i in range(1, n + 1):
-        try:
-            p = stack_min[-1]
-            q = stack_max[-1]
-        except IndexError:
-            raise CorruptionError("no open node to attach node %d" % i) from None
-        parent_min[i] = p
-        sib_min[sib_min[p]] = i
-        more_min = left_min[-1] - 1
-        if more_min:
-            sib_min[p] = i
-            left_min[-1] = more_min
+    # node 1 is the root's first child in both heaps; a code of d bits
+    # leaves the cursor at bit d
+    parent_min[1] = parent_max[1] = 0
+    pos_min, pos_max = root_min, root_max
+    more_min, more_max = root_min > 1, root_max > 1
+    stack_min, left_min = ([0], [root_min - 1]) if more_min else ([], [])
+    stack_max, left_max = ([0], [root_max - 1]) if more_max else ([], [])
+    if more_min:
+        sib_min[0] = 1
+    if more_max:
+        sib_max[0] = 1
+    find_min, find_max = t_min.find, t_max.find
+    # i is the node the last pass placed, so each node is one int object
+    i = 1
+    for k in range(2, n + 1):
+        if choose(i, more_min, more_max):
+            j = find_min("0", pos_min)
+            if j < 0:
+                raise CorruptionError(TRUNCATED, segment="t_min", offset=pos_min)
+            parent_min[k] = i
+            # d = j + 1 - pos_min, and i stays open iff d >= 2
+            more_min = j > pos_min
+            if more_min:
+                sib_min[i] = k
+                stack_min.append(i)
+                left_min.append(j - pos_min)
+            pos_min = j + 1
+            try:
+                q = stack_max[-1]
+            except IndexError:
+                raise CorruptionError("no open node to attach node %d" % k) from None
+            parent_max[k] = q
+            sib_max[sib_max[q]] = k
+            more = left_max[-1] - 1
+            more_max = more > 0
+            if more_max:
+                sib_max[q] = k
+                left_max[-1] = more
+            else:
+                sib_max[q] = 0
+                stack_max.pop()
+                left_max.pop()
         else:
-            sib_min[p] = 0
-            stack_min.pop()
-            left_min.pop()
-        parent_max[i] = q
-        sib_max[sib_max[q]] = i
-        more_max = left_max[-1] - 1
-        if more_max:
-            sib_max[q] = i
-            left_max[-1] = more_max
-        else:
-            sib_max[q] = 0
-            stack_max.pop()
-            left_max.pop()
-        if i == n:
-            break
-        d = 1
-        if choose(i, more_min > 0, more_max > 0):
-            while bit_min() == "1":
-                d += 1
-            sib_min[i] = i
-            stack_min.append(i)
-            left_min.append(d)
-        else:
-            while bit_max() == "1":
-                d += 1
-            sib_max[i] = i
-            stack_max.append(i)
-            left_max.append(d)
-    if not t_min.at_end() or not t_max.at_end():
-        raise CorruptionError("unconsumed trailing degree bits")
+            j = find_max("0", pos_max)
+            if j < 0:
+                raise CorruptionError(TRUNCATED, segment="t_max", offset=pos_max)
+            parent_max[k] = i
+            more_max = j > pos_max
+            if more_max:
+                sib_max[i] = k
+                stack_max.append(i)
+                left_max.append(j - pos_max)
+            pos_max = j + 1
+            try:
+                p = stack_min[-1]
+            except IndexError:
+                raise CorruptionError("no open node to attach node %d" % k) from None
+            parent_min[k] = p
+            sib_min[sib_min[p]] = k
+            more = left_min[-1] - 1
+            more_min = more > 0
+            if more_min:
+                sib_min[p] = k
+                left_min[-1] = more
+            else:
+                sib_min[p] = 0
+                stack_min.pop()
+                left_min.pop()
+        i = k
+    for segment, bits, pos in (("t_min", t_min, pos_min), ("t_max", t_max, pos_max)):
+        if pos != len(bits):
+            raise CorruptionError("unconsumed trailing degree bits",
+                                  segment=segment, offset=pos)
     for stack, left in ((stack_min, left_min), (stack_max, left_max)):
         if stack:
             raise CorruptionError("node %d still expects %d more children"

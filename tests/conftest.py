@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nlvcodec import (BitStream, ValueArray, build_max_heap, build_min_heap,
+from nlvcodec import (ValueArray, build_max_heap, build_min_heap,
                       colorize, decode_colored, encode_colored)
 
 FIGURE_VALUES = [3, 8, 5, 6, 3, 2, 7, 10, 9]
@@ -53,15 +53,3 @@ def stack_answers(a, kind):
 def make_rng(seed):
     return random.Random(seed)
 
-
-def count_bit_reads(monkeypatch):
-    """A list that gets one entry per BitStream.read_bit call from now on,
-    as perfbench's read_bit counter sees them."""
-    reads = []
-    read_bit = BitStream.read_bit
-
-    def counted(stream):
-        reads.append(stream)
-        return read_bit(stream)
-    monkeypatch.setattr(BitStream, "read_bit", counted)
-    return reads

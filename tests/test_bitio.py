@@ -1,19 +1,21 @@
 import itertools
 import math
+import types
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlvcodec import (BitStream, CorruptionError, ValueArray, bitio, decode_colored,
-                      decode_general, decode_joint, encode, pack_trits,
+from nlvcodec import (BitStream, ColoredEncoding, CorruptionError, ValueArray,
+                      bitio, compute_runs, decode_colored, encode, pack_trits,
                       read_degree, subset_rank, subset_rank_width,
                       subset_unrank, trit_pack_bits, unpack_trits,
                       write_degree)
 from nlvcodec.bitio import BITS_PER_BLOCK, TRITS_PER_BLOCK, uint_bits
+from nlvcodec.joint import decode_heaps
 
-from conftest import count_bit_reads, make_rng, random_no_equal_neighbours
+from conftest import make_rng, random_no_equal_neighbours
 
 
 class TestBitStream:
@@ -80,8 +82,10 @@ class TestDegreeCodes:
 
 
 class TestBitReadContract:
-    """Every bit of the degree streams, u_gb and v_bad goes through one
-    BitStream.read_bit call, and no other bit does."""
+    """A decode reads exactly the bits of its degree streams and
+    exactly the characters of its side strings: a degree stream one bit
+    short runs out, one bit long leaves a bit unread, and any side string
+    one character long is left over."""
 
     def arrays(self):
         rng = make_rng(31)
@@ -91,24 +95,36 @@ class TestBitReadContract:
             yield random_no_equal_neighbours(rng, n, hi=n)
             yield ValueArray([rng.getrandbits(1) for _ in range(n)])
 
-    def test_reads_per_decode(self, monkeypatch):
-        reads = count_bit_reads(monkeypatch)
+    def test_reads_per_decode(self):
         for a in self.arrays():
-            general = encode(a, "general")
-            reads.clear()
-            decode_general(general)
-            c = general.colored
-            assert len(reads) == (len(c.t_min) + len(c.t_max) + len(c.u_gb)
-                                  + len(c.v_bad)), a
-            if a.has_consecutive_equal():
-                continue
-            for scheme, decoder in (("colored", decode_colored),
-                                    ("joint", decode_joint)):
-                enc = encode(a, scheme)
-                reads.clear()
-                decoder(enc)
-                side = len(enc.u_gb) + len(enc.v_bad) if scheme == "colored" else 0
-                assert len(reads) == len(enc.t_min) + len(enc.t_max) + side, (a, scheme)
+            # the colored part of a general encoding is the reduced array's
+            reduced = compute_runs(a).reduced_array()
+            joint = encode(reduced, "joint")
+            enc = encode(reduced, "colored")
+            assert (joint.t_min, joint.t_max) == (enc.t_min, enc.t_max)
+            fields = {name: getattr(enc, name) for name in ColoredEncoding.__slots__}
+
+            def decode_shapes(t_min, t_max):
+                decode_heaps(enc.n, t_min, t_max,
+                             lambda i, sib_min, sib_max: joint.u[i - 1] == "0")
+
+            def decode_loose(**changed):
+                decode_colored(types.SimpleNamespace(**dict(fields, **changed)))
+
+            for name in ("t_min", "t_max"):
+                bits = fields[name]
+                for variant, message in ((bits[:-1], "^bitstream truncated"),
+                                         (bits + "0", "^unconsumed trailing"),
+                                         (bits + "1", "^unconsumed trailing")):
+                    streams = {"t_min": enc.t_min, "t_max": enc.t_max, name: variant}
+                    for decode in (decode_shapes, decode_loose):
+                        with pytest.raises(CorruptionError, match=message):
+                            decode(**streams)
+            for name in ("u_gb", "v_bad", "v_neutral"):
+                for extra in "012" if name == "v_neutral" else "01":
+                    with pytest.raises(CorruptionError,
+                                       match="^unconsumed side-string characters$"):
+                        decode_loose(**{name: fields[name] + extra})
 
 
 class TestTritPacking:

@@ -90,6 +90,33 @@ class TestDecode:
                            match="^unconsumed trailing degree bits$"):
             decode_heaps(1, "00", "0", lambda i, sib_min, sib_max: True)
 
+    def test_stream_errors_name_segment_and_offset(self, figure_array):
+        # the figure's codes start at bits 0, 3, 5, 6, 7 of t_min and
+        # 0, 3, 6, 7, 8 of t_max; a truncation names the first bit of the
+        # code that runs past the end, trailing bits the first one unread
+        enc = encode_array(figure_array)
+        u = enc.u
+        streams = {"t_min": enc.t_min, "t_max": enc.t_max}
+        cases = [("t_min", enc.t_min[:-1], "^bitstream truncated: read past end$", 7),
+                 ("t_max", enc.t_max[:-1], "^bitstream truncated: read past end$", 8),
+                 ("t_min", enc.t_min + "0", "^unconsumed trailing degree bits$", 9),
+                 ("t_max", enc.t_max + "1", "^unconsumed trailing degree bits$", 9)]
+        for segment, bits, message, offset in cases:
+            args = dict(streams, **{segment: bits})
+            with pytest.raises(CorruptionError, match=message) as exc:
+                decode_heaps(9, args["t_min"], args["t_max"],
+                             lambda i, sib_min, sib_max: u[i - 1] == "0")
+            assert (exc.value.segment, exc.value.offset) == (segment, offset)
+        # a root code that runs out starts at bit 0
+        for t_min, t_max, segment in (("", "00", "t_min"), ("0", "1", "t_max")):
+            with pytest.raises(CorruptionError, match="^bitstream truncated") as exc:
+                decode_heaps(1, t_min, t_max, lambda i, sib_min, sib_max: True)
+            assert (exc.value.segment, exc.value.offset) == (segment, 0)
+        # a shape error has no one bit to point at
+        with pytest.raises(CorruptionError, match="^no open node") as exc:
+            decode_joint(JointEncoding(2, "1", "00", "00"))
+        assert (exc.value.segment, exc.value.offset) == (None, None)
+
     def test_segments_must_be_bits(self):
         good = ["0", "00", "10"]
         for slot in range(3):

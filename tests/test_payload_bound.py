@@ -5,6 +5,8 @@ import math
 import os
 import re
 
+import pytest
+
 from nlvcodec import (ColoredEncoding, GeneralEncoding, JointEncoding,
                       ValueArray, compute_runs, encode, fuzz, trit_pack_bits)
 from nlvcodec.bitio import BITS_PER_BLOCK, TRITS_PER_BLOCK
@@ -57,6 +59,25 @@ def test_monotone_colored_payload_is_its_bound():
     enc = encode(ValueArray(range(1, 1001)), "colored")
     assert enc.g == 0
     assert enc.payload_bits() == ColoredEncoding.payload_bound(1000)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 3: 41-trit blocks cost 4.0e-4 bits per trit over log2 3, "
+    "so the general payload crosses its bound from about n = 3.84e5"))
+def test_general_payload_meets_its_bound_at_5e5():
+    # increasing with k = n/13 equal neighbours: the reduced array is
+    # increasing, so g = 0 and the colored part has the most trits
+    n = 500_000
+    k = n // 13
+    repeats = set(make_rng(62).sample(range(1, n), k))
+    values = [1]
+    for i in range(1, n):
+        values.append(values[-1] + (i not in repeats))
+    enc = encode(ValueArray(values), "general")
+    if enc.k != k or enc.colored.g != 0:
+        raise ValueError("not the monotone family with k = n/13 and g = 0")
+    # 42.1 bits over while item 3 is open
+    assert enc.payload_bits() <= GeneralEncoding.payload_bound(n)
 
 
 def test_readme_table_states_each_bound():
