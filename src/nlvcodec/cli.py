@@ -134,6 +134,18 @@ def cmd_fuzz(args):
     return EXIT_OK if report.ok else EXIT_FUZZ
 
 
+def _where(exc):
+    """Where a CorruptionError says the payload broke, e.g. " (segment
+    t_min, bit 17)"; empty when it names no segment.  The offset counts
+    trits in v_neutral and bits elsewhere."""
+    if exc.segment is None:
+        return ""
+    if exc.offset is None:
+        return " (segment %s)" % exc.segment
+    unit = "trit" if exc.segment == "v_neutral" else "bit"
+    return " (segment %s, %s %d)" % (exc.segment, unit, exc.offset)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     handlers = {"encode": cmd_encode, "decode": cmd_decode,
@@ -147,7 +159,7 @@ def main(argv=None):
         print("precondition error: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
     except CorruptionError as exc:
-        print("corruption error: %s" % exc, file=sys.stderr)
+        print("corruption error: %s%s" % (exc, _where(exc)), file=sys.stderr)
         return EXIT_CORRUPTION
     except RangeError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,7 +1,7 @@
 """Encoding of the colored (min, max) heap pair for arrays with no
 consecutive equal elements.
 
-The shape is stored as in the joint scheme (``joint.degree_streams``,
+The shape is stored as in the joint scheme (``joint.emit_joint``,
 ``joint.decode_heaps``); U's per-index choice of heap is folded into the
 colors the shape does not imply.  Index 0 < i < n is good when it has
 right siblings in neither heap, bad when in both, neutral otherwise.
@@ -14,15 +14,20 @@ string through an iterator over its characters.  With g good and g bad
 indices the payload is 2n + 3g bits plus n-1-2g packed trits, largest
 at g = 0 (``ColoredEncoding.payload_bound``).
 
-``encode_colored`` reads the colors of the trees ``colorize`` makes;
-``decode_colored`` returns trees in the decoded form, which hold the
-next-value tables queries read (``trees.ColoredTree``).
+``emit_colored`` is the one loop that writes the degree streams and the
+side strings, from each heap's degree list and sibling codes.  An array
+gets them from ``trees.scan_heaps`` and builds no tree; a tree pair from
+``colorize`` goes through ``encode_colored``, which reads the same lists
+off the trees.  ``decode_colored`` returns trees in the decoded form,
+which hold the next-value tables queries read (``trees.ColoredTree``).
 """
 
-from .bitio import TRUNCATED, Encoding, check_bits, trit_pack_bits
+from operator import length_hint
+
+from .bitio import TRUNCATED, Encoding, check_bits, trit_pack_bits, write_degree
 from .errors import CorruptionError, PreconditionError
-from .joint import decode_heaps, degree_streams
-from .trees import ColoredTree
+from .joint import decode_heaps, duality_error
+from .trees import SIB_BLUE, ColoredTree
 
 GOOD = "good"
 BAD = "bad"
@@ -32,6 +37,8 @@ NEUTRAL = "neutral"
 COLOR_RED = "0"
 COLOR_BLUE = "1"
 TRIT_NO_SIBLINGS = "2"
+# the color a sibling code stores: SIB_RED is red, SIB_BLUE is blue
+_COLOR_OF_CODE = (None, COLOR_RED, COLOR_BLUE)
 
 
 class ColoredEncoding(Encoding):
@@ -96,41 +103,61 @@ def count_good_bad(min_t, max_t):
 
 
 def encode_colored(cmin, cmax):
-    """Encode a colored heap pair from a no-consecutive-equals array.
-
-    The class loop also checks the red-leaf rule (``check_red_leaf_rule``
-    on both trees): index 0 < i < n is a leaf only in the heap where it is
-    not internal, and node n has no right sibling in either heap.
-    """
+    """Encode a colored heap pair from a no-consecutive-equals array:
+    ``emit_colored`` over the trees' degree lists and sibling codes."""
     min_t, max_t = cmin.tree, cmax.tree
-    u, t_min, t_max = degree_streams(min_t, max_t)
-    sib_min, sib_max = min_t.right_sib, max_t.right_sib
-    red_min, red_max = cmin.is_red, cmax.is_red
+    if min_t.n != max_t.n:
+        raise ValueError("tree sizes differ")
+    return emit_colored(min_t.n, min_t.degrees, cmin.codes,
+                        max_t.degrees, cmax.codes)
+
+
+def emit_colored(n, deg_min, code_min, deg_max, code_max):
+    """The colored encoding of a heap pair given by its degree lists and
+    sibling codes (``trees.SIB_*``, indexed by node 0..n), in one loop
+    over 0 < i < n.
+
+    The loop checks leaf/internal duality as ``joint.emit_joint`` does
+    and then the red-leaf rule (``check_red_leaf_rule`` on both trees):
+    index 0 < i < n is a leaf only in the heap where it is not internal,
+    and node n has no right sibling in either heap.  A blue leaf with a
+    right sibling raises PreconditionError with ``index`` i, after any
+    duality error for i.  In a heap of an array, a leaf i's right
+    sibling can only be i + 1, so a blue leaf means A[i] == A[i+1], and
+    an array's first error is the duality error at its first equal pair.
+    """
+    t_min = [write_degree(deg_min[0])]
+    t_max = [write_degree(deg_max[0])]
     u_gb, v_bad, v_neutral = [], [], []
-    for i, c in enumerate(u, 1):
-        # "own" is the tree where i is internal, "leaf" the other one
-        if c == "0":
-            own_sib, own_red = sib_min[i], red_min[i]
-            leaf_sib, leaf_red = sib_max[i], red_max[i]
+    for i in range(1, n):
+        # "own" is the heap where i is internal, "leaf" the other one; c
+        # is i's U bit
+        d = deg_min[i]
+        e = deg_max[i]
+        if d and not e:
+            t_min.append("1" * (d - 1) + "0")
+            c, own, leaf = "0", code_min[i], code_max[i]
+        elif e and not d:
+            t_max.append("1" * (e - 1) + "0")
+            c, own, leaf = "1", code_max[i], code_min[i]
         else:
-            own_sib, own_red = sib_max[i], red_max[i]
-            leaf_sib, leaf_red = sib_min[i], red_min[i]
-        if leaf_sib and not leaf_red:
+            raise duality_error(i)
+        if leaf == SIB_BLUE:
             raise PreconditionError(
                 "blue leaf with right sibling: array had consecutive equal "
-                "elements or colors are inconsistent")
-        if own_sib:
-            color = COLOR_RED if own_red else COLOR_BLUE
-            if leaf_sib:  # bad: right siblings in both trees
+                "elements or colors are inconsistent", index=i)
+        if own:
+            color = _COLOR_OF_CODE[own]
+            if leaf:  # bad: right siblings in both trees
                 u_gb.append(c)
                 v_bad.append(color)
             else:  # neutral, the tree where i is internal has one
                 v_neutral.append(color)
-        elif leaf_sib:
+        elif leaf:
             v_neutral.append(TRIT_NO_SIBLINGS)
         else:  # good: right siblings in neither tree
             u_gb.append(c)
-    return ColoredEncoding(min_t.n, t_min, t_max, "".join(u_gb),
+    return ColoredEncoding(n, "".join(t_min), "".join(t_max), "".join(u_gb),
                            "".join(v_bad), "".join(v_neutral))
 
 
@@ -141,7 +168,9 @@ def decode_colored(enc):
     iterator each, with ``next(it, None)``; an exhausted bit string is a
     truncation, as in the degree streams.  Trits outside 0, 1, 2 are
     found before the shape pass, by one C-level scan, so a bad trit
-    costs no degree bit.
+    costs no degree bit.  A side-string error names its segment and the
+    position where it went wrong: the string's length when it runs out,
+    the first bad trit, or the first character left unread.
 
     Each tree keeps only what a query reads, its parents and its
     next-value table, which is written over the decoded right-sibling
@@ -151,14 +180,16 @@ def decode_colored(enc):
     (``ColoredTree.from_decoded``).  Beside those, the decode peaks at
     the two n-byte color arrays and its open-node stacks.
     """
-    n, v_neutral = enc.n, enc.v_neutral
-    # strip drops the valid trits at both ends; what is left starts at the
-    # first invalid one
-    bad = v_neutral.strip(COLOR_RED + COLOR_BLUE + TRIT_NO_SIBLINGS)
+    n, u_gb, v_bad, v_neutral = enc.n, enc.u_gb, enc.v_bad, enc.v_neutral
+    # lstrip drops the valid trits at the start; what is left starts at
+    # the first invalid one
+    bad = v_neutral.lstrip(COLOR_RED + COLOR_BLUE + TRIT_NO_SIBLINGS)
     if bad:
-        raise CorruptionError("invalid trit %r in v_neutral" % (bad[0],))
-    gb_bits = iter(enc.u_gb)
-    bad_bits = iter(enc.v_bad)
+        raise CorruptionError("invalid trit %r in v_neutral" % (bad[0],),
+                              segment="v_neutral",
+                              offset=len(v_neutral) - len(bad))
+    gb_bits = iter(u_gb)
+    bad_bits = iter(v_bad)
     trits = iter(v_neutral)
     red_min = bytearray(n + 1)
     red_max = bytearray(n + 1)
@@ -168,27 +199,34 @@ def decode_colored(enc):
             # good (neither) or bad (both): U bit names the relevant tree
             b = next(gb_bits, None)
             if b is None:
-                raise CorruptionError(TRUNCATED)
+                raise CorruptionError(TRUNCATED, segment="u_gb",
+                                      offset=len(u_gb))
             relevant_is_min = b == "0"
             if sib_min:  # bad: red where it is a leaf with right siblings
                 red_min[i] = red_max[i] = True
                 c = next(bad_bits, None)
                 if c is None:
-                    raise CorruptionError(TRUNCATED)
+                    raise CorruptionError(TRUNCATED, segment="v_bad",
+                                          offset=len(v_bad))
                 red = c == COLOR_RED
                 (red_min if relevant_is_min else red_max)[i] = red
             return relevant_is_min
         c = next(trits, None)
         if c is None:
-            raise CorruptionError("string v_neutral exhausted")
+            raise CorruptionError("string v_neutral exhausted",
+                                  segment="v_neutral", offset=len(v_neutral))
         # c colors i in the tree where it has right siblings; a 2 says i
         # is internal in the other tree, so a leaf here, hence red
         (red_min if sib_min else red_max)[i] = c != COLOR_BLUE
         return sib_max if c == TRIT_NO_SIBLINGS else sib_min
 
     heaps = decode_heaps(n, enc.t_min, enc.t_max, choose)
-    if not all(next(it, None) is None for it in (gb_bits, bad_bits, trits)):
-        raise CorruptionError("unconsumed side-string characters")
+    # a str iterator's length hint is the count of characters left
+    for segment, text, it in (("u_gb", u_gb, gb_bits), ("v_bad", v_bad, bad_bits),
+                              ("v_neutral", v_neutral, trits)):
+        left = length_hint(it)
+        if left:
+            raise CorruptionError("unconsumed side-string characters",
+                                  segment=segment, offset=len(text) - left)
     return tuple(ColoredTree.from_decoded(parent, sib, red)
                  for (parent, sib), red in zip(heaps, (red_min, red_max)))
-

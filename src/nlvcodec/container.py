@@ -15,12 +15,12 @@ raises AllocationError.
 """
 
 from .bitio import BitStream, subset_rank_width, trit_pack_bits, pack_trits, unpack_trits
-from .colored import ColoredEncoding, decode_colored, encode_colored
+from .colored import ColoredEncoding, decode_colored, emit_colored
 from .errors import CorruptionError, PreconditionError
 from .general import GeneralEncoding, decode_general, decode_runs, encode_general
-from .joint import JointEncoding, decode_joint, encode_joint
+from .joint import JointEncoding, decode_joint, emit_joint
 from .queries import QueryStructure, tables_of
-from .trees import build_max_heap, build_min_heap, colorize
+from .trees import scan_heaps
 
 MAGIC = b"NLVE"
 VERSION = 1
@@ -41,9 +41,14 @@ SCHEME_IDS = {v: k for k, v in SCHEME_NAMES.items()}
 def encode(a, scheme):
     """Encode a ValueArray under the named scheme.
 
-    ``joint`` and ``colored`` need an array with no consecutive equal
-    elements and raise PreconditionError otherwise (``joint.degree_streams``
-    checks it).  Every scheme raises PreconditionError for n > MAX_N.
+    No tree is built: one stack scan per heap (``trees.scan_heaps``)
+    gives each node's degree and sibling code, and one loop writes the
+    payload from them, ``joint.emit_joint`` for joint and
+    ``colored.emit_colored`` for colored and for the run-reduced array
+    of general (``general.encode_general``).  ``joint`` and ``colored``
+    need an array with no consecutive equal elements and raise
+    PreconditionError at the first i with A[i] == A[i+1] otherwise.
+    Every scheme raises PreconditionError for n > MAX_N.
     """
     if scheme not in SCHEME_NAMES:
         raise ValueError("unknown scheme %r" % (scheme,))
@@ -51,11 +56,10 @@ def encode(a, scheme):
         raise PreconditionError("n = %d exceeds MAX_N = %d" % (a.n, MAX_N))
     if scheme == "general":
         return encode_general(a)
-    min_t = build_min_heap(a)
-    max_t = build_max_heap(a)
+    deg_min, code_min, deg_max, code_max = scan_heaps(a)
     if scheme == "joint":
-        return encode_joint(min_t, max_t)
-    return encode_colored(colorize(min_t, a), colorize(max_t, a))
+        return emit_joint(a.n, deg_min, deg_max)
+    return emit_colored(a.n, deg_min, code_min, deg_max, code_max)
 
 
 def decode(enc):

@@ -32,8 +32,9 @@ class PreconditionError(NlvError, ValueError):
 class CorruptionError(NlvError, ValueError):
     """Raised when a bitstream or container cannot be decoded.
 
-    ``segment`` names the payload segment at fault and ``offset`` the bit
-    position in it, when the decoder knows them.
+    ``segment`` names the payload segment at fault and ``offset`` the
+    position in it, when the decoder knows them: a bit position, or a
+    trit position in the unpacked ``v_neutral``.
     """
 
     def __init__(self, message, segment=None, offset=None):

@@ -10,7 +10,8 @@ import random
 from .arrays import ORACLES, QUERY_KINDS, ValueArray, compute_runs
 from .colored import (ColoredEncoding, count_good_bad, decode_colored,
                       encode_colored)
-from .container import decode, deserialize, serialize
+from .container import decode, deserialize, encode, serialize
+from .errors import PreconditionError
 from .general import GeneralEncoding, encode_general
 from .joint import decode_joint, encode_joint
 from .trees import (build_max_heap, build_min_heap, check_leaf_internal_duality, check_red_leaf_rule,
@@ -79,8 +80,19 @@ def check_array(a):
         if not check_sibling_monotonicity(tree, a, kind):
             failures.append("sibling monotonicity broken in %s heap" % kind)
 
-    no_equal_runs = a.has_consecutive_equal() is None
-    if no_equal_runs:
+    equal_at = a.has_consecutive_equal()
+    if equal_at is not None:
+        # the array path raises at the first equal pair, as the trees do
+        for scheme in ("joint", "colored"):
+            try:
+                encode(a, scheme)
+            except PreconditionError as exc:
+                if exc.index != equal_at:
+                    failures.append("%s encode error names index %r, not %d"
+                                    % (scheme, exc.index, equal_at))
+            else:
+                failures.append("%s encode accepted equal neighbours" % scheme)
+    else:
         if check_leaf_internal_duality(min_t, max_t) is not None:
             failures.append("leaf/internal duality violated")
         if not (check_red_leaf_rule(cmin) and check_red_leaf_rule(cmax)):
@@ -90,6 +102,8 @@ def check_array(a):
             failures.append("good count %d != bad count %d" % (g, b))
 
         joint = encode_joint(min_t, max_t)
+        if encode(a, "joint") != joint:
+            failures.append("joint array encode differs from the trees'")
         if joint.payload_bits() != joint.payload_bound(a.n):
             failures.append("joint payload is not 3n-1 bits")
         parsed = _check_container("joint", joint, a, ("psv", "plv"), failures)
@@ -100,6 +114,8 @@ def check_array(a):
             failures.append("joint re-encode differs")
 
         colored = encode_colored(cmin, cmax)
+        if encode(a, "colored") != colored:
+            failures.append("colored array encode differs from the trees'")
         if colored.payload_bits() > colored.payload_bound(a.n):
             failures.append("colored payload exceeds bound")
         parsed = _check_container("colored", colored, a, QUERY_KINDS, failures)
@@ -115,6 +131,9 @@ def check_array(a):
     reduced = compute_runs(a).reduced_array()
     if reduced.has_consecutive_equal() is not None:
         failures.append("reduced array still has equal neighbours")
+    elif general.colored != encode_colored(colorize(build_min_heap(reduced), reduced),
+                                           colorize(build_max_heap(reduced), reduced)):
+        failures.append("general colored part differs from the reduced trees'")
     if encode_general(a) != general:
         failures.append("general encode is not deterministic")
     _check_container("general", general, a, QUERY_KINDS, failures)

@@ -13,10 +13,10 @@ import math
 from .arrays import RunStructure, compute_runs, lift_answers
 from .bitio import (Encoding, check_bits, comb, subset_rank, subset_rank_width,
                     subset_unrank, uint_bits)
-from .colored import decode_colored, encode_colored
+from .colored import decode_colored, emit_colored
 from .errors import AllocationError, CorruptionError
 from .queries import QueryStructure, tables_of
-from .trees import build_max_heap, build_min_heap, colorize
+from .trees import scan_heaps
 
 LOG2_13 = math.log2(13)
 
@@ -57,15 +57,14 @@ class GeneralEncoding(Encoding):
 
 
 def encode_general(a):
-    """Encode any array: runs first, then the reduced array's colored pair."""
+    """Encode any array: runs first, then the reduced array's colored
+    pair, from one stack scan per heap and no tree."""
     rs = compute_runs(a)
     k, rank = subset_rank(itertools.compress(range(a.n - 1), rs.c_bits), a.n - 1)
     width = subset_rank_width(a.n - 1, k)
     c_rank_bits = uint_bits(rank, width)
     reduced = rs.reduced_array()
-    min_t = build_min_heap(reduced)
-    max_t = build_max_heap(reduced)
-    colored = encode_colored(colorize(min_t, reduced), colorize(max_t, reduced))
+    colored = emit_colored(reduced.n, *scan_heaps(reduced))
     return GeneralEncoding(a.n, k, c_rank_bits, colored, width)
 
 

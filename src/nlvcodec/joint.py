@@ -4,13 +4,15 @@ that stores it in 3n-1 bits.
 With no consecutive equal elements, each index 0 < i < n is internal in
 exactly one heap.  Both shapes are then 2n unary degree bits (node 0 in
 each heap, every other i < n in the heap where it is internal) plus that
-choice of heap per index.  ``degree_streams`` gives the choice as the
-min-heap leaf bitmap U, found in the same loop as the degree streams, and
-``decode_heaps`` rebuilds both shapes (parents and right siblings) in
-one pass, asking a ``choose`` function for each choice and reading each
-unary degree code below the roots with one ``str.find``.  Beside the
-two tables per heap it returns, its only scratch is a stack of open
-nodes and their child counts.  The joint scheme stores U as is,
+choice of heap per index.  ``emit_joint`` writes the choice as the
+min-heap leaf bitmap U, in the same loop as the degree streams, from the
+two heaps' degree lists: those of ``trees.scan_heaps`` when encoding an
+array, a tree pair's when ``encode_joint`` or ``degree_streams`` is
+given trees.  ``decode_heaps`` rebuilds both shapes (parents and right
+siblings) in one pass, asking a ``choose`` function for each choice and
+reading each unary degree code below the roots with one ``str.find``.
+Beside the two tables per heap it returns, its only scratch is a stack
+of open nodes and their child counts.  The joint scheme stores U as is,
 so its heaps answer PSV/PLV only; the colored scheme (``colored.py``)
 folds the choice into the colors.
 """
@@ -45,25 +47,30 @@ class JointEncoding(Encoding):
         return 3 * n - 1
 
 
-def degree_streams(min_t, max_t):
-    """U and the interleaved unary degree streams, in one loop over i.
+def duality_error(i):
+    """The PreconditionError for an index 0 < i < n that is a leaf in both
+    heaps or internal in both.  For heaps of one array that is the first
+    i with A[i] == A[i+1], since i is internal in the min heap iff
+    A[i] < A[i+1] and in the max heap iff A[i] > A[i+1]."""
+    return PreconditionError(
+        "no consecutive equal elements allowed; A[%d] == A[%d]" % (i, i + 1),
+        index=i)
+
+
+def emit_joint(n, deg_min, deg_max):
+    """The joint encoding of a heap pair given by its two degree lists
+    (indexed by node 0..n), in one loop over i.
 
     U[i] = 1 iff i is a leaf in the min heap, for 1 <= i <= n-1.  Node 0
-    contributes to both streams, node i < n to the stream of the tree
+    contributes to both streams, node i < n to the stream of the heap
     where it is internal.  The first i that is a leaf in both heaps, or
     internal in both, breaks leaf/internal duality and raises
-    PreconditionError: for heaps of one array that is the first i with
-    A[i] == A[i+1], since i is internal in the min heap iff A[i] < A[i+1]
-    and in the max heap iff A[i] > A[i+1].  Trees of different sizes
-    raise ValueError.
+    ``duality_error(i)``.
     """
-    if min_t.n != max_t.n:
-        raise ValueError("tree sizes differ")
-    deg_min, deg_max = min_t.degrees, max_t.degrees
     u = []
     t_min = [write_degree(deg_min[0])]
     t_max = [write_degree(deg_max[0])]
-    for i in range(1, min_t.n):
+    for i in range(1, n):
         # write_degree, inlined: d and e are the two degrees of i
         d = deg_min[i]
         e = deg_max[i]
@@ -74,15 +81,23 @@ def degree_streams(min_t, max_t):
             u.append("1")
             t_max.append("1" * (e - 1) + "0")
         else:
-            raise PreconditionError(
-                "no consecutive equal elements allowed; A[%d] == A[%d]"
-                % (i, i + 1), index=i)
-    return "".join(u), "".join(t_min), "".join(t_max)
+            raise duality_error(i)
+    return JointEncoding(n, "".join(u), "".join(t_min), "".join(t_max))
+
+
+def degree_streams(min_t, max_t):
+    """U and the interleaved unary degree streams of a tree pair, as
+    ``emit_joint`` writes them; trees of different sizes raise
+    ValueError."""
+    enc = encode_joint(min_t, max_t)
+    return enc.u, enc.t_min, enc.t_max
 
 
 def encode_joint(min_t, max_t):
     """Encode a heap pair as U plus the degree streams."""
-    return JointEncoding(min_t.n, *degree_streams(min_t, max_t))
+    if min_t.n != max_t.n:
+        raise ValueError("tree sizes differ")
+    return emit_joint(min_t.n, min_t.degrees, max_t.degrees)
 
 
 def _root_degree(cursor, segment):

@@ -6,7 +6,7 @@ answers are parents.  Next-value answers come from the table that
 decoding builds from the decoded colors (``ColoredTree.from_decoded``,
 see ``trees._next_value_table``), so no query walks siblings or
 ancestors.  The ``*_from_tree`` functions take decoded trees; the trees
-``colorize`` makes hold colors only.
+``colorize`` makes hold sibling codes only.
 
 ``QueryStructure`` holds one answer table per kind, for all three schemes.
 """

@@ -1,19 +1,25 @@
-"""2d-min/max heaps and their colored variants.
+"""2d-min/max heaps, their colored variants, and the encoders' scan.
 
 The min heap of A is the ordinal tree on nodes 0..n where the parent of
 node i is PSV(i); the max heap uses PLV.  Node labels coincide with
 preorder ranks.  A node is red when its immediate right sibling holds a
 different value, blue otherwise.
 
+The encoders build no tree.  ``scan_heaps`` runs the left-to-right stack
+scan once per heap and keeps only what the payload stores: each node's
+degree, and its sibling code (``SIB_NONE``, ``SIB_RED`` or ``SIB_BLUE``),
+set when the node is popped, which is when its right sibling arrives.
+
 A tree is its parent list plus the first-child, right-sibling and degree
-tables that go with it.  The heap builders fill all four in their stack
-scan; every other tree derives the three from the parents, on first read,
-in one right-to-left pass (``OrdinalTree._derive``).  A colored tree adds
-a color per node, and the colors determine every next-value answer.  The
-trees ``colorize`` makes for the encoders hold the colors, one bytearray
-per heap, and no answers.  A decoded tree keeps only ``parent`` and
-``next_value``, the two tables a query reads, and derives the rest,
-colors included, when something reads them.
+tables that go with it.  The heap builders fill all four in the same
+stack scan; every other tree derives the three from the parents, on
+first read, in one right-to-left pass (``OrdinalTree._derive``).  A
+colored tree adds a color per node, and the colors determine every
+next-value answer.  The trees ``colorize`` makes hold the sibling codes,
+one bytearray per heap, and no answers; ``colored.encode_colored`` reads
+those codes the way the array path reads the scan's.  A decoded tree
+keeps only ``parent`` and ``next_value``, the two tables a query reads,
+and derives the rest, colors included, when something reads them.
 """
 
 import math
@@ -21,6 +27,15 @@ import operator
 
 RED = "red"
 BLUE = "blue"
+
+# a node's sibling code: no right sibling, a red one (the sibling holds a
+# different value) or a blue one (the same value)
+SIB_NONE = 0
+SIB_RED = 1
+SIB_BLUE = 2
+
+# bytes.translate table from sibling codes to is_red bytes
+_RED_OF_CODE = bytes((0, 1)) + bytes(254)
 
 
 class OrdinalTree:
@@ -136,21 +151,27 @@ class OrdinalTree:
 class ColoredTree:
     """An OrdinalTree plus a red/blue color per node, in one of two forms.
 
-    ``colorize`` makes the encoder form: the tree and ``is_red``, a
-    bytearray with one color per node, which is all the encoders read.
-    ``from_decoded`` makes the decoded form: ``tree.parent`` and
-    ``next_value``, the two lists a query reads (``queries.tables_of``).
-    ``next_value[i]`` is the answer to NSV(i) in a min heap and NLV(i) in
-    a max heap, n+1 when there is none; only the decoded form has it.
+    ``colorize`` makes the encoder form: the tree and ``codes``, a
+    bytearray with one sibling code per node (``SIB_NONE``, ``SIB_RED``,
+    ``SIB_BLUE``), which is all the encoders read.  ``from_decoded``
+    makes the decoded form: ``tree.parent`` and ``next_value``, the two
+    lists a query reads (``queries.tables_of``).  ``next_value[i]`` is
+    the answer to NSV(i) in a min heap and NLV(i) in a max heap, n+1 when
+    there is none; only the decoded form has it.  The constructor takes
+    a tree and any color sequence, one color per node, for trees from
+    outside.
 
-    ``is_red`` is a read-only property.  The decoded form derives it on
-    first read: node x is red iff it has a right sibling s and
-    ``next_value[x] == s``, since a blue node with a sibling takes
-    ``next_value[s]``, which is greater than s.  So the derived colors
-    equal the ones decoded, and the two forms of one heap compare equal.
+    ``is_red`` and ``codes`` are read-only properties, each derived from
+    what the tree holds on first read.  The encoder form's colors are its
+    codes, translated; the decoded form's are found from its answers:
+    node x is red iff it has a right sibling s and ``next_value[x] ==
+    s``, since a blue node with a sibling takes ``next_value[s]``, which
+    is greater than s.  So the derived colors equal the ones decoded, and
+    the two forms of one heap compare equal.  Codes derived from colors
+    ignore the color of a node with no right sibling, as the encoders do.
     """
 
-    __slots__ = ("tree", "_red", "next_value")
+    __slots__ = ("tree", "_red", "_codes", "next_value")
 
     def __init__(self, tree, is_red):
         is_red = bytearray(is_red)
@@ -158,6 +179,17 @@ class ColoredTree:
             raise ValueError("need one color per node")
         self.tree = tree
         self._red = is_red
+        self._codes = None
+
+    @classmethod
+    def from_codes(cls, tree, codes):
+        """The encoder form over a tree and its sibling-code bytearray,
+        which it keeps; nothing is checked or copied."""
+        ct = cls.__new__(cls)
+        ct.tree = tree
+        ct._red = None
+        ct._codes = codes
+        return ct
 
     @classmethod
     def from_decoded(cls, parent, right_sib, is_red):
@@ -168,7 +200,7 @@ class ColoredTree:
         kept; they and the other tables are derived on first read."""
         ct = cls.__new__(cls)
         ct.tree = OrdinalTree.from_tables(parent)
-        ct._red = None
+        ct._red = ct._codes = None
         ct.next_value = _next_value_table(parent, right_sib, is_red)
         return ct
 
@@ -176,10 +208,23 @@ class ColoredTree:
     def is_red(self):
         red = self._red
         if red is None:
-            # a sibling-less node has right_sib 0, never a next value
-            red = self._red = bytearray(map(operator.eq, self.tree.right_sib,
-                                            self.next_value))
+            if self._codes is not None:
+                red = self._codes.translate(_RED_OF_CODE)
+            else:
+                # a sibling-less node has right_sib 0, never a next value
+                red = bytearray(map(operator.eq, self.tree.right_sib,
+                                    self.next_value))
+            self._red = red
         return red
+
+    @property
+    def codes(self):
+        codes = self._codes
+        if codes is None:
+            codes = self._codes = bytearray(
+                SIB_NONE if not sib else SIB_RED if red else SIB_BLUE
+                for sib, red in zip(self.tree.right_sib, self.is_red))
+        return codes
 
     def __eq__(self, other):
         return (isinstance(other, ColoredTree)
@@ -229,7 +274,7 @@ def _build_heap(values):
     # so it is never popped.  The stack is the rightmost path and p its
     # top.  The last node popped before i is attached was its parent's
     # last child so far; when nothing is popped, i is the first child of
-    # p = i-1.
+    # p = i-1.  ``_scan`` is the same scan, keeping degrees and codes.
     padded = (-math.inf, *values)
     size = len(padded)
     parent = [None] * size
@@ -256,6 +301,39 @@ def _build_heap(values):
     return OrdinalTree.from_tables(parent, first, right_sib, degrees)
 
 
+def _scan(values):
+    """The degree list and sibling-code bytearray of the min heap of
+    ``values``, from ``_build_heap``'s scan: node i is the right sibling
+    of the last node popped before it is attached, so that node's code
+    compares the two values."""
+    padded = (-math.inf, *values)
+    size = len(padded)
+    degrees = [0] * size
+    codes = bytearray(size)
+    stack = [0]
+    p = 0
+    for i in range(1, size):
+        v = padded[i]
+        if padded[p] >= v:
+            while True:
+                last = stack.pop()
+                p = stack[-1]
+                if padded[p] < v:
+                    break
+            codes[last] = SIB_RED if padded[last] != v else SIB_BLUE
+        degrees[p] += 1
+        stack.append(i)
+        p = i
+    return degrees, codes
+
+
+def scan_heaps(a):
+    """Degrees and sibling codes of both heaps of ``a``, with no tree:
+    ``(deg_min, code_min, deg_max, code_max)``, each indexed by node
+    0..n.  The max heap is the min heap of the negated values."""
+    return (*_scan(a.values), *_scan(map(operator.neg, a.values)))
+
+
 def build_min_heap(a):
     """Tree with parent(i) = PSV(i); children sorted increasing."""
     return _build_heap(a.values)
@@ -269,17 +347,18 @@ def build_max_heap(a):
 def colorize(tree, a):
     """Color nodes of a heap built from ``a``: red iff the immediate right
     sibling holds a different value.  Returns the encoder form of
-    ``ColoredTree``, which holds the colors and no next-value table."""
+    ``ColoredTree``, which holds the sibling codes and no next-value
+    table."""
     if tree.n != a.n:
         raise ValueError("tree and array sizes differ")
     values = a.values
     right_sib = tree.right_sib
-    is_red = bytearray(tree.n + 1)
+    codes = bytearray(tree.n + 1)
     for i in range(1, tree.n + 1):
         j = right_sib[i]
-        if j and values[i - 1] != values[j - 1]:
-            is_red[i] = 1
-    return ColoredTree(tree, is_red)
+        if j:
+            codes[i] = SIB_RED if values[i - 1] != values[j - 1] else SIB_BLUE
+    return ColoredTree.from_codes(tree, codes)
 
 
 def check_leaf_internal_duality(min_t, max_t):

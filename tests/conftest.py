@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from nlvcodec import (ValueArray, build_max_heap, build_min_heap,
-                      colorize, decode_colored, encode_colored)
+from nlvcodec import (PreconditionError, ValueArray, build_max_heap,
+                      build_min_heap, colorize, decode_colored, encode_colored)
 
 FIGURE_VALUES = [3, 8, 5, 6, 3, 2, 7, 10, 9]
 
@@ -29,6 +30,44 @@ def decoded_pair(a):
     consecutive equal elements: the trees queries read."""
     return decode_colored(encode_colored(colorize(build_min_heap(a), a),
                                          colorize(build_max_heap(a), a)))
+
+
+def monotone_runs_array(rng, n):
+    """Increasing by 1 except at n // 13 seeded positions i with
+    A[i] == A[i+1]: the general scheme's k = n/13 worst case."""
+    equal_after = set(rng.sample(range(1, n), n // 13))
+    return ValueArray(list(itertools.accumulate(
+        0 if i in equal_after else 1 for i in range(n))))
+
+
+def scan_arrays():
+    """(name, array) pairs on which the array path (``trees.scan_heaps``
+    and one emit loop) must match the tree path: the figure, seeded
+    arrays over alphabets of 2-6 values, with and without equal
+    neighbours, a permutation and the monotone k = n/13 family at 2e4."""
+    yield "figure", ValueArray(FIGURE_VALUES)
+    rng = make_rng(51)
+    for k in range(400):
+        alphabet = 2 + k % 5
+        n = rng.randint(1, 40)
+        if k % 2:
+            a = random_no_equal_neighbours(rng, n, hi=alphabet)
+        else:
+            a = ValueArray([rng.randint(1, alphabet) for _ in range(n)])
+        yield "alphabet %d, #%d" % (alphabet, k), a
+    values = list(range(1, 20_001))
+    make_rng(52).shuffle(values)
+    yield "permutation", ValueArray(values)
+    yield "monotone runs", monotone_runs_array(make_rng(53), 20_000)
+
+
+def outcome(encoder, *args):
+    """What an encoder gives: its encoding, or the message and index of
+    the PreconditionError it raises."""
+    try:
+        return encoder(*args)
+    except PreconditionError as exc:
+        return ("PreconditionError", str(exc), exc.index)
 
 
 def stack_answers(a, kind):

@@ -10,15 +10,18 @@ from nlvcodec import (ColoredEncoding, ColoredTree, CorruptionError,
                       PreconditionError, ValueArray, build_max_heap,
                       build_min_heap, check_leaf_internal_duality,
                       check_red_leaf_rule, classify_index, colorize,
-                      count_good_bad, decode_colored, encode, encode_colored,
-                      encode_joint, trit_pack_bits)
+                      compute_runs, count_good_bad, decode_colored, encode,
+                      encode_colored, encode_general, encode_joint,
+                      trit_pack_bits)
 import nlvcodec.colored as colored_module
 import nlvcodec.trees as trees_module
 from nlvcodec.arrays import ORACLES
+from nlvcodec.cli import main
 from nlvcodec.joint import decode_heaps
 from nlvcodec.queries import TREE_QUERIES
+from nlvcodec.trees import SIB_BLUE, SIB_NONE, SIB_RED, scan_heaps
 
-from conftest import make_rng, random_no_equal_neighbours
+from conftest import make_rng, outcome, random_no_equal_neighbours, scan_arrays
 
 
 def colored_pair(a):
@@ -154,10 +157,90 @@ class TestEncodeErrors:
                     assert not check_red_leaf_rule(flipped)
                     pair = [cmin, cmax]
                     pair[side] = flipped
-                    with pytest.raises(PreconditionError):
+                    with pytest.raises(PreconditionError) as exc:
                         encode_colored(*pair)
+                    assert exc.value.index == i
                     flips += 1
         assert flips > 100
+
+    def test_red_leaf_error_names_its_index(self, figure_array):
+        # the figure's leaves with a right sibling, all red: 2, 5 and 8 in
+        # the min heap, 1 and 3 in the max heap
+        cmin, cmax = colored_pair(figure_array)
+        for side, i in ((0, 2), (0, 5), (0, 8), (1, 1), (1, 3)):
+            pair = [cmin, cmax]
+            is_red = bytearray(pair[side].is_red)
+            assert is_red[i]
+            is_red[i] = False
+            pair[side] = ColoredTree(pair[side].tree, is_red)
+            with pytest.raises(PreconditionError,
+                               match="^blue leaf with right sibling") as exc:
+                encode_colored(*pair)
+            assert exc.value.index == i
+
+
+class TestArrayPath:
+    """``encode(a, "colored")`` and ``encode_general`` scan the array and
+    build no tree; they must give what the tree path gives, errors
+    included."""
+
+    def test_colored_equals_tree_path(self):
+        errors = 0
+        for name, a in scan_arrays():
+            got = outcome(encode, a, "colored")
+            assert got == outcome(lambda: encode_colored(*colored_pair(a))), name
+            bad = a.has_consecutive_equal()
+            if bad is not None:
+                errors += 1
+                assert got == ("PreconditionError",
+                               "no consecutive equal elements allowed; "
+                               "A[%d] == A[%d]" % (bad, bad + 1), bad), name
+        assert 100 < errors < 300
+
+    def test_general_colored_part_equals_tree_path(self):
+        for name, a in scan_arrays():
+            reduced = compute_runs(a).reduced_array()
+            assert (encode_general(a).colored
+                    == encode_colored(*colored_pair(reduced))), name
+
+    def test_encode_builds_no_tree(self, figure_array, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tree built while encoding an array")
+        # every way a tree is made
+        for cls, names in ((trees_module.OrdinalTree, ("__init__", "from_tables")),
+                           (ColoredTree, ("__init__", "from_codes", "from_decoded"))):
+            for name in names:
+                monkeypatch.setattr(cls, name, refuse)
+        src = tmp_path / "a.txt"
+        for values in (figure_array.values, (2, 2, 1, 1, 3, 1, 3, 3)):
+            a = ValueArray(values)
+            schemes = ["general"]
+            if a.has_consecutive_equal() is None:
+                schemes += ["joint", "colored"]
+            src.write_text(" ".join(map(str, values)))
+            for scheme in schemes:
+                assert encode(a, scheme).n == a.n
+                assert main(["encode", "--scheme", scheme, "--in", str(src),
+                             "--out", str(tmp_path / "a.nlve")]) == 0
+        with pytest.raises(AssertionError, match="tree built"):
+            build_min_heap(figure_array)
+
+    def test_sibling_codes_match_built_trees(self):
+        for name, a in scan_arrays():
+            deg_min, code_min, deg_max, code_max = scan_heaps(a)
+            for tree, degrees, codes in ((build_min_heap(a), deg_min, code_min),
+                                         (build_max_heap(a), deg_max, code_max)):
+                assert degrees == tree.degrees, name
+                right_sib = tree.right_sib
+                expected = bytearray(
+                    SIB_NONE if not j else SIB_RED if a[i] != a[j] else SIB_BLUE
+                    for i, j in enumerate(right_sib[1:], 1))
+                assert codes == bytearray(1) + expected, name
+                ct = colorize(tree, a)
+                assert ct.codes == codes, name
+                assert ct.is_red == bytearray(c == SIB_RED for c in codes), name
+                # codes derived from colors alone agree
+                assert ColoredTree(tree, ct.is_red).codes == codes, name
 
 
 class TestDecode:
@@ -236,6 +319,33 @@ class TestDecode:
                                       other.v_bad, other.v_neutral)
             with pytest.raises(CorruptionError, match=message):
                 decode_colored(spliced)
+
+    def test_side_string_errors_name_segment_and_offset(self, figure_array):
+        # the figure has u_gb "0100", v_bad "10" and v_neutral "2022"; a
+        # string that runs out is named at its length, a bad trit at its
+        # position, leftovers at the first unread character of the first
+        # string that has any
+        enc = encode_colored(*colored_pair(figure_array))
+        fields = {name: getattr(enc, name) for name in ColoredEncoding.__slots__}
+        truncated = "^bitstream truncated: read past end$"
+        unconsumed = "^unconsumed side-string characters$"
+        cases = [({"u_gb": "0"}, truncated, "u_gb", 1),
+                 ({"v_bad": "1"}, truncated, "v_bad", 1),
+                 ({"v_neutral": "202"}, "^string v_neutral exhausted$",
+                  "v_neutral", 3),
+                 ({"v_neutral": "2092"}, "^invalid trit '9' in v_neutral$",
+                  "v_neutral", 2),
+                 ({"v_neutral": "2022x0"}, "^invalid trit 'x' in v_neutral$",
+                  "v_neutral", 4),
+                 ({"u_gb": "010011"}, unconsumed, "u_gb", 4),
+                 ({"v_bad": "100"}, unconsumed, "v_bad", 2),
+                 ({"v_neutral": "20221"}, unconsumed, "v_neutral", 4),
+                 ({"u_gb": "010011", "v_bad": "100"}, unconsumed, "u_gb", 4)]
+        for changes, message, segment, offset in cases:
+            loose = types.SimpleNamespace(**dict(fields, **changes))
+            with pytest.raises(CorruptionError, match=message) as exc:
+                decode_colored(loose)
+            assert (exc.value.segment, exc.value.offset) == (segment, offset), changes
 
     def test_trailing_side_strings_guard(self, figure_array):
         # a decoded heap pair has as many good as bad indices, so side

@@ -8,8 +8,9 @@ import pytest
 
 import nlvcodec
 
-from nlvcodec import (ORACLES, QUERY_KINDS, BitStream, CorruptionError,
-                      PreconditionError, RangeError, ValueArray,
+from nlvcodec import (ORACLES, QUERY_KINDS, BitStream, ColoredEncoding,
+                      CorruptionError, JointEncoding, PreconditionError,
+                      RangeError, ValueArray,
                       build_max_heap, build_min_heap, colorize, decode,
                       deserialize, encode, encode_colored, encode_general,
                       encode_joint, serialize, trit_pack_bits)
@@ -367,6 +368,33 @@ class TestCli:
         bad.write_bytes(b"not a container")
         rc = main(["decode", "--in", str(bad)])
         assert rc == 4
+        # a header error names no segment, so the line has no position
+        assert capsys.readouterr().err == "corruption error: bad magic\n"
+
+    def test_decode_corrupt_names_segment(self, tmp_path, capsys):
+        # containers that parse but whose payload breaks in the decode: the
+        # figure's min stream one bit short (the max stream one long, so
+        # the lengths still add up), and the figure's degree streams with
+        # the side strings of an array with more neutral indices
+        a = ValueArray(FIGURE_VALUES)
+        joint = encode(a, "joint")
+        fig = encode(a, "colored")
+        other = encode(ValueArray([1, 2, 4, 6, 5, 3, 8, 7, 9]), "colored")
+        cases = [
+            (JointEncoding(9, joint.u, joint.t_min[:-1], joint.t_max + "0"),
+             "bitstream truncated: read past end (segment t_min, bit 7)"),
+            (ColoredEncoding(9, fig.t_min, fig.t_max, other.u_gb, other.v_bad,
+                             other.v_neutral),
+             "string v_neutral exhausted (segment v_neutral, trit %d)"
+             % len(other.v_neutral))]
+        for enc, message in cases:
+            path = tmp_path / "broken.nlve"
+            path.write_bytes(serialize(enc))
+            for command in (["decode"], ["query", "--kind", "psv", "--index", "1"]):
+                rc = main([command[0], "--in", str(path)] + command[1:])
+                assert rc == 4
+                err = capsys.readouterr().err
+                assert err == "corruption error: %s\n" % message, err
 
     def test_tables_too_large_for_memory_exit(self, tmp_path):
         # only ever decoded in a child whose address space is capped

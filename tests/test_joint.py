@@ -7,8 +7,8 @@ from nlvcodec import (CorruptionError, JointEncoding,
 from nlvcodec.arrays import ORACLES
 from nlvcodec.joint import decode_heaps
 
-from conftest import (decoded_pair, make_rng, random_no_equal_neighbours,
-                      stack_answers)
+from conftest import (decoded_pair, make_rng, outcome,
+                      random_no_equal_neighbours, scan_arrays, stack_answers)
 
 
 def encode_array(a):
@@ -50,6 +50,29 @@ class TestEncode:
         with pytest.raises(PreconditionError) as exc:
             encode_array(a)
         assert exc.value.index == 2
+
+
+class TestArrayPath:
+    """``encode(a, "joint")`` takes U and the degree streams from the
+    array scan's degree lists, with no tree; it must give what the tree
+    path gives, errors included."""
+
+    def test_equals_tree_path(self):
+        errors = 0
+        for name, a in scan_arrays():
+            got = outcome(encode, a, "joint")
+            assert got == outcome(encode_array, a), name
+            bad = a.has_consecutive_equal()
+            if bad is not None:
+                errors += 1
+                assert got == ("PreconditionError",
+                               "no consecutive equal elements allowed; "
+                               "A[%d] == A[%d]" % (bad, bad + 1), bad), name
+        assert 100 < errors < 300
+
+    def test_figure(self, figure_array):
+        assert encode(figure_array, "joint") == JointEncoding(
+            9, "01011001", "110100010", "110110000")
 
 
 class TestDecode:
