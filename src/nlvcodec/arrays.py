@@ -6,6 +6,7 @@ virtual sentinels for the previous-* and next-* queries respectively.
 
 import itertools
 import operator
+from array import array
 
 from .errors import EmptyArrayError, ParseError, RangeError
 
@@ -157,13 +158,19 @@ class RunStructure:
     c_bits[i-1] == 1 (for 1 <= i <= n-1) iff A[i] == A[i+1].  The reduced
     array keeps the last element of every run, so kept positions are the
     indices i with i == n or c_bits[i-1] == 0.  ``run_starts[r-1]`` is the
-    first index of run r, the one after the end of run r-1, and
-    ``rank_map[i-1]`` the reduced position of i's run.  Only decoding reads
-    these two maps, so each is built on its first read.
+    first index of run r, the one after the end of run r-1: a list in which
+    a run of one, which starts where it ends, holds the very int of
+    ``kept_positions[r-1]``, and only a longer run's start is an int of its
+    own.  ``rank_map`` is an ``array('I')`` whose entry i-1 is the reduced
+    position of i's run (``container.MAX_N`` keeps every rank in range).
+    Only decoding reads these two maps.  It builds the run starts with
+    the runs (``_from_positions``) and the rank map on its first read; a
+    structure checked from its bits builds each on its first read.
 
     The structure holds the complement of c_bits as bytes (``_keep``,
-    1 at each kept position below n), and every map comes from one
-    C-level scan of it; ``c_bits`` is built from it on each read.
+    1 at each kept position below n); the kept positions and the rank map
+    come from one C-level scan of it, and ``c_bits`` is built from it on
+    each read.
     """
 
     __slots__ = ("n", "k", "kept_positions", "_keep", "_run_starts",
@@ -186,14 +193,28 @@ class RunStructure:
     @classmethod
     def _from_positions(cls, positions, n):
         """The runs of an n-element array from the 0-based positions p of
-        its equal pairs A[p+1] == A[p+2]: distinct ints in 0..n-2, as a
-        decoder's unrank makes them, so nothing is checked."""
+        its equal pairs A[p+1] == A[p+2]: a list of distinct ints in
+        0..n-2 in increasing order, as a decoder's unrank makes them, so
+        nothing is checked."""
         keep = bytearray(b"\1") * (n - 1)
         for p in positions:
             keep[p] = 0
         rs = cls.__new__(cls)
         rs._set_runs(keep, n, None)
+        rs._set_run_starts(positions)
         return rs
+
+    def _set_run_starts(self, positions):
+        """Build ``run_starts`` from the list of equal pairs, in
+        increasing order."""
+        starts = list(self.kept_positions)
+        # p + 1 starts a run longer than one when p is 0 or p - 1 is kept;
+        # the j-th pair has p - j kept positions below it, so that run is
+        # the one of rank p - j from 0
+        for j, p in itertools.compress(enumerate(positions),
+                                       map((b"\1" + self._keep).__getitem__, positions)):
+            starts[p - j] = p + 1
+        self._run_starts = starts
 
     def _set_runs(self, keep, n, values):
         self.n = n
@@ -211,21 +232,18 @@ class RunStructure:
 
     @property
     def run_starts(self):
-        # i starts a run iff i == 1 or i-1 is kept
         if self._run_starts is None:
-            self._run_starts = tuple(itertools.compress(
-                range(1, self.n + 1), b"\1" + self._keep))
+            self._set_run_starts(list(itertools.compress(
+                range(self.n - 1), self._keep.translate(_FLIP_BITS))))
         return self._run_starts
 
     @property
     def rank_map(self):
         # the reduced position of i is one more than the count of kept
-        # positions below i; each running count indexes a list of the
-        # positions, so one int object is repeated over each run
+        # positions below i; an unsigned typecode, since 'I' converts each
+        # int in half the time 'i' takes
         if self._rank_map is None:
-            ranks = list(range(1, len(self.kept_positions) + 1))
-            self._rank_map = tuple(map(ranks.__getitem__, itertools.accumulate(
-                self._keep, initial=0)))
+            self._rank_map = array("I", itertools.accumulate(self._keep, initial=1))
         return self._rank_map
 
     def reduced_array(self):
@@ -257,28 +275,30 @@ def map_answer_to_original(rs, answers, kind):
         raise ValueError("unknown query kind %r" % (kind,))
     targets = rs.kept_positions if kind in ("psv", "plv") else rs.run_starts
     # entry 0 is unused; the sentinels 0 and n-k+1 map to 0 and n+1
-    lookup = (0,) + targets + (rs.n + 1,)
+    lookup = (0, *targets, rs.n + 1)
     return [None, *map(lookup.__getitem__, answers[1:])]
 
 
 def lift_answers(rs, reduced):
     """The four answer tables on original indices, from the reduced
     array's: ``reduced`` maps each kind to its table and is emptied as
-    the tables are lifted, so each reduced table is freed after its pass.
+    the tables are lifted.
 
     Each table equals map_query_index(rs, map_answer_to_original(rs,
-    table, kind)) and comes from one C-level pass over the original
-    indices: i's run (``rank_map``), that run's reduced answer, then the
-    answer's original coordinate, with no list in between.  Each kind
-    builds its own lookup, so the lookups of all four never exist at once.
+    table, kind)).  First each reduced table is replaced in ``reduced``
+    by its translation to original coordinates, n' lookups through
+    ``kept_positions`` or ``run_starts``, so the tables hold the run
+    maps' ints and the reduced answers' ints are freed.  Only then does
+    each grow to n entries, in one C-level pass over ``rank_map``.
     """
-    rank_map = rs.rank_map
-    lifted = {}
-    for kind in QUERY_KINDS:
-        targets = rs.kept_positions if kind in ("psv", "plv") else rs.run_starts
+    for kinds, targets in ((("psv", "plv"), rs.kept_positions),
+                           (("nsv", "nlv"), rs.run_starts)):
         # the sentinels 0 and n-k+1 map to 0 and n+1; a list, since a
         # list's bound __getitem__ is faster to call than a tuple's
         lookup = [0, *targets, rs.n + 1]
-        lifted[kind] = [None, *map(lookup.__getitem__,
-                                   map(reduced.pop(kind).__getitem__, rank_map))]
-    return lifted
+        for kind in kinds:
+            reduced[kind] = [None, *map(lookup.__getitem__,
+                                        itertools.islice(reduced[kind], 1, None))]
+    rank_map = rs.rank_map
+    return {kind: [None, *map(reduced.pop(kind).__getitem__, rank_map)]
+            for kind in QUERY_KINDS}

@@ -1,10 +1,12 @@
 """Encoding for arbitrary arrays: a run bitmap stored by combinadic rank
 plus the colored encoding of the run-compressed array.
 
-Payload approaches log2(13) * n bits.  Decoding builds the run maps
-once, from the unranked positions, and lifts each of the reduced
-array's answer tables to original indices in one composed C-level pass
-(``arrays.lift_answers``).
+Payload approaches log2(13) * n bits.  Decoding builds the runs and
+their starts once, from the unranked positions, and lifts the reduced
+array's answer tables to original indices (``arrays.lift_answers``):
+each is first translated in n' lookups, so the lifted tables hold the
+run maps' ints and the reduced answers' ints are freed, and only then
+grows to n entries in one C-level pass over the ``array('I')`` rank map.
 """
 
 import itertools
@@ -69,9 +71,10 @@ def encode_general(a):
 
 
 def decode_runs(enc):
-    """The run structure of a general encoding, from its rank bits.
+    """The run structure of a general encoding, with its run starts,
+    from its rank bits.
 
-    Raises AllocationError when its n-entry maps do not fit in memory.
+    Raises AllocationError when its maps do not fit in memory.
     """
     # the constructor checked the segment against the exact rank width;
     # a width of 0 leaves it empty
@@ -84,7 +87,11 @@ def decode_runs(enc):
 
 
 def decode_general(enc):
-    """Lift the reduced array's four answer tables through the runs."""
+    """Lift the reduced array's four answer tables through the runs.
+
+    Raises AllocationError when the tables or the rank map do not fit in
+    memory.
+    """
     # the reduced heaps are gone before the run maps are built, which
     # keeps setup's peak memory low
     reduced = tables_of(*decode_colored(enc.colored))

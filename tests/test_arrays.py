@@ -1,4 +1,5 @@
 import itertools
+from array import array
 
 import pytest
 
@@ -7,6 +8,7 @@ from nlvcodec import (EmptyArrayError, ParseError, RangeError, ValueArray,
                       map_query_index, oracle_nlv, oracle_nsv, oracle_plv,
                       oracle_psv, parse_array_text)
 from nlvcodec.arrays import ORACLES, QUERY_KINDS, RunStructure, format_array_text
+from nlvcodec.bitio import subset_rank, subset_unrank
 
 from conftest import make_rng
 
@@ -162,28 +164,34 @@ class TestRuns:
                         kept.append(i)
                         starts.append(i + 1)
                 assert rs.kept_positions == tuple(kept)
-                assert rs.run_starts == tuple(starts[:-1])
-                assert rs.rank_map == tuple(rank_map)
+                assert rs.run_starts == starts[:-1]
+                assert rs.rank_map == array("I", rank_map)
                 assert rs.k == sum(c_bits)
 
     def test_from_positions_matches_the_checked_constructor(self):
+        # the decoder's unrank gives the pairs in increasing order, the
+        # order _from_positions needs
         rng = make_rng(13)
         for n in list(range(1, 9)) + [300]:
             for density in (0.0, 0.5, 1.0):
                 c_bits = [int(rng.random() < density) for _ in range(n - 1)]
-                positions = [p for p in range(n - 2, -1, -1) if c_bits[p]]
+                positions = [p for p in range(n - 1) if c_bits[p]]
+                k, rank = subset_rank(positions, max(n - 1, 0))
+                assert subset_unrank(k, rank, max(n - 1, 0)) == positions
                 rs = RunStructure._from_positions(positions, n)
                 ref = RunStructure(c_bits, n)
                 assert (rs.n, rs.k, rs.c_bits, rs.kept_positions) == \
                     (ref.n, ref.k, ref.c_bits, ref.kept_positions)
                 assert (rs.run_starts, rs.rank_map) == (ref.run_starts, ref.rank_map)
+                for built in (rs, ref):
+                    for start, end in zip(built.run_starts, built.kept_positions):
+                        assert start is end or start < end
 
-    def test_rank_map_shares_one_int_per_run(self):
-        # 300 runs of one index, then one of 601 whose rank, 301, is
-        # beyond CPython's cache of small ints
+    def test_rank_map_is_a_4_byte_array(self):
+        # 300 runs of one index, then one of 601 and one of 1
         rs = RunStructure([0] * 300 + [1] * 600 + [0], 902)
-        assert rs.rank_map[300:901] == (301,) * 601
-        assert len({id(r) for r in rs.rank_map[300:901]}) == 1
+        assert (rs.rank_map.typecode, rs.rank_map.itemsize) == ("I", 4)
+        assert rs.rank_map.tolist() == [*range(1, 301), *[301] * 601, 302]
 
     def test_bits_must_be_binary(self):
         for c_bits in ([0, 2], [-1, 0]):
