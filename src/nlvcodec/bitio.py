@@ -26,8 +26,8 @@ container joins and slices segments, and bytes come from one base-2
 to.  A decoder reads a segment through a cursor it builds for itself, so
 an encoding holds no read state and several decodes of it may run at
 once: ``joint.decode_heaps`` keeps a bit position per degree stream and
-reads each unary code below the root with one ``str.find``, and
-``colored.decode_colored`` reads its side strings through iterators.
+reads each unary code below the root with one ``str.find``, and an
+iterator over each colored side string.
 """
 
 import itertools

@@ -8,11 +8,12 @@ right siblings in neither heap, bad when in both, neutral otherwise.
 Good and bad indices keep their U bit (``u_gb``), and a bad one adds its
 color in the heap where it is internal (``v_bad``).  A neutral index
 stores one trit (``v_neutral``): its color in the heap where it has
-right siblings if it is internal there, else 2.  The decoder's
-``choose`` sees the class from the rebuilt shapes and reads each side
-string through an iterator over its characters.  With g good and g bad
-indices the payload is 2n + 3g bits plus n-1-2g packed trits, largest
-at g = 0 (``ColoredEncoding.payload_bound``).
+right siblings if it is internal there, else 2.  The shape loop
+(``joint.decode_heaps``) sees the class from the shapes it is rebuilding
+and reads each side string inline, through an iterator over its
+characters.  With g good and g bad indices the payload is 2n + 3g bits
+plus n-1-2g packed trits, largest at g = 0
+(``ColoredEncoding.payload_bound``).
 
 ``emit_colored`` is the one loop that writes the degree streams and the
 side strings, from each heap's degree list and sibling codes.  An array
@@ -22,9 +23,7 @@ off the trees.  ``decode_colored`` returns trees in the decoded form,
 which hold the next-value tables queries read (``trees.ColoredTree``).
 """
 
-from operator import length_hint
-
-from .bitio import TRUNCATED, Encoding, check_bits, trit_pack_bits, write_degree
+from .bitio import Encoding, check_bits, trit_pack_bits, write_degree
 from .errors import CorruptionError, PreconditionError
 from .joint import decode_heaps, duality_error
 from .trees import SIB_BLUE, ColoredTree
@@ -164,23 +163,24 @@ def emit_colored(n, deg_min, code_min, deg_max, code_max):
 def decode_colored(enc):
     """Rebuild both colored trees; exact inverse of encode_colored.
 
-    ``choose`` reads ``u_gb``, ``v_bad`` and ``v_neutral`` through one
-    iterator each, with ``next(it, None)``; an exhausted bit string is a
-    truncation, as in the degree streams.  Trits outside 0, 1, 2 are
-    found before the shape pass, by one C-level scan, so a bad trit
-    costs no degree bit.  A side-string error names its segment and the
-    position where it went wrong: the string's length when it runs out,
-    the first bad trit, or the first character left unread.
+    ``decode_heaps`` reads ``u_gb``, ``v_bad`` and ``v_neutral`` inline,
+    through one iterator each; an exhausted string is a truncation, as
+    in the degree streams.  Trits outside 0, 1, 2 are found before the
+    shape pass, by one C-level scan, so a bad trit costs no degree bit.
+    A side-string error names its segment and the position where it
+    went wrong: the string's length when it runs out, the first bad
+    trit, or the first character left unread.
 
     Each tree keeps only what a query reads, its parents and its
     next-value table, which is written over the decoded right-sibling
-    list, so the table is the very list ``decode_heaps`` returned; the
-    colors are then dropped, and the tree derives its other tables and
-    its colors from the two it keeps when they are read
-    (``ColoredTree.from_decoded``).  Beside those, the decode peaks at
-    the two n-byte color arrays and its open-node stacks.
+    list, so the table is the very list ``decode_heaps`` returned.  No
+    color is stored: the shape pass lists each heap's blue nodes that
+    have a right sibling, and the tree derives its other tables and its
+    colors from the two it keeps when they are read
+    (``ColoredTree.from_decoded``).  Beside those, the decode's scratch
+    is its open-node stacks and the two blue lists.
     """
-    n, u_gb, v_bad, v_neutral = enc.n, enc.u_gb, enc.v_bad, enc.v_neutral
+    v_neutral = enc.v_neutral
     # lstrip drops the valid trits at the start; what is left starts at
     # the first invalid one
     bad = v_neutral.lstrip(COLOR_RED + COLOR_BLUE + TRIT_NO_SIBLINGS)
@@ -188,45 +188,6 @@ def decode_colored(enc):
         raise CorruptionError("invalid trit %r in v_neutral" % (bad[0],),
                               segment="v_neutral",
                               offset=len(v_neutral) - len(bad))
-    gb_bits = iter(u_gb)
-    bad_bits = iter(v_bad)
-    trits = iter(v_neutral)
-    red_min = bytearray(n + 1)
-    red_max = bytearray(n + 1)
-
-    def choose(i, sib_min, sib_max):
-        if sib_min == sib_max:
-            # good (neither) or bad (both): U bit names the relevant tree
-            b = next(gb_bits, None)
-            if b is None:
-                raise CorruptionError(TRUNCATED, segment="u_gb",
-                                      offset=len(u_gb))
-            relevant_is_min = b == "0"
-            if sib_min:  # bad: red where it is a leaf with right siblings
-                red_min[i] = red_max[i] = True
-                c = next(bad_bits, None)
-                if c is None:
-                    raise CorruptionError(TRUNCATED, segment="v_bad",
-                                          offset=len(v_bad))
-                red = c == COLOR_RED
-                (red_min if relevant_is_min else red_max)[i] = red
-            return relevant_is_min
-        c = next(trits, None)
-        if c is None:
-            raise CorruptionError("string v_neutral exhausted",
-                                  segment="v_neutral", offset=len(v_neutral))
-        # c colors i in the tree where it has right siblings; a 2 says i
-        # is internal in the other tree, so a leaf here, hence red
-        (red_min if sib_min else red_max)[i] = c != COLOR_BLUE
-        return sib_max if c == TRIT_NO_SIBLINGS else sib_min
-
-    heaps = decode_heaps(n, enc.t_min, enc.t_max, choose)
-    # a str iterator's length hint is the count of characters left
-    for segment, text, it in (("u_gb", u_gb, gb_bits), ("v_bad", v_bad, bad_bits),
-                              ("v_neutral", v_neutral, trits)):
-        left = length_hint(it)
-        if left:
-            raise CorruptionError("unconsumed side-string characters",
-                                  segment=segment, offset=len(text) - left)
-    return tuple(ColoredTree.from_decoded(parent, sib, red)
-                 for (parent, sib), red in zip(heaps, (red_min, red_max)))
+    heaps = decode_heaps(enc.n, enc.t_min, enc.t_max, u_gb=enc.u_gb,
+                         v_bad=enc.v_bad, v_neutral=v_neutral)
+    return tuple(ColoredTree.from_decoded(*tables) for tables in heaps)

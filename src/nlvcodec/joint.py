@@ -8,14 +8,19 @@ choice of heap per index.  ``emit_joint`` writes the choice as the
 min-heap leaf bitmap U, in the same loop as the degree streams, from the
 two heaps' degree lists: those of ``trees.scan_heaps`` when encoding an
 array, a tree pair's when ``encode_joint`` or ``degree_streams`` is
-given trees.  ``decode_heaps`` rebuilds both shapes (parents and right
-siblings) in one pass, asking a ``choose`` function for each choice and
-reading each unary degree code below the roots with one ``str.find``.
-Beside the two tables per heap it returns, its only scratch is a stack
-of open nodes and their child counts.  The joint scheme stores U as is,
-so its heaps answer PSV/PLV only; the colored scheme (``colored.py``)
-folds the choice into the colors.
+given trees.  ``decode_heaps`` is the one shape loop of both schemes:
+it rebuilds both shapes (parents and right siblings) in one pass,
+reading each choice inline, from U or from the colored scheme's side
+strings, and each unary degree code below the roots with one
+``str.find``, so no node costs a Python call.  Beside the tables it
+returns, its only scratch is a stack of open nodes and their child
+counts per heap.  The joint scheme stores U as is, so its heaps answer
+PSV/PLV only; the colored scheme (``colored.py``) folds the choice into
+the colors, and the loop lists the blue nodes its next-value tables
+need.
 """
+
+from operator import length_hint
 
 from .bitio import (TRUNCATED, BitStream, Encoding, check_bits, read_degree,
                     write_degree)
@@ -108,9 +113,9 @@ def _root_degree(cursor, segment):
         raise CorruptionError(TRUNCATED, segment=segment, offset=0) from None
 
 
-def decode_heaps(n, t_min, t_max, choose):
+def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral=""):
     """Rebuild both heap shapes in one preorder pass; returns the (min,
-    max) pair of (parent, right_sib) tables.
+    max) pair of (parent, right_sib, blue) tables.
 
     Node 0 is internal in both heaps and, for 0 < i < n, i is internal
     in exactly one, where i + 1 is its first child.  So node i + 1 takes
@@ -121,16 +126,28 @@ def decode_heaps(n, t_min, t_max, choose):
     nodes); a node is pushed only while it expects a second child.  An
     open node's own ``right_sib`` slot is free until the node closes
     (its siblings come after its subtree), so it holds the node's last
-    child so far, and 0 again when it pops.  For i < n,
-    ``choose(i, sib_min, sib_max)`` learns whether i will get a right
-    sibling in each heap and returns True when i is internal in the min
-    heap, False for the max heap; that heap's stream gives i's degree.
+    child so far, and 0 again when it pops.
+
+    The loop reads which heap i is internal in, inline.  Given ``u``,
+    the joint scheme's min-heap leaf bitmap, it is U[i].  Otherwise the
+    colored scheme's side strings tell, and the loop knows i's class
+    from whether i gets a right sibling in each heap: a good or bad
+    index reads the next ``u_gb`` bit, a bad one also the next
+    ``v_bad`` bit, its color in the heap where it is internal; a
+    neutral index reads the next ``v_neutral`` trit, which must be 0, 1
+    or 2 (``colored.decode_colored`` checks that first).  A node that is
+    blue and has a right sibling, a ``v_bad`` bit or trit 1, goes on
+    its heap's ``blue`` list, in increasing order; no color is stored
+    for any other node, and the joint scheme's lists stay empty.
+
     The two root codes go through ``bitio.read_degree``; below the root
     each heap keeps a cursor into its stream, and one ``str.find`` reads
     each unary code, so no bit costs a Python call.  A truncated or
     overlong stream raises ``CorruptionError`` with ``segment`` "t_min"
     or "t_max" and ``offset`` the cursor's bit position: the first bit
-    of the code that runs past the end, or the first trailing bit.
+    of the code that runs past the end, or the first trailing bit; a side
+    string's errors name it at its length when it runs out, or at its
+    first unread character, after the degree and open-node checks.
     First children and degrees are not kept: a tree derives them from
     its parents when they are read.  Every ``right_sib`` entry but 0 is
     the int object of the loop that made the node, as is every non-root
@@ -138,12 +155,16 @@ def decode_heaps(n, t_min, t_max, choose):
     """
     if n < 1:
         raise ValueError("a heap pair has at least one node")
+    joint = u is not None
+    if joint and len(u) != n - 1:
+        raise CorruptionError("U must have length n-1")
     min_cursor, max_cursor = BitStream(t_min), BitStream(t_max)
     root_min = _root_degree(min_cursor, "t_min")
     root_max = _root_degree(max_cursor, "t_max")
     size = n + 1
     parent_min, parent_max = [None] * size, [None] * size
     sib_min, sib_max = [0] * size, [0] * size
+    blue_min, blue_max = [], []
     # node 1 is the root's first child in both heaps; a code of d bits
     # leaves the cursor at bit d
     parent_min[1] = parent_max[1] = 0
@@ -156,10 +177,43 @@ def decode_heaps(n, t_min, t_max, choose):
     if more_max:
         sib_max[0] = 1
     find_min, find_max = t_min.find, t_max.find
-    # i is the node the last pass placed, so each node is one int object
+    gb_bits, bad_bits, trits = iter(u_gb), iter(v_bad), iter(v_neutral)
+    # i is the node the last pass placed, so each node is one int object;
+    # more_min and more_max say whether i gets a right sibling in each heap
     i = 1
     for k in range(2, n + 1):
-        if choose(i, more_min, more_max):
+        # own_min: i is internal in the min heap
+        if joint:
+            own_min = u[i - 1] == "0"
+        elif more_min == more_max:
+            # good (siblings in neither heap) or bad (in both): the U bit
+            b = next(gb_bits, None)
+            if b is None:
+                raise CorruptionError(TRUNCATED, segment="u_gb",
+                                      offset=len(u_gb))
+            own_min = b == "0"
+            if more_min:  # bad: red where it is a leaf, v_bad where internal
+                c = next(bad_bits, None)
+                if c is None:
+                    raise CorruptionError(TRUNCATED, segment="v_bad",
+                                          offset=len(v_bad))
+                if c == "1":
+                    (blue_min if own_min else blue_max).append(i)
+        else:
+            # neutral: the trit colors i in the heap where it has right
+            # siblings, and 2 says it is internal in the other one
+            c = next(trits, None)
+            if c == "2":
+                own_min = more_max
+            elif c is None:
+                raise CorruptionError("string v_neutral exhausted",
+                                      segment="v_neutral",
+                                      offset=len(v_neutral))
+            else:
+                own_min = more_min
+                if c == "1":
+                    (blue_min if own_min else blue_max).append(i)
+        if own_min:
             j = find_min("0", pos_min)
             if j < 0:
                 raise CorruptionError(TRUNCATED, segment="t_min", offset=pos_min)
@@ -221,13 +275,18 @@ def decode_heaps(n, t_min, t_max, choose):
         if stack:
             raise CorruptionError("node %d still expects %d more children"
                                   % (stack[-1], left[-1]))
-    return (parent_min, sib_min), (parent_max, sib_max)
+    # a str iterator's length hint is the count of characters left
+    for segment, text, it in (("u_gb", u_gb, gb_bits), ("v_bad", v_bad, bad_bits),
+                              ("v_neutral", v_neutral, trits)):
+        left = length_hint(it)
+        if left:
+            raise CorruptionError("unconsumed side-string characters",
+                                  segment=segment, offset=len(text) - left)
+    return (parent_min, sib_min, blue_min), (parent_max, sib_max, blue_max)
 
 
 def decode_joint(enc):
     """Rebuild the (min, max) heap pair; exact inverse of encode_joint.
     The trees keep their parents and derive the rest on read."""
-    u = enc.u
-    heaps = decode_heaps(enc.n, enc.t_min, enc.t_max,
-                         lambda i, sib_min, sib_max: u[i - 1] == "0")
-    return tuple(OrdinalTree.from_tables(parent) for parent, _ in heaps)
+    heaps = decode_heaps(enc.n, enc.t_min, enc.t_max, u=enc.u)
+    return tuple(OrdinalTree.from_tables(parent) for parent, _, _ in heaps)

@@ -3,9 +3,9 @@ colored max heap, without the source array.
 
 Every query is a range check plus one table lookup.  Previous-value
 answers are parents.  Next-value answers come from the table that
-decoding builds from the decoded colors (``ColoredTree.from_decoded``,
-see ``trees._next_value_table``), so no query walks siblings or
-ancestors.  The ``*_from_tree`` functions take decoded trees; the trees
+decoding builds from the decoded siblings and the blue nodes the shape
+loop lists (``ColoredTree.from_decoded``, see
+``trees._next_value_table``), so no query walks siblings or ancestors.  The ``*_from_tree`` functions take decoded trees; the trees
 ``colorize`` makes hold sibling codes only.
 
 ``QueryStructure`` holds one answer table per kind, for all three schemes.

@@ -19,7 +19,9 @@ next-value answer.  The trees ``colorize`` makes hold the sibling codes,
 one bytearray per heap, and no answers; ``colored.encode_colored`` reads
 those codes the way the array path reads the scan's.  A decoded tree
 keeps only ``parent`` and ``next_value``, the two tables a query reads,
-and derives the rest, colors included, when something reads them.
+and derives the rest, colors included, when something reads them.  The
+decoder stores no color: the next-value table needs only the blue nodes
+with a right sibling, which the shape loop lists.
 """
 
 import math
@@ -155,20 +157,22 @@ class ColoredTree:
     bytearray with one sibling code per node (``SIB_NONE``, ``SIB_RED``,
     ``SIB_BLUE``), which is all the encoders read.  ``from_decoded``
     makes the decoded form: ``tree.parent`` and ``next_value``, the two
-    lists a query reads (``queries.tables_of``).  ``next_value[i]`` is
-    the answer to NSV(i) in a min heap and NLV(i) in a max heap, n+1 when
-    there is none; only the decoded form has it.  The constructor takes
-    a tree and any color sequence, one color per node, for trees from
-    outside.
+    lists a query reads (``queries.tables_of``), built from the decoded
+    siblings and the blue nodes that have one, with no color array.
+    ``next_value[i]`` is the answer to NSV(i) in a min heap and NLV(i) in
+    a max heap, n+1 when there is none; only the decoded form has it.
+    The constructor takes a tree and any color sequence, one color per
+    node, for trees from outside.
 
     ``is_red`` and ``codes`` are read-only properties, each derived from
     what the tree holds on first read.  The encoder form's colors are its
     codes, translated; the decoded form's are found from its answers:
     node x is red iff it has a right sibling s and ``next_value[x] ==
     s``, since a blue node with a sibling takes ``next_value[s]``, which
-    is greater than s.  So the derived colors equal the ones decoded, and
-    the two forms of one heap compare equal.  Codes derived from colors
-    ignore the color of a node with no right sibling, as the encoders do.
+    is greater than s.  So the derived colors equal the ones the payload
+    holds, and the two forms of one heap compare equal.  Codes derived
+    from colors ignore the color of a node with no right sibling, as the
+    encoders do.
     """
 
     __slots__ = ("tree", "_red", "_codes", "next_value")
@@ -192,16 +196,18 @@ class ColoredTree:
         return ct
 
     @classmethod
-    def from_decoded(cls, parent, right_sib, is_red):
-        """The colored tree of decoded parent, right-sibling and color
-        tables.  It keeps the parents and turns ``right_sib`` in place
+    def from_decoded(cls, parent, right_sib, blue):
+        """The colored tree of decoded parent and right-sibling tables
+        and its blue nodes that have a right sibling, in increasing
+        order.  It keeps the parents and turns ``right_sib`` in place
         into the next-value table, so it consumes that list: a caller
-        that still needs the siblings passes a copy.  The colors are not
-        kept; they and the other tables are derived on first read."""
+        that still needs the siblings passes a copy.  ``blue`` is not
+        kept; the colors and the other tables are derived on first
+        read."""
         ct = cls.__new__(cls)
         ct.tree = OrdinalTree.from_tables(parent)
         ct._red = ct._codes = None
-        ct.next_value = _next_value_table(parent, right_sib, is_red)
+        ct.next_value = _next_value_table(parent, right_sib, blue)
         return ct
 
     @property
@@ -238,9 +244,10 @@ class ColoredTree:
         return RED if self.is_red[i] else BLUE
 
 
-def _next_value_table(parent, right_sib, is_red):
-    """Next-value answer of every node, from the tree and colors alone,
-    written over ``right_sib``, which it returns.
+def _next_value_table(parent, right_sib, blue):
+    """Next-value answer of every node, from the tree and its blue nodes
+    with a right sibling (``blue``, in increasing order), written over
+    ``right_sib``, which it returns.
 
     A red node's answer is its right sibling.  A blue node with a right
     sibling holds the same value as that sibling and shares its answer.
@@ -248,22 +255,18 @@ def _next_value_table(parent, right_sib, is_red):
     below the root that has one (ancestor values are strictly closer to
     the extreme), else n+1.  So one top-down pass writes each
     sibling-less node's climb answer (its parent's) over its 0, after
-    which red nodes and last children hold their answers, and collects the
-    blue nodes with a sibling while their entries still tell; one
-    right-to-left pass over those then copies each sibling's answer into
-    the blue node before it.  Every answer is an object of ``right_sib``
-    or the one n+1, so the table holds no int of its own and needs no
-    list beside the siblings.
+    which red nodes and last children hold their answers; one
+    right-to-left pass over the blue nodes then copies each sibling's
+    answer into the blue node before it.  Every answer is an object of
+    ``right_sib`` or the one n+1, so the table holds no int of its own
+    and needs no list beside the siblings.
     """
     n = len(parent) - 1
     table = right_sib
     table[0] = n + 1
-    blue = []
     for j in range(1, n + 1):
         if not table[j]:
             table[j] = table[parent[j]]
-        elif not is_red[j]:
-            blue.append(j)
     for i in reversed(blue):
         table[i] = table[table[i]]
     return table

@@ -105,8 +105,7 @@ class TestBitReadContract:
             fields = {name: getattr(enc, name) for name in ColoredEncoding.__slots__}
 
             def decode_shapes(t_min, t_max):
-                decode_heaps(enc.n, t_min, t_max,
-                             lambda i, sib_min, sib_max: joint.u[i - 1] == "0")
+                decode_heaps(enc.n, t_min, t_max, u=joint.u)
 
             def decode_loose(**changed):
                 decode_colored(types.SimpleNamespace(**dict(fields, **changed)))

@@ -360,7 +360,7 @@ class TestDecode:
 
     def test_invalid_trit_rejected_before_degree_bits(self, monkeypatch):
         # the shape pass, which reads every degree bit, never starts
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("shape pass started before the trit check")
         monkeypatch.setattr(colored_module, "decode_heaps", refuse)
         enc = encode_colored(*colored_pair(ValueArray([3, 8, 5, 1, 4])))
@@ -378,7 +378,7 @@ class TestDecode:
 
 
 def refuse_tables(monkeypatch, message):
-    def refuse(parent, right_sib, is_red):
+    def refuse(parent, right_sib, blue):
         raise AssertionError(message)
     monkeypatch.setattr(trees_module, "_next_value_table", refuse)
 
@@ -438,19 +438,21 @@ class TestDecodedMemory:
         assert pair == colored_pair(ValueArray(values))
 
     def test_decode_peaks_near_what_it_holds(self):
-        # beside the held tables, only the two color arrays are n-sized
+        # beside the held tables, no scratch is n-sized: a permutation
+        # has no blue node with a right sibling, so the blue lists stay
+        # empty, and no color array is built; the open-node stacks stay
+        # well below one n-byte array
         _, enc = self.encoded_permutation()
         _, held, peak = self.traced_decode(enc)
-        bound = (self.held_bound()
-                 + 2 * sys.getsizeof(bytearray(self.n + 1)))
-        assert peak <= bound, (peak, bound, held)
+        bound = sys.getsizeof(bytearray(self.n + 1))
+        assert peak - held < bound, (peak, held, bound)
 
     def test_next_value_is_the_decoded_sibling_list(self, monkeypatch):
         returned = []
 
-        def recording(*args):
-            heaps = decode_heaps(*args)
-            returned.extend(sib for _, sib in heaps)
+        def recording(*args, **kwargs):
+            heaps = decode_heaps(*args, **kwargs)
+            returned.extend(sib for _, sib, _ in heaps)
             return heaps
         monkeypatch.setattr(colored_module, "decode_heaps", recording)
         _, enc = self.encoded_permutation()

@@ -111,7 +111,7 @@ class TestDecode:
         # so only longer streams, passed to decode_heaps directly, do
         with pytest.raises(CorruptionError,
                            match="^unconsumed trailing degree bits$"):
-            decode_heaps(1, "00", "0", lambda i, sib_min, sib_max: True)
+            decode_heaps(1, "00", "0", u="")
 
     def test_stream_errors_name_segment_and_offset(self, figure_array):
         # the figure's codes start at bits 0, 3, 5, 6, 7 of t_min and
@@ -127,13 +127,12 @@ class TestDecode:
         for segment, bits, message, offset in cases:
             args = dict(streams, **{segment: bits})
             with pytest.raises(CorruptionError, match=message) as exc:
-                decode_heaps(9, args["t_min"], args["t_max"],
-                             lambda i, sib_min, sib_max: u[i - 1] == "0")
+                decode_heaps(9, args["t_min"], args["t_max"], u=u)
             assert (exc.value.segment, exc.value.offset) == (segment, offset)
         # a root code that runs out starts at bit 0
         for t_min, t_max, segment in (("", "00", "t_min"), ("0", "1", "t_max")):
             with pytest.raises(CorruptionError, match="^bitstream truncated") as exc:
-                decode_heaps(1, t_min, t_max, lambda i, sib_min, sib_max: True)
+                decode_heaps(1, t_min, t_max, u="")
             assert (exc.value.segment, exc.value.offset) == (segment, 0)
         # a shape error has no one bit to point at
         with pytest.raises(CorruptionError, match="^no open node") as exc:
@@ -165,11 +164,11 @@ class TestDecode:
         # the error names the deepest open node and its own count
         with pytest.raises(CorruptionError,
                            match="^node 1 still expects 2 more children$"):
-            decode_heaps(2, "10110", "10", lambda i, sib_min, sib_max: True)
+            decode_heaps(2, "10110", "10", u="0")
         # the root's frame, when nothing below it is open
         with pytest.raises(CorruptionError,
                            match="^node 0 still expects 1 more children$"):
-            decode_heaps(1, "10", "0", lambda i, sib_min, sib_max: True)
+            decode_heaps(1, "10", "0", u="")
 
 
 EXTREME_N = 5000
