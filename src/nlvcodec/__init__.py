@@ -2,9 +2,9 @@
 larger/smaller-value structure, with array-free query answering."""
 
 from .arrays import (ORACLES, QUERY_KINDS, RunStructure, ValueArray,
-                     compute_runs, format_array_text, lift_answers,
-                     map_answer_to_original, map_query_index, oracle_nlv,
-                     oracle_nsv, oracle_plv, oracle_psv, parse_array_text)
+                     compute_runs, format_array_text, map_answer_to_original,
+                     map_query_index, oracle_nlv, oracle_nsv, oracle_plv,
+                     oracle_psv, parse_array_text)
 from .bitio import (BitStream, pack_trits, read_degree, subset_rank,
                     subset_rank_width, subset_unrank, trit_pack_bits,
                     unpack_trits, write_degree)

@@ -18,6 +18,10 @@ QUERY_KINDS = ("psv", "plv", "nsv", "nlv")
 # swaps the bytes 0 and 1: run bits to kept flags and back
 _FLIP_BITS = bytes.maketrans(b"\0\1", b"\1\0")
 
+# entries per slice of the next-value move in ``fill_runs``, which keeps
+# its temporary lists small
+_MOVE_CHUNK = 1024
+
 
 class ValueArray:
     """An immutable array of signed 64-bit integers, indexed 1..n."""
@@ -163,14 +167,15 @@ class RunStructure:
     ``kept_positions[r-1]``, and only a longer run's start is an int of its
     own.  ``rank_map`` is an ``array('I')`` whose entry i-1 is the reduced
     position of i's run (``container.MAX_N`` keeps every rank in range).
-    Only decoding reads these two maps.  It builds the run starts with
-    the runs (``_from_positions``) and the rank map on its first read; a
-    structure checked from its bits builds each on its first read.
+    Each map is built on its first read, for the two-step lift of
+    reduced answer tables (``map_answer_to_original``, then
+    ``map_query_index``) that the general decode is tested against; the
+    decode itself reads only the kept flags (``fill_runs``).
 
     The structure holds the complement of c_bits as bytes (``_keep``,
-    1 at each kept position below n); the kept positions and the rank map
-    come from one C-level scan of it, and ``c_bits`` is built from it on
-    each read.
+    as ``kept_flags`` makes it); the kept positions and the maps come
+    from C-level scans of it, and ``c_bits`` is built from it on each
+    read.
     """
 
     __slots__ = ("n", "k", "kept_positions", "_keep", "_run_starts",
@@ -193,28 +198,11 @@ class RunStructure:
     @classmethod
     def _from_positions(cls, positions, n):
         """The runs of an n-element array from the 0-based positions p of
-        its equal pairs A[p+1] == A[p+2]: a list of distinct ints in
-        0..n-2 in increasing order, as a decoder's unrank makes them, so
-        nothing is checked."""
-        keep = bytearray(b"\1") * (n - 1)
-        for p in positions:
-            keep[p] = 0
+        its equal pairs A[p+1] == A[p+2]: distinct ints in 0..n-2, as a
+        decoder's unrank makes them, so nothing is checked."""
         rs = cls.__new__(cls)
-        rs._set_runs(keep, n, None)
-        rs._set_run_starts(positions)
+        rs._set_runs(kept_flags(positions, n), n, None)
         return rs
-
-    def _set_run_starts(self, positions):
-        """Build ``run_starts`` from the list of equal pairs, in
-        increasing order."""
-        starts = list(self.kept_positions)
-        # p + 1 starts a run longer than one when p is 0 or p - 1 is kept;
-        # the j-th pair has p - j kept positions below it, so that run is
-        # the one of rank p - j from 0
-        for j, p in itertools.compress(enumerate(positions),
-                                       map((b"\1" + self._keep).__getitem__, positions)):
-            starts[p - j] = p + 1
-        self._run_starts = starts
 
     def _set_runs(self, keep, n, values):
         self.n = n
@@ -233,8 +221,18 @@ class RunStructure:
     @property
     def run_starts(self):
         if self._run_starts is None:
-            self._set_run_starts(list(itertools.compress(
-                range(self.n - 1), self._keep.translate(_FLIP_BITS))))
+            keep = self._keep
+            # the equal pairs p, in increasing order
+            positions = list(itertools.compress(range(self.n - 1),
+                                                keep.translate(_FLIP_BITS)))
+            starts = list(self.kept_positions)
+            # p + 1 starts a run longer than one when p is 0 or p - 1 is
+            # kept; the j-th pair has p - j kept positions below it, so
+            # that run is the one of rank p - j from 0
+            for j, p in itertools.compress(enumerate(positions),
+                                           map((b"\1" + keep).__getitem__, positions)):
+                starts[p - j] = p + 1
+            self._run_starts = starts
         return self._run_starts
 
     @property
@@ -252,6 +250,64 @@ class RunStructure:
             raise ValueError("run structure was built without values")
         return ValueArray._from_checked(
             tuple(itertools.compress(self._values, self._keep + b"\1")))
+
+
+def kept_flags(positions, n):
+    """The kept flags of an n-element array, from the 0-based positions
+    p of its equal pairs A[p+1] == A[p+2]: a bytearray of n-1 bytes
+    whose byte i-1 is 1 when index i < n ends its run, 0 when it is
+    inside one."""
+    keep = bytearray(b"\1") * (n - 1)
+    for p in positions:
+        keep[p] = 0
+    return keep
+
+
+def end_labels(keep):
+    """The labels of a general decode's nodes (``joint.decode_heaps``),
+    from its kept flags: a list of n+1 ints that is i at each kept
+    position i, so node r is labelled with the end of run r, and 0 at
+    every other index."""
+    ends = b"\1" + keep + b"\1"
+    return list(map(operator.mul, range(len(ends)), ends))
+
+
+def fill_runs(keep, tables, labels):
+    """Complete four answer tables written at the run ends only, in
+    original coordinates, to every index; ``labels`` is the kept flags'
+    ``end_labels``, which this consumes.
+
+    An index inside a run has its end's answers, but an NSV or NLV
+    answer names the start of the answering run, not its end.  One loop
+    visits the indices inside runs right to left, found by a C-level
+    ``compress``, with no list of runs: each copies the answers of the
+    index after it, and ``labels`` at the run's end takes the leftmost,
+    the run's start.  Each NSV and NLV answer then goes through
+    ``labels``, one C-level ``map`` per slice.  Entry 0 is None.
+    """
+    n = len(keep) + 1
+    psv, plv, nsv, nlv = (tables[kind] for kind in QUERY_KINDS)
+    for p in itertools.compress(range(n - 1, 0, -1),
+                                keep[::-1].translate(_FLIP_BITS)):
+        q = p + 1
+        psv[p] = psv[q]
+        plv[p] = plv[q]
+        nsv[p] = nsv[q]
+        nlv[p] = nlv[q]
+        # labels[q] is 0 inside a run and nonzero at its end, which
+        # the loop only ever overwrites with nonzero starts
+        if labels[q]:
+            end = q
+        labels[end] = p
+    # "no next value", n+1, maps to itself
+    labels.append(nsv[0])
+    nsv[0] = nlv[0] = None
+    if 0 in keep:
+        move = labels.__getitem__
+        for table in (nsv, nlv):
+            for lo in range(1, n + 1, _MOVE_CHUNK):
+                hi = lo + _MOVE_CHUNK
+                table[lo:hi] = map(move, table[lo:hi])
 
 
 def compute_runs(a):
@@ -277,28 +333,3 @@ def map_answer_to_original(rs, answers, kind):
     # entry 0 is unused; the sentinels 0 and n-k+1 map to 0 and n+1
     lookup = (0, *targets, rs.n + 1)
     return [None, *map(lookup.__getitem__, answers[1:])]
-
-
-def lift_answers(rs, reduced):
-    """The four answer tables on original indices, from the reduced
-    array's: ``reduced`` maps each kind to its table and is emptied as
-    the tables are lifted.
-
-    Each table equals map_query_index(rs, map_answer_to_original(rs,
-    table, kind)).  First each reduced table is replaced in ``reduced``
-    by its translation to original coordinates, n' lookups through
-    ``kept_positions`` or ``run_starts``, so the tables hold the run
-    maps' ints and the reduced answers' ints are freed.  Only then does
-    each grow to n entries, in one C-level pass over ``rank_map``.
-    """
-    for kinds, targets in ((("psv", "plv"), rs.kept_positions),
-                           (("nsv", "nlv"), rs.run_starts)):
-        # the sentinels 0 and n-k+1 map to 0 and n+1; a list, since a
-        # list's bound __getitem__ is faster to call than a tuple's
-        lookup = [0, *targets, rs.n + 1]
-        for kind in kinds:
-            reduced[kind] = [None, *map(lookup.__getitem__,
-                                        itertools.islice(reduced[kind], 1, None))]
-    rank_map = rs.rank_map
-    return {kind: [None, *map(reduced.pop(kind).__getitem__, rank_map)]
-            for kind in QUERY_KINDS}

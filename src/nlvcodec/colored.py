@@ -20,7 +20,9 @@ side strings, from each heap's degree list and sibling codes.  An array
 gets them from ``trees.scan_heaps`` and builds no tree; a tree pair from
 ``colorize`` goes through ``encode_colored``, which reads the same lists
 off the trees.  ``decode_colored`` returns trees in the decoded form,
-which hold the next-value tables queries read (``trees.ColoredTree``).
+which hold the next-value tables queries read (``trees.ColoredTree``);
+``decode_colored_heaps`` is its shape pass alone, which the general
+scheme runs under run-end labels.
 """
 
 from .bitio import Encoding, check_bits, trit_pack_bits, write_degree
@@ -180,6 +182,14 @@ def decode_colored(enc):
     (``ColoredTree.from_decoded``).  Beside those, the decode's scratch
     is its open-node stacks and the two blue lists.
     """
+    return tuple(ColoredTree.from_decoded(*tables)
+                 for tables in decode_colored_heaps(enc))
+
+
+def decode_colored_heaps(enc, labels=None):
+    """The shape loop's (parent, right_sib, blue) tables of both heaps,
+    under ``labels`` (``joint.decode_heaps``), once the trits are
+    checked."""
     v_neutral = enc.v_neutral
     # lstrip drops the valid trits at the start; what is left starts at
     # the first invalid one
@@ -188,6 +198,5 @@ def decode_colored(enc):
         raise CorruptionError("invalid trit %r in v_neutral" % (bad[0],),
                               segment="v_neutral",
                               offset=len(v_neutral) - len(bad))
-    heaps = decode_heaps(enc.n, enc.t_min, enc.t_max, u_gb=enc.u_gb,
-                         v_bad=enc.v_bad, v_neutral=v_neutral)
-    return tuple(ColoredTree.from_decoded(*tables) for tables in heaps)
+    return decode_heaps(enc.n, enc.t_min, enc.t_max, u_gb=enc.u_gb,
+                        v_bad=enc.v_bad, v_neutral=v_neutral, labels=labels)

@@ -1,24 +1,29 @@
 """Encoding for arbitrary arrays: a run bitmap stored by combinadic rank
 plus the colored encoding of the run-compressed array.
 
-Payload approaches log2(13) * n bits.  Decoding builds the runs and
-their starts once, from the unranked positions, and lifts the reduced
-array's answer tables to original indices (``arrays.lift_answers``):
-each is first translated in n' lookups, so the lifted tables hold the
-run maps' ints and the reduced answers' ints are freed, and only then
-grows to n entries in one C-level pass over the ``array('I')`` rank map.
+Payload approaches log2(13) * n bits.  Decoding unranks the run bitmap
+first, into kept flags, and labels node r of the reduced heaps with the
+end of run r.  The one shape loop (``joint.decode_heaps``) then writes
+both heaps into (n+1)-entry lists indexed by original position: the
+parents are the PSV and PLV tables, and ``trees._next_value_table``
+turns the siblings into the NSV and NLV tables in place.
+``arrays.fill_runs`` completes them: each next-value answer that names a
+run longer than one moves to the run's start, and each index inside a
+run copies its end's answers.  No reduced table, rank map or run-start
+list is built, and the tables share the labels' ints.
 """
 
 import itertools
 import math
 
-from .arrays import RunStructure, compute_runs, lift_answers
+from .arrays import (RunStructure, compute_runs, end_labels, fill_runs,
+                     kept_flags)
 from .bitio import (Encoding, check_bits, comb, subset_rank, subset_rank_width,
                     subset_unrank, uint_bits)
-from .colored import decode_colored, emit_colored
+from .colored import decode_colored_heaps, emit_colored
 from .errors import AllocationError, CorruptionError
-from .queries import QueryStructure, tables_of
-from .trees import scan_heaps
+from .queries import QueryStructure
+from .trees import _next_value_table, scan_heaps
 
 LOG2_13 = math.log2(13)
 
@@ -70,36 +75,47 @@ def encode_general(a):
     return GeneralEncoding(a.n, k, c_rank_bits, colored, width)
 
 
-def decode_runs(enc):
-    """The run structure of a general encoding, with its run starts,
-    from its rank bits.
-
-    Raises AllocationError when its maps do not fit in memory.
-    """
+def _equal_pairs(enc):
+    """The 0-based positions of the equal pairs, unranked from the rank
+    bits."""
     # the constructor checked the segment against the exact rank width;
     # a width of 0 leaves it empty
-    rank = int(enc.c_rank_bits or "0", 2)
+    return subset_unrank(enc.k, int(enc.c_rank_bits or "0", 2), enc.n - 1)
+
+
+def decode_runs(enc):
+    """The run structure of a general encoding, from its rank bits.
+
+    Raises AllocationError when it does not fit in memory.
+    """
     try:
-        return RunStructure._from_positions(
-            subset_unrank(enc.k, rank, enc.n - 1), enc.n)
+        return RunStructure._from_positions(_equal_pairs(enc), enc.n)
     except MemoryError:
         raise _allocation_error(enc.n) from None
 
 
 def decode_general(enc):
-    """Lift the reduced array's four answer tables through the runs.
+    """The four answer tables on original indices, decoded straight
+    into them (see the module docstring).
 
-    Raises AllocationError when the tables or the rank map do not fit in
-    memory.
+    The run bitmap is unranked before the colored part is read, so a
+    corrupt colored part costs the O(n) unrank first.  Raises
+    AllocationError when the tables do not fit in memory.
     """
-    # the reduced heaps are gone before the run maps are built, which
-    # keeps setup's peak memory low
-    reduced = tables_of(*decode_colored(enc.colored))
-    runs = decode_runs(enc)
+    n = enc.n
     try:
-        return QueryStructure(enc.n, lift_answers(runs, reduced))
+        keep = kept_flags(_equal_pairs(enc), n)
+        labels = end_labels(keep)
+        tables = {}
+        for (parent, sib, blue), prev, nxt in zip(
+                decode_colored_heaps(enc.colored, labels),
+                ("psv", "plv"), ("nsv", "nlv")):
+            tables[prev] = parent
+            tables[nxt] = _next_value_table(parent, sib, blue, labels)
+        fill_runs(keep, tables, labels)
     except MemoryError:
-        raise _allocation_error(enc.n) from None
+        raise _allocation_error(n) from None
+    return QueryStructure(n, tables)
 
 
 def _allocation_error(n):

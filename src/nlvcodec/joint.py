@@ -8,8 +8,9 @@ choice of heap per index.  ``emit_joint`` writes the choice as the
 min-heap leaf bitmap U, in the same loop as the degree streams, from the
 two heaps' degree lists: those of ``trees.scan_heaps`` when encoding an
 array, a tree pair's when ``encode_joint`` or ``degree_streams`` is
-given trees.  ``decode_heaps`` is the one shape loop of both schemes:
-it rebuilds both shapes (parents and right siblings) in one pass,
+given trees.  ``decode_heaps`` is the one shape loop of all three
+schemes: it rebuilds both shapes (parents and right siblings) in one
+pass, under node labels the general scheme sets to its run ends,
 reading each choice inline, from U or from the colored scheme's side
 strings, and each unary degree code below the roots with one
 ``str.find``, so no node costs a Python call.  Beside the tables it
@@ -113,7 +114,13 @@ def _root_degree(cursor, segment):
         raise CorruptionError(TRUNCATED, segment=segment, offset=0) from None
 
 
-def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral=""):
+def _node(labels, label):
+    """The node a label names (``decode_heaps``), for error messages."""
+    return label if labels is None else sum(map(bool, labels[1:label + 1]))
+
+
+def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
+                 labels=None):
     """Rebuild both heap shapes in one preorder pass; returns the (min,
     max) pair of (parent, right_sib, blue) tables.
 
@@ -152,36 +159,48 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral=""):
     its parents when they are read.  Every ``right_sib`` entry but 0 is
     the int object of the loop that made the node, as is every non-root
     ``parent`` entry, so tables built from these share their ints.
+
+    ``labels`` names the nodes, node r by r by default: a list with
+    each label x at index x (node r has the r-th nonzero entry) and 0
+    elsewhere.  The tables then have ``len(labels)`` entries, indexed
+    by label and holding the labels' own ints; a non-label entry stays
+    None or 0.  The general scheme labels node r with the end of run r,
+    so its tables come out in original coordinates.  Errors still name
+    nodes, counted back on the error path only.  U is read by node, so
+    the joint scheme keeps the default.
     """
     if n < 1:
         raise ValueError("a heap pair has at least one node")
     joint = u is not None
     if joint and len(u) != n - 1:
         raise CorruptionError("U must have length n-1")
+    if labels is None:
+        nodes, size = iter(range(1, n + 1)), n + 1
+    else:
+        nodes, size = filter(None, labels), len(labels)
     min_cursor, max_cursor = BitStream(t_min), BitStream(t_max)
     root_min = _root_degree(min_cursor, "t_min")
     root_max = _root_degree(max_cursor, "t_max")
-    size = n + 1
     parent_min, parent_max = [None] * size, [None] * size
     sib_min, sib_max = [0] * size, [0] * size
     blue_min, blue_max = [], []
-    # node 1 is the root's first child in both heaps; a code of d bits
-    # leaves the cursor at bit d
-    parent_min[1] = parent_max[1] = 0
+    # i is the node the last pass placed, by label, so each node is one
+    # int object; node 1 is the root's first child in both heaps, and a
+    # code of d bits leaves the cursor at bit d
+    i = next(nodes)
+    parent_min[i] = parent_max[i] = 0
     pos_min, pos_max = root_min, root_max
     more_min, more_max = root_min > 1, root_max > 1
     stack_min, left_min = ([0], [root_min - 1]) if more_min else ([], [])
     stack_max, left_max = ([0], [root_max - 1]) if more_max else ([], [])
     if more_min:
-        sib_min[0] = 1
+        sib_min[0] = i
     if more_max:
-        sib_max[0] = 1
+        sib_max[0] = i
     find_min, find_max = t_min.find, t_max.find
     gb_bits, bad_bits, trits = iter(u_gb), iter(v_bad), iter(v_neutral)
-    # i is the node the last pass placed, so each node is one int object;
     # more_min and more_max say whether i gets a right sibling in each heap
-    i = 1
-    for k in range(2, n + 1):
+    for k in nodes:
         # own_min: i is internal in the min heap
         if joint:
             own_min = u[i - 1] == "0"
@@ -228,7 +247,8 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral=""):
             try:
                 q = stack_max[-1]
             except IndexError:
-                raise CorruptionError("no open node to attach node %d" % k) from None
+                raise CorruptionError("no open node to attach node %d"
+                                      % _node(labels, k)) from None
             parent_max[k] = q
             sib_max[sib_max[q]] = k
             more = left_max[-1] - 1
@@ -254,7 +274,8 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral=""):
             try:
                 p = stack_min[-1]
             except IndexError:
-                raise CorruptionError("no open node to attach node %d" % k) from None
+                raise CorruptionError("no open node to attach node %d"
+                                      % _node(labels, k)) from None
             parent_min[k] = p
             sib_min[sib_min[p]] = k
             more = left_min[-1] - 1
@@ -274,7 +295,7 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral=""):
     for stack, left in ((stack_min, left_min), (stack_max, left_max)):
         if stack:
             raise CorruptionError("node %d still expects %d more children"
-                                  % (stack[-1], left[-1]))
+                                  % (_node(labels, stack[-1]), left[-1]))
     # a str iterator's length hint is the count of characters left
     for segment, text, it in (("u_gb", u_gb, gb_bits), ("v_bad", v_bad, bad_bits),
                               ("v_neutral", v_neutral, trits)):

@@ -244,10 +244,13 @@ class ColoredTree:
         return RED if self.is_red[i] else BLUE
 
 
-def _next_value_table(parent, right_sib, blue):
+def _next_value_table(parent, right_sib, blue, labels=None):
     """Next-value answer of every node, from the tree and its blue nodes
     with a right sibling (``blue``, in increasing order), written over
-    ``right_sib``, which it returns.
+    ``right_sib``, which it returns.  ``labels`` names the nodes as
+    ``joint.decode_heaps`` takes them, node i labelled i by default;
+    the walk visits the labels, the answers are labels too, and n+1 is
+    the tables' length.  An entry that is no label's is left as it is.
 
     A red node's answer is its right sibling.  A blue node with a right
     sibling holds the same value as that sibling and shares its answer.
@@ -264,7 +267,7 @@ def _next_value_table(parent, right_sib, blue):
     n = len(parent) - 1
     table = right_sib
     table[0] = n + 1
-    for j in range(1, n + 1):
+    for j in range(1, n + 1) if labels is None else filter(None, labels):
         if not table[j]:
             table[j] = table[parent[j]]
     for i in reversed(blue):

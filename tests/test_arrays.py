@@ -4,9 +4,9 @@ from array import array
 import pytest
 
 from nlvcodec import (EmptyArrayError, ParseError, RangeError, ValueArray,
-                      compute_runs, lift_answers, map_answer_to_original,
-                      map_query_index, oracle_nlv, oracle_nsv, oracle_plv,
-                      oracle_psv, parse_array_text)
+                      compute_runs, map_answer_to_original, map_query_index,
+                      oracle_nlv, oracle_nsv, oracle_plv, oracle_psv,
+                      parse_array_text)
 from nlvcodec.arrays import ORACLES, QUERY_KINDS, RunStructure, format_array_text
 from nlvcodec.bitio import subset_rank, subset_unrank
 
@@ -227,20 +227,6 @@ class TestIndexMaps:
         rs = compute_runs(ValueArray([1, 2]))
         with pytest.raises(ValueError):
             map_answer_to_original(rs, [None, 1], "bogus")
-
-    def test_lift_answers_matches_the_two_step_lift(self):
-        rng = make_rng(14)
-        for n in list(range(1, 9)) + [200]:
-            for density in (0.0, 0.3, 1.0):
-                rs = RunStructure([int(rng.random() < density)
-                                   for _ in range(n - 1)], n)
-                m = n - rs.k
-                reduced = {kind: [None] + [rng.randint(0, m + 1) for _ in range(m)]
-                           for kind in QUERY_KINDS}
-                expected = {kind: map_query_index(rs, map_answer_to_original(rs, table, kind))
-                            for kind, table in reduced.items()}
-                assert lift_answers(rs, reduced) == expected
-                assert reduced == {}
 
     def test_psv_answers_are_run_ends(self):
         # the full-array oracle only ever lands on the last index of a run
