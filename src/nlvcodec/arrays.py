@@ -167,18 +167,19 @@ class RunStructure:
     ``kept_positions[r-1]``, and only a longer run's start is an int of its
     own.  ``rank_map`` is an ``array('I')`` whose entry i-1 is the reduced
     position of i's run (``container.MAX_N`` keeps every rank in range).
-    Each map is built on its first read, for the two-step lift of
-    reduced answer tables (``map_answer_to_original``, then
-    ``map_query_index``) that the general decode is tested against; the
-    decode itself reads only the kept flags (``fill_runs``).
+    The kept positions and each map are built on their first read, for
+    the two-step lift of reduced answer tables
+    (``map_answer_to_original``, then ``map_query_index``) that the
+    general decode is tested against; the decode itself reads only the
+    kept flags (``fill_runs``), and the encode only ``equal_pairs`` and
+    the reduced array.
 
     The structure holds the complement of c_bits as bytes (``_keep``,
-    as ``kept_flags`` makes it); the kept positions and the maps come
-    from C-level scans of it, and ``c_bits`` is built from it on each
-    read.
+    as ``kept_flags`` makes it); the positions and the maps come from
+    C-level scans of it, and ``c_bits`` is built from it on each read.
     """
 
-    __slots__ = ("n", "k", "kept_positions", "_keep", "_run_starts",
+    __slots__ = ("n", "k", "_keep", "_kept_positions", "_run_starts",
                  "_rank_map", "_values")
 
     def __init__(self, c_bits, n, values=None):
@@ -207,8 +208,8 @@ class RunStructure:
     def _set_runs(self, keep, n, values):
         self.n = n
         self.k = keep.count(0)
-        self.kept_positions = (*itertools.compress(range(1, n), keep), n)
         self._keep = keep
+        self._kept_positions = None
         self._run_starts = None
         self._rank_map = None
         self._values = values
@@ -218,13 +219,24 @@ class RunStructure:
         """The run bits as a tuple of 0 and 1, built on each read."""
         return tuple(self._keep.translate(_FLIP_BITS))
 
+    def equal_pairs(self):
+        """The 0-based positions p of the equal pairs A[p+1] == A[p+2],
+        in increasing order: the subset the general scheme ranks."""
+        return list(itertools.compress(range(self.n - 1),
+                                       self._keep.translate(_FLIP_BITS)))
+
+    @property
+    def kept_positions(self):
+        if self._kept_positions is None:
+            self._kept_positions = (
+                *itertools.compress(range(1, self.n), self._keep), self.n)
+        return self._kept_positions
+
     @property
     def run_starts(self):
         if self._run_starts is None:
             keep = self._keep
-            # the equal pairs p, in increasing order
-            positions = list(itertools.compress(range(self.n - 1),
-                                                keep.translate(_FLIP_BITS)))
+            positions = self.equal_pairs()
             starts = list(self.kept_positions)
             # p + 1 starts a run longer than one when p is 0 or p - 1 is
             # kept; the j-th pair has p - j kept positions below it, so

@@ -3,14 +3,18 @@
 Covers MSB-first bit strings, unary degree codes, fixed-block ternary
 packing, and combinadic subset ranking over exact big integers.
 
-The subset coder scans every position but folds the small factors of
-up to SCAN_BLOCK steps into three ints, so it touches its O(n)-bit ints
-once per block.  Ranking walks up from C(z, z) = 1 and computes no
-binomial; unranking computes one (``comb``) and decides each block's
-steps from float bounds on r/b, taking one exact step at a near tie.  An
-out-of-range rank leaves a nonzero remainder, which is the unranker's
-range check.  ``subset_rank_width`` comes from ``lgamma``, with the
-exact binomial only where the float sum could round the wrong way.
+The subset coder folds the small factors of up to SCAN_BLOCK scan
+steps into three ints, so it touches its O(n)-bit ints once per block.
+Ranking walks up from C(z, z) = 1 and computes no binomial; it takes a
+gap between two positions as one product of its factors, so its Python
+loop runs per position and per gap, not per step.  Unranking computes
+one binomial (``comb``) and decides each block's steps from float
+bounds on r/b, taking one exact step at a near tie.  An out-of-range
+rank leaves a nonzero remainder, which is the unranker's range check.
+``subset_rank_width`` comes from ``lgamma``, then from a 50-digit
+Stirling sum in ``decimal`` where the float sum could round the wrong
+way; the exact binomial decides only at small lengths, or where the
+Stirling sum too lies within its margin of an integer.
 
 ``comb`` is the library's exact binomial.  With m = min(k, n-k), it
 multiplies C(n, k) together from its prime powers, without a division,
@@ -33,6 +37,7 @@ iterator over each colored side string.
 import itertools
 import math
 import operator
+from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from math import ceil, gcd, isqrt, lgamma, log, prod
 
 from .errors import CorruptionError
@@ -55,6 +60,21 @@ _UP = 1 + 2.0 ** -50
 # below this length subset_rank_width takes the exact binomial
 _EXACT_WIDTH_BELOW = 1024
 _LN2 = log(2)
+# _stirling_width sums ln m! in this context; _ln_factorial takes the
+# exact m! below _STIRLING_FROM and Stirling's series, cut after the
+# terms B_2j / (2j (2j-1)) for j = 1..12, from there on
+_STIRLING = Context(prec=50)
+_STIRLING_FROM = 200
+_STIRLING_TERMS = tuple(_STIRLING.divide(num, den) for num, den in (
+    (1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360),
+    (1, 156), (-3617, 122400), (43867, 244188), (-174611, 125400),
+    (77683, 5796), (-236364091, 1506960)))
+_HALF = Decimal("0.5")
+# ln(2 pi) / 2, from 60 digits of pi
+_HALF_LN_2PI = _STIRLING.divide(_STIRLING.ln(_STIRLING.multiply(2, Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494"))), 2)
+_LN2_DEC = _STIRLING.ln(2)
+_STIRLING_MARGIN = Decimal("1e-45")
 # comb sieves when m^2 >= this times n, m = min(k, n-k); the measured
 # crossover with math.comb lies at m^2 = 275n to 375n for k = n/4 to n/2
 _SIEVE_MIN_SQUARE = 320
@@ -206,7 +226,8 @@ def unpack_trits(bits, m):
         pos = start // TRITS_PER_BLOCK * BITS_PER_BLOCK
         value = int(bits[pos:pos + _block_width(blen)], 2)
         if value >= 3 ** blen:
-            raise CorruptionError("trit block value %d out of range" % value)
+            raise CorruptionError("trit block value %d out of range" % value,
+                                  segment="packed_trits", offset=pos)
         # five digits per divmod, least significant group first; the
         # digits above blen are zeros, since value < 3^blen
         groups = []
@@ -298,16 +319,22 @@ def subset_rank(positions, length):
     SCAN_BLOCK steps folds these small factors into ints P, Q and S, so
     that b*Q/P is the next block's b and b*S/P the block's terms, and
     touches the O(n)-bit ints once (``_fold``).  No binomial is computed.
+
+    The loop runs once per position and once per gap of non-positions
+    c..g-1 inside a block, not once per step: a gap multiplies S and P
+    by one ``prod`` of its factors (c+1-j)..(g-j) and Q by one of
+    (c+1)..g, so a sparse bitmap pays its Python cost per run.  A gap of
+    one step is multiplied inline, which a dense bitmap takes at almost
+    every gap.  The products are the ones the step-by-step scan makes,
+    so ``_fold`` gets the same (P, Q, S).
     """
     positions = list(positions)
     k = len(positions)
     if k > length:
         raise ValueError("more positions than slots")
-    prev = -1
-    for p in positions:
-        if p <= prev or p >= length:
-            raise ValueError("positions must be strictly increasing and < length")
-        prev = p
+    if k and not (0 <= positions[0] and positions[-1] < length
+                  and all(map(operator.lt, positions, positions[1:]))):
+        raise ValueError("positions must be strictly increasing and < length")
     j = 0
     while j < k and positions[j] == j:
         j += 1
@@ -319,21 +346,32 @@ def subset_rank(positions, length):
         stop = min(c + SCAN_BLOCK, end)
         P = Q = 1
         S = 0
-        nxt = positions[j]
-        for c in range(c, stop):
-            if c == nxt:
-                S = S * (j + 1) + Q * (c - j)
-                P *= j + 1
-                j += 1
-                if j < k:
-                    nxt = positions[j]
-            else:
-                S *= c + 1 - j
-                P *= c + 1 - j
-            Q *= c + 1
+        while c < stop:
+            g = positions[j]
+            if g != c:
+                # the gap c..g-1, cut at the block's end
+                if g > stop:
+                    g = stop
+                if g == c + 1:
+                    S *= g - j
+                    P *= g - j
+                    Q *= g
+                else:
+                    f = prod(range(c + 1 - j, g + 1 - j))
+                    S *= f
+                    P *= f
+                    Q *= prod(range(c + 1, g + 1))
+                c = g
+                if c == stop:
+                    break
+            # the position c
+            S = S * (j + 1) + Q * (c - j)
+            j += 1
+            P *= j
+            c += 1
+            Q *= c
         terms, b = _fold(b, P, Q, S)
         rank += terms
-        c = stop
     return k, rank
 
 
@@ -439,25 +477,87 @@ def subset_rank_width(length, k):
     """Bits needed to store any rank of a k-subset: ceil(log2 comb(L,k)),
     which is (comb(L, k) - 1).bit_length().
 
-    From L = _EXACT_WIDTH_BELOW on it is the ceiling of log2 C(L, k) as
-    summed from ``math.lgamma``.  The sum's error stays below 4 units of
-    lgamma(L+1) * 2^-52: at most 2.63 against a 50-digit Stirling sum
-    over 3 000 draws of L in [1e3, 1e10], at most 3.35 against exact
-    binomials up to L = 2e4, with k in {1, 2, L/13, L/2, L-1} and at
-    random.  So the ceiling is exact unless the sum lies within
-    lgamma(L+1) * 2^-40, about 1 000 times that error, of an integer;
-    then, and below _EXACT_WIDTH_BELOW, the exact binomial decides.  The
-    margin passes 1/2 near L = 2e10, from where every width is exact.
+    Below L = _EXACT_WIDTH_BELOW the exact binomial decides.  From there
+    on the width is the ceiling of log2 C(L, k) as summed from
+    ``math.lgamma`` (``_float_width``) and, where that sum lies too near
+    an integer, from a 50-digit Stirling sum (``_stirling_width``).  The
+    exact binomial decides only where the Stirling sum too lies within
+    its margin, about lgamma(L+1) * 1e-45, of an integer, as it does
+    when C(L, k) is a power of two.  So a container header cannot make
+    ``deserialize`` compute a binomial before it checks the payload's
+    length against the width.
     """
     if not 0 <= k <= length:
         raise ValueError("need 0 <= k <= length")
     if k == 0 or k == length:
         return 0
     if length >= _EXACT_WIDTH_BELOW:
-        whole = lgamma(length + 1)
-        bits = (whole - lgamma(k + 1) - lgamma(length - k + 1)) / _LN2
-        margin = whole * 2.0 ** -40
-        width = ceil(bits)
-        if width - bits > margin and bits - (width - 1) > margin:
+        width = _float_width(length, k)
+        if width is None:
+            width = _stirling_width(length, k)
+        if width is not None:
             return width
     return (comb(length, k) - 1).bit_length()
+
+
+def _float_width(length, k):
+    """ceil(log2 C(L, k)) from the ``lgamma`` sum, or None when the sum
+    lies too near an integer to tell.
+
+    The sum's error stays below 4 units of lgamma(L+1) * 2^-52: at most
+    2.63 against a 50-digit Stirling sum over 3 000 draws of L in [1e3,
+    1e10], at most 3.35 against exact binomials up to L = 2e4, with k in
+    {1, 2, L/13, L/2, L-1} and at random.  So the ceiling is exact unless
+    the sum lies within lgamma(L+1) * 2^-40, about 1 000 times that
+    error, of an integer.  That margin passes 1/2 near L = 2e10; at
+    L = 2^31 it is 0.04, and about 8 % of k fall inside it.
+    """
+    whole = lgamma(length + 1)
+    bits = (whole - lgamma(k + 1) - lgamma(length - k + 1)) / _LN2
+    margin = whole * 2.0 ** -40
+    width = ceil(bits)
+    if width - bits > margin and bits - (width - 1) > margin:
+        return width
+    return None
+
+
+def _ln_factorial(m):
+    """ln m!, to the _STIRLING context's 50 digits.
+
+    Below _STIRLING_FROM it is the rounded logarithm of the exact m!.
+    From there on it is Stirling's series, ln m! = (m + 1/2) ln m - m +
+    ln(2 pi)/2 + sum over j >= 1 of B_2j / (2j (2j-1) m^(2j-1)), cut
+    after its first 12 terms (``_STIRLING_TERMS``); the series
+    alternates, so the cut costs at most its first omitted term,
+    B_26 / (26 * 25 * m^25) < 6.6e-55.
+    """
+    if m < _STIRLING_FROM:
+        return _STIRLING.ln(math.factorial(m))
+    x = Decimal(m)
+    with localcontext(_STIRLING):
+        s = (x + _HALF) * x.ln() - x + _HALF_LN_2PI
+        inv = 1 / x
+        step = inv * inv
+        for term in _STIRLING_TERMS:
+            s += term * inv
+            inv *= step
+    return s
+
+
+def _stirling_width(length, k):
+    """ceil(log2 C(L, k)) from 50-digit sums of ln m!, or None when the
+    sum lies within its margin of an integer.
+
+    Each of the about 60 rounded operations behind the sum errs by at
+    most 5e-50 of its result, which lgamma(L+1) bounds, and the series
+    cut adds less than 1e-54; the margin, lgamma(L+1) * 1e-45, is over
+    300 times the sum of both.
+    """
+    with localcontext(_STIRLING):
+        bits = (_ln_factorial(length) - _ln_factorial(k)
+                - _ln_factorial(length - k)) / _LN2_DEC
+        width = int(bits.to_integral_value(rounding=ROUND_CEILING))
+        margin = Decimal(lgamma(length + 1)) * _STIRLING_MARGIN
+        if width - bits > margin and bits - (width - 1) > margin:
+            return width
+    return None

@@ -41,7 +41,7 @@ SCHEME_IDS = {v: k for k, v in SCHEME_NAMES.items()}
 def encode(a, scheme):
     """Encode a ValueArray under the named scheme.
 
-    No tree is built: one stack scan per heap (``trees.scan_heaps``)
+    No tree is built: one stack scan of both heaps (``trees.scan_heaps``)
     gives each node's degree and sibling code, and one loop writes the
     payload from them, ``joint.emit_joint`` for joint and
     ``colored.emit_colored`` for colored and for the run-reduced array

@@ -13,7 +13,6 @@ run copies its end's answers.  No reduced table, rank map or run-start
 list is built, and the tables share the labels' ints.
 """
 
-import itertools
 import math
 
 from .arrays import (RunStructure, compute_runs, end_labels, fill_runs,
@@ -64,10 +63,11 @@ class GeneralEncoding(Encoding):
 
 
 def encode_general(a):
-    """Encode any array: runs first, then the reduced array's colored
-    pair, from one stack scan per heap and no tree."""
+    """Encode any array: the rank of its equal pairs first, then the
+    reduced array's colored pair, from one stack scan of both heaps and
+    no tree."""
     rs = compute_runs(a)
-    k, rank = subset_rank(itertools.compress(range(a.n - 1), rs.c_bits), a.n - 1)
+    k, rank = subset_rank(rs.equal_pairs(), a.n - 1)
     width = subset_rank_width(a.n - 1, k)
     c_rank_bits = uint_bits(rank, width)
     reduced = rs.reduced_array()
@@ -80,7 +80,10 @@ def _equal_pairs(enc):
     bits."""
     # the constructor checked the segment against the exact rank width;
     # a width of 0 leaves it empty
-    return subset_unrank(enc.k, int(enc.c_rank_bits or "0", 2), enc.n - 1)
+    try:
+        return subset_unrank(enc.k, int(enc.c_rank_bits or "0", 2), enc.n - 1)
+    except CorruptionError as exc:
+        raise CorruptionError(str(exc), segment="c_rank") from None
 
 
 def decode_runs(enc):

@@ -6,9 +6,10 @@ preorder ranks.  A node is red when its immediate right sibling holds a
 different value, blue otherwise.
 
 The encoders build no tree.  ``scan_heaps`` runs the left-to-right stack
-scan once per heap and keeps only what the payload stores: each node's
-degree, and its sibling code (``SIB_NONE``, ``SIB_RED`` or ``SIB_BLUE``),
-set when the node is popped, which is when its right sibling arrives.
+scan of both heaps in one pass, with a stack per heap, and keeps only
+what the payload stores: each node's degree, and its sibling code
+(``SIB_NONE``, ``SIB_RED`` or ``SIB_BLUE``), set when the node is popped,
+which is when its right sibling arrives.
 
 A tree is its parent list plus the first-child, right-sibling and degree
 tables that go with it.  The heap builders fill all four in the same
@@ -280,7 +281,8 @@ def _build_heap(values):
     # so it is never popped.  The stack is the rightmost path and p its
     # top.  The last node popped before i is attached was its parent's
     # last child so far; when nothing is popped, i is the first child of
-    # p = i-1.  ``_scan`` is the same scan, keeping degrees and codes.
+    # p = i-1.  ``scan_heaps`` is the same scan for both heaps at once,
+    # keeping degrees and codes.
     padded = (-math.inf, *values)
     size = len(padded)
     parent = [None] * size
@@ -307,37 +309,64 @@ def _build_heap(values):
     return OrdinalTree.from_tables(parent, first, right_sib, degrees)
 
 
-def _scan(values):
-    """The degree list and sibling-code bytearray of the min heap of
-    ``values``, from ``_build_heap``'s scan: node i is the right sibling
-    of the last node popped before it is attached, so that node's code
-    compares the two values."""
-    padded = (-math.inf, *values)
-    size = len(padded)
-    degrees = [0] * size
-    codes = bytearray(size)
-    stack = [0]
-    p = 0
-    for i in range(1, size):
-        v = padded[i]
-        if padded[p] >= v:
-            while True:
-                last = stack.pop()
-                p = stack[-1]
-                if padded[p] < v:
-                    break
-            codes[last] = SIB_RED if padded[last] != v else SIB_BLUE
-        degrees[p] += 1
-        stack.append(i)
-        p = i
-    return degrees, codes
-
-
 def scan_heaps(a):
     """Degrees and sibling codes of both heaps of ``a``, with no tree:
     ``(deg_min, code_min, deg_max, code_max)``, each indexed by node
-    0..n.  The max heap is the min heap of the negated values."""
-    return (*_scan(a.values), *_scan(map(operator.neg, a.values)))
+    0..n.
+
+    One left-to-right pass runs ``_build_heap``'s stack scan for both
+    heaps: the min heap pops while its top is >= v, the max heap while
+    its top is <= v.  Node i is the right sibling of the last node popped
+    before it is attached, so that node's code compares the two values.
+    Node i-1 tops both stacks when node i arrives, so A[i-1] < A[i] pops
+    the max heap alone, A[i-1] > A[i] the min heap alone, and an equal
+    pair pops both; a heap that does not pop takes i as the first child
+    of i-1.
+    """
+    values = a.values
+    size = len(values) + 1
+    deg_min = [0] * size
+    deg_max = [0] * size
+    code_min = bytearray(size)
+    code_max = bytearray(size)
+    # node-indexed values; node 0 is below (lo) or above (hi) every value,
+    # so it is never popped
+    lo = (-math.inf, *values)
+    hi = (math.inf, *values)
+    # node 1 is the first child of the root in both heaps
+    deg_min[0] = deg_max[0] = 1
+    s_min = [0, 1]
+    s_max = [0, 1]
+    push_min, pop_min = s_min.append, s_min.pop
+    push_max, pop_max = s_max.append, s_max.pop
+    # u is A[i-1], the value of node i-1
+    u = values[0]
+    for i, v in enumerate(values[1:], 2):
+        if v > u:
+            # i is the first child of i-1
+            deg_min[i - 1] = 1
+        else:
+            last = pop_min()
+            p = s_min[-1]
+            while lo[p] >= v:
+                last = pop_min()
+                p = s_min[-1]
+            code_min[last] = SIB_RED if lo[last] != v else SIB_BLUE
+            deg_min[p] += 1
+        push_min(i)
+        if v < u:
+            deg_max[i - 1] = 1
+        else:
+            last = pop_max()
+            p = s_max[-1]
+            while hi[p] <= v:
+                last = pop_max()
+                p = s_max[-1]
+            code_max[last] = SIB_RED if hi[last] != v else SIB_BLUE
+            deg_max[p] += 1
+        push_max(i)
+        u = v
+    return deg_min, code_min, deg_max, code_max
 
 
 def build_min_heap(a):

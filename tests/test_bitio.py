@@ -319,6 +319,45 @@ def _random_subset(rng, length, density, prefix):
     return sorted(positions)
 
 
+def _one_step_rank(positions):
+    """The combinadic rank as its one-step sum: the j-th position p
+    (1-based j) adds C(p, j)."""
+    return sum(comb(p, j) for j, p in enumerate(positions, 1))
+
+
+class TestRankByGaps:
+    """``subset_rank`` multiplies each gap of non-positions in one
+    product, cut where a block of SCAN_BLOCK steps ends; small blocks put
+    gaps across many block ends."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 128])
+    def test_equals_one_step_sum(self, block, monkeypatch):
+        monkeypatch.setattr(bitio, "SCAN_BLOCK", block)
+        rng = make_rng(90 + block)
+        for density in (0, 0.01, 1 / 13, 0.5, 0.99, 1):
+            for prefix in (False, True):
+                for length in (1, 2, 9, 130, 700):
+                    positions = _random_subset(rng, length, density, prefix)
+                    assert subset_rank(positions, length) == (
+                        len(positions), _one_step_rank(positions)), (density, length)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 128])
+    def test_gaps_across_block_ends(self, block, monkeypatch):
+        monkeypatch.setattr(bitio, "SCAN_BLOCK", block)
+        length = 700
+        cases = [
+            [699],                             # one gap of 699 steps
+            [0, 1, 2, 699],                    # a leading run, then one gap
+            [5, 127, 128, 129, 256, 257, 600],  # positions at block ends
+            [126, 131, 380, 381, 699],         # gaps that end past block ends
+            list(range(0, 700, 50)),           # gaps of 49 steps
+            list(range(1, 700, 2)),            # one-step gaps only
+        ]
+        for positions in cases:
+            assert subset_rank(positions, length) == (
+                len(positions), _one_step_rank(positions)), positions
+
+
 class TestBlockedSubsetCoder:
     """Lengths where the coder runs many blocks, so the block folds, the
     bounds on r/b and their near-tie fallbacks all run."""
@@ -397,6 +436,29 @@ class TestBlockedSubsetCoder:
             length = 1 << m
             for k in (1, length - 1):
                 assert subset_rank_width(length, k) == m
+
+    def test_width_from_stirling_sum(self, monkeypatch):
+        # every width past the exact range goes through the 50-digit sum;
+        # the binomial is taken only where C(L, k) is a power of two
+        monkeypatch.setattr(bitio, "_float_width", lambda length, k: None)
+        exact = []
+        real_comb = bitio.comb
+
+        def spy(n, k):
+            exact.append((n, k))
+            return real_comb(n, k)
+        monkeypatch.setattr(bitio, "comb", spy)
+        rng = make_rng(6)
+        cases = [(length, k) for length in (1024, 1500, 3000)
+                 for k in range(length + 1)]
+        for length, draws in ((10**5, 6), (10**6, 1)):
+            ks = {1, 2, 199, 200, length // 13, length // 2, length - 1}
+            cases += [(length, k) for k in ks | {rng.randrange(length + 1)
+                                                 for _ in range(draws)}]
+        for length, k in cases:
+            width = (real_comb(length, k) - 1).bit_length()
+            assert subset_rank_width(length, k) == width, (length, k)
+        assert exact == [(1024, 1), (1024, 1023)]
 
     def test_width_rejects_bad_k(self):
         for k in (-1, 11):

@@ -225,8 +225,22 @@ class TestArrayPath:
         with pytest.raises(AssertionError, match="tree built"):
             build_min_heap(figure_array)
 
+    @staticmethod
+    def run_arrays():
+        """Seeded arrays in runs of equal values up to four long."""
+        rng = make_rng(54)
+        for k in range(200):
+            alphabet = 2 + k % 3
+            values = [rng.randint(1, alphabet) for _ in range(rng.randint(1, 20))]
+            yield "runs over %d values, #%d" % (alphabet, k), ValueArray(
+                [v for v in values for _ in range(rng.randint(1, 4))])
+
     def test_sibling_codes_match_built_trees(self):
-        for name, a in scan_arrays():
+        # scan_heaps runs both heaps in one pass; an equal pair pops both
+        # stacks in one step
+        both_pop = 0
+        for name, a in itertools.chain(scan_arrays(), self.run_arrays()):
+            both_pop += sum(map(int.__eq__, a.values, a.values[1:]))
             deg_min, code_min, deg_max, code_max = scan_heaps(a)
             for tree, degrees, codes in ((build_min_heap(a), deg_min, code_min),
                                          (build_max_heap(a), deg_max, code_max)):
@@ -241,6 +255,7 @@ class TestArrayPath:
                 assert ct.is_red == bytearray(c == SIB_RED for c in codes), name
                 # codes derived from colors alone agree
                 assert ColoredTree(tree, ct.is_red).codes == codes, name
+        assert both_pop > 1000
 
 
 class TestDecode:

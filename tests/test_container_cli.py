@@ -34,6 +34,17 @@ MAX_N_CONTAINER = bytes.fromhex(
 CHILD_ADDRESS_SPACE = 1 << 30
 
 
+def with_segment(enc, index, bits):
+    """The container of ``enc`` with its payload segment ``index``, in
+    container order, replaced by ``bits`` of the same length."""
+    segments = container._segments_of(enc)
+    assert len(bits) == len(segments[index])
+    segments[index] = bits
+    data = serialize(enc)
+    payload = BitStream("".join(segments)).to_bytes()
+    return data[:len(data) - len(payload)] + payload
+
+
 def all_encodings(a):
     out = [encode_general(a)]
     if a.has_consecutive_equal() is None:
@@ -155,6 +166,31 @@ class TestContainer:
                 write_varint(buf, value)
             buf += bytes(payload_bytes)
             with pytest.raises(CorruptionError):
+                deserialize(bytes(buf))
+
+    def test_max_n_widths_near_an_integer_take_no_binomial(self, monkeypatch):
+        # at L = MAX_N - 1 and k = L - m with m near 1e5, the lgamma sum
+        # for log2 C(L, k) lies within its margin of an integer for about
+        # 8 % of k; a container with such a header and the shortest
+        # payload the cheap size check allows must be rejected without
+        # C(L, k), a 1.6 Mbit binomial
+        def refuse(*args):
+            raise AssertionError("binomial computed for a hostile header")
+        monkeypatch.setattr(bitio, "comb", refuse)
+        n = container.MAX_N
+        length = n - 1
+        ks = [length - m for m in range(100_000, 100_400)
+              if bitio._float_width(length, length - m) is None]
+        assert len(ks) > 10
+        for k in ks:
+            # the colored part of n - k elements at g = 0
+            lengths = [0, 0, trit_pack_bits(n - k - 1), n - k, n - k]
+            buf = bytearray(MAGIC)
+            buf += bytes([VERSION, SCHEME_GENERAL])
+            for value in [n, k] + lengths:
+                write_varint(buf, value)
+            buf += bytes((sum(lengths) + length - k + 7) // 8)
+            with pytest.raises(CorruptionError, match="segment lengths"):
                 deserialize(bytes(buf))
 
     def test_max_n(self, monkeypatch):
@@ -387,9 +423,23 @@ class TestCli:
                              other.v_neutral),
              "string v_neutral exhausted (segment v_neutral, trit %d)"
              % len(other.v_neutral))]
-        for enc, message in cases:
+        cases = [(serialize(enc), message) for enc, message in cases]
+        # an increasing array of 60 has 59 neutral trits, packed in a
+        # 65-bit block of 41 and a 29-bit block of 18; all ones in the
+        # second block is 2^29 - 1 >= 3^18
+        up = encode(ValueArray(range(60)), "colored")
+        packed = container._segments_of(up)[2]
+        cases.append((with_segment(up, 2, packed[:65] + "1" * 29),
+                      "trit block value 536870911 out of range "
+                      "(segment packed_trits, bit 65)"))
+        # the rank of the runs of [2, 2, 1, 1, 3, 1, 3, 3] is 6 bits
+        # wide and below C(7, 3) = 35; all ones is 63
+        runs = encode(ValueArray([2, 2, 1, 1, 3, 1, 3, 3]), "general")
+        cases.append((with_segment(runs, 0, "1" * 6),
+                      "subset rank out of range for C(7, 3) (segment c_rank)"))
+        for data, message in cases:
             path = tmp_path / "broken.nlve"
-            path.write_bytes(serialize(enc))
+            path.write_bytes(data)
             for command in (["decode"], ["query", "--kind", "psv", "--index", "1"]):
                 rc = main([command[0], "--in", str(path)] + command[1:])
                 assert rc == 4

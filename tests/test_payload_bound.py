@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from nlvcodec import (ColoredEncoding, GeneralEncoding, JointEncoding,
+from nlvcodec import (MAX_N, ColoredEncoding, GeneralEncoding, JointEncoding,
                       ValueArray, compute_runs, encode, fuzz, trit_pack_bits)
 from nlvcodec.bitio import BITS_PER_BLOCK, TRITS_PER_BLOCK
 
@@ -78,6 +78,65 @@ def test_general_payload_meets_its_bound_at_5e5():
         raise ValueError("not the monotone family with k = n/13 and g = 0")
     # 42.1 bits over while item 3 is open
     assert enc.payload_bits() <= GeneralEncoding.payload_bound(n)
+
+
+# n at which the width-only check takes every k, and the log-spaced n
+# from there to MAX_N at which it takes k within 64 of n/13
+EVERY_K_UP_TO = 1500
+WINDOW_NS = sorted({round(EVERY_K_UP_TO * (MAX_N / EVERY_K_UP_TO) ** (i / 149))
+                    for i in range(150)})
+# the general payload crosses its bound between 3.83e5 and 3.85e5
+CROSSES_BOUND_AT = 384_000
+
+
+def _ln_factorial(m):
+    return math.lgamma(m + 1)
+
+
+def _largest_general_payload(n, ks, ln_factorial=_ln_factorial):
+    """The largest general payload of n elements over the run counts ks,
+    at g = 0, from segment widths alone: the rank width, the degree
+    streams and the packed trits of the colored part of n - k elements.
+    The rank width is the ceiling of the lgamma sum for log2 C(n-1, k)
+    plus the margin that ``subset_rank_width`` gives that sum, so it is
+    never below the exact width and no binomial is computed."""
+    length = n - 1
+    whole = ln_factorial(length)
+    margin = max(whole, 1.0) * 2.0 ** -40
+    ln2 = math.log(2)
+    return max(
+        (0 if k in (0, length) else
+         math.ceil((whole - ln_factorial(k) - ln_factorial(length - k)) / ln2
+                   + margin))
+        + 2 * (n - k) + trit_pack_bits(n - k - 1)
+        for k in ks)
+
+
+def test_joint_payload_is_exactly_its_bound():
+    # U has n - 1 bits and the degree streams 2n, whatever the array
+    for n in list(range(1, EVERY_K_UP_TO + 1)) + WINDOW_NS:
+        assert JointEncoding.payload_bound(n) == (n - 1) + 2 * n == 3 * n - 1, n
+
+
+def test_general_widths_meet_the_bound_for_every_k():
+    table = list(map(_ln_factorial, range(EVERY_K_UP_TO)))
+    for n in range(1, EVERY_K_UP_TO + 1):
+        assert (_largest_general_payload(n, range(n), table.__getitem__)
+                <= GeneralEncoding.payload_bound(n)), n
+
+
+@pytest.mark.parametrize("n", [
+    n if n <= CROSSES_BOUND_AT else pytest.param(n, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=(
+            "ROADMAP item 3: 41-trit blocks cost 4.0e-4 bits per trit over "
+            "log2 3, so the general payload crosses its bound from about "
+            "n = 3.84e5")))
+    for n in WINDOW_NS])
+def test_general_widths_meet_the_bound_near_n_over_13(n):
+    # log2 C(n-1, k) + 2(n - k) + (n - k) log2 3 peaks at k = n/13
+    centre = n // 13
+    ks = range(max(centre - 64, 0), min(centre + 64, n - 1) + 1)
+    assert _largest_general_payload(n, ks) <= GeneralEncoding.payload_bound(n)
 
 
 def test_readme_table_states_each_bound():
