@@ -6,7 +6,7 @@ virtual sentinels for the previous-* and next-* queries respectively.
 
 import itertools
 import operator
-from array import array
+import re
 
 from .errors import EmptyArrayError, ParseError, RangeError
 
@@ -14,6 +14,11 @@ INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
 QUERY_KINDS = ("psv", "plv", "nsv", "nlv")
+
+# what parse_array_text accepts: tokens, and the ASCII whitespace
+# between them
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+_SEPARATORS = re.compile(r"[ \t\n\r\v\f]+")
 
 # swaps the bytes 0 and 1: run bits to kept flags and back
 _FLIP_BITS = bytes.maketrans(b"\0\1", b"\1\0")
@@ -82,23 +87,40 @@ def _check_int64(vals, error=ValueError):
 
 
 def parse_array_text(text):
-    """Parse whitespace-separated integers into a ValueArray; strict."""
-    tokens = text.split()
-    if not tokens:
+    """Parse integers separated by ASCII whitespace into a ValueArray.
+
+    Strict: each token must be ASCII ``[+-]?[0-9]+``.  ``int`` also takes
+    "1_000" and non-ASCII digits, and ``str.split`` splits at non-ASCII
+    spaces, so only an ASCII text with no "_" (two C-level tests) is
+    converted, split as bytes at ASCII whitespace alone.  Any other text,
+    or a token ``int`` rejects, raises ParseError naming the first bad
+    token.
+    """
+    values = None
+    if text.isascii() and "_" not in text:
+        try:
+            values = tuple(map(int, text.encode().split()))
+        except ValueError:
+            pass
+    if values is None:
+        raise ParseError("not an integer: %r" % (_first_bad_token(text),))
+    if not values:
         raise ParseError("no integers found in input")
-    try:
-        values = tuple(map(int, tokens))
-    except ValueError:
-        # name the first bad token
-        for tok in tokens:
-            try:
-                int(tok)
-            except ValueError:
-                raise ParseError("not an integer: %r" % tok) from None
-        raise
     # int() made each value once; one range test checks them all
     _check_int64(values, ParseError)
     return ValueArray._from_checked(values)
+
+
+def _first_bad_token(text):
+    """The first token of ``text`` that is not ASCII [+-]?[0-9]+, or that
+    ``int`` rejects for its digit count."""
+    for tok in filter(None, _SEPARATORS.split(text)):
+        if not _INT_TOKEN.fullmatch(tok):
+            return tok
+        try:
+            int(tok)
+        except ValueError:
+            return tok
 
 
 def format_array_text(a):
@@ -156,31 +178,19 @@ ORACLES = {
 
 
 class RunStructure:
-    """Marks runs of equal consecutive values and maps indices between the
-    original array and the run-compressed one.
+    """The runs of equal consecutive values, which the general scheme
+    reduces to one element each.
 
     c_bits[i-1] == 1 (for 1 <= i <= n-1) iff A[i] == A[i+1].  The reduced
     array keeps the last element of every run, so kept positions are the
-    indices i with i == n or c_bits[i-1] == 0.  ``run_starts[r-1]`` is the
-    first index of run r, the one after the end of run r-1: a list in which
-    a run of one, which starts where it ends, holds the very int of
-    ``kept_positions[r-1]``, and only a longer run's start is an int of its
-    own.  ``rank_map`` is an ``array('I')`` whose entry i-1 is the reduced
-    position of i's run (``container.MAX_N`` keeps every rank in range).
-    The kept positions and each map are built on their first read, for
-    the two-step lift of reduced answer tables
-    (``map_answer_to_original``, then ``map_query_index``) that the
-    general decode is tested against; the decode itself reads only the
-    kept flags (``fill_runs``), and the encode only ``equal_pairs`` and
-    the reduced array.
-
-    The structure holds the complement of c_bits as bytes (``_keep``,
-    as ``kept_flags`` makes it); the positions and the maps come from
-    C-level scans of it, and ``c_bits`` is built from it on each read.
+    indices i with i == n or c_bits[i-1] == 0.  The structure holds the
+    complement of c_bits as bytes, the kept flags (``kept_flags``), and
+    builds the rest from them on each read.  The encode reads
+    ``equal_pairs`` and the reduced array; the decode builds only the
+    kept flags.
     """
 
-    __slots__ = ("n", "k", "_keep", "_kept_positions", "_run_starts",
-                 "_rank_map", "_values")
+    __slots__ = ("n", "k", "_keep", "_values")
 
     def __init__(self, c_bits, n, values=None):
         """``values``, if given, is the ``values`` tuple of the ValueArray
@@ -194,29 +204,14 @@ class RunStructure:
             raise ValueError("c_bits must have length n-1")
         if c_bits.translate(None, b"\0\1"):
             raise ValueError("c_bits must be binary")
-        self._set_runs(c_bits.translate(_FLIP_BITS), n, values)
-
-    @classmethod
-    def _from_positions(cls, positions, n):
-        """The runs of an n-element array from the 0-based positions p of
-        its equal pairs A[p+1] == A[p+2]: distinct ints in 0..n-2, as a
-        decoder's unrank makes them, so nothing is checked."""
-        rs = cls.__new__(cls)
-        rs._set_runs(kept_flags(positions, n), n, None)
-        return rs
-
-    def _set_runs(self, keep, n, values):
         self.n = n
-        self.k = keep.count(0)
-        self._keep = keep
-        self._kept_positions = None
-        self._run_starts = None
-        self._rank_map = None
+        self.k = c_bits.count(1)
+        self._keep = c_bits.translate(_FLIP_BITS)
         self._values = values
 
     @property
     def c_bits(self):
-        """The run bits as a tuple of 0 and 1, built on each read."""
+        """The run bits as a tuple of 0 and 1."""
         return tuple(self._keep.translate(_FLIP_BITS))
 
     def equal_pairs(self):
@@ -227,34 +222,8 @@ class RunStructure:
 
     @property
     def kept_positions(self):
-        if self._kept_positions is None:
-            self._kept_positions = (
-                *itertools.compress(range(1, self.n), self._keep), self.n)
-        return self._kept_positions
-
-    @property
-    def run_starts(self):
-        if self._run_starts is None:
-            keep = self._keep
-            positions = self.equal_pairs()
-            starts = list(self.kept_positions)
-            # p + 1 starts a run longer than one when p is 0 or p - 1 is
-            # kept; the j-th pair has p - j kept positions below it, so
-            # that run is the one of rank p - j from 0
-            for j, p in itertools.compress(enumerate(positions),
-                                           map((b"\1" + keep).__getitem__, positions)):
-                starts[p - j] = p + 1
-            self._run_starts = starts
-        return self._run_starts
-
-    @property
-    def rank_map(self):
-        # the reduced position of i is one more than the count of kept
-        # positions below i; an unsigned typecode, since 'I' converts each
-        # int in half the time 'i' takes
-        if self._rank_map is None:
-            self._rank_map = array("I", itertools.accumulate(self._keep, initial=1))
-        return self._rank_map
+        """The run ends, increasing, as a tuple."""
+        return (*itertools.compress(range(1, self.n), self._keep), self.n)
 
     def reduced_array(self):
         """The array A' of run-last elements (requires source values)."""
@@ -330,18 +299,24 @@ def compute_runs(a):
 
 def map_query_index(rs, table):
     """Lift a reduced-position table to original indices: i reads its run's entry."""
-    return [table[0], *map(table.__getitem__, rs.rank_map)]
+    # the reduced position of i is one more than the count of run ends
+    # below i
+    ranks = itertools.accumulate(rs._keep, initial=1)
+    return [table[0], *map(table.__getitem__, ranks)]
 
 
 def map_answer_to_original(rs, answers, kind):
     """Translate a table of reduced-array answers to original coordinates.
 
     PSV/PLV answers are run ends and map straight to the kept position.
-    NSV/NLV answers map to the first element of the answering run.
+    NSV/NLV answers map to the first element of the answering run, one
+    past the previous run's end.
     """
     if kind not in QUERY_KINDS:
         raise ValueError("unknown query kind %r" % (kind,))
-    targets = rs.kept_positions if kind in ("psv", "plv") else rs.run_starts
+    ends = rs.kept_positions
+    targets = (ends if kind in ("psv", "plv")
+               else (1, *(end + 1 for end in ends[:-1])))
     # entry 0 is unused; the sentinels 0 and n-k+1 map to 0 and n+1
     lookup = (0, *targets, rs.n + 1)
     return [None, *map(lookup.__getitem__, answers[1:])]

@@ -137,9 +137,6 @@ class BitStream:
         self._bits = bits
         self._pos = 0
 
-    def at_end(self):
-        return self._pos == len(self._bits)
-
     def read_bit(self):
         """The next bit as the character '0' or '1'."""
         pos = self._pos

@@ -112,7 +112,7 @@ def cmd_decode(args):
     c_bits, heaps = decode_shapes(enc)
     if args.dump_trees:
         if c_bits is not None:
-            print("c: %s" % "".join(map(str, c_bits)))
+            print("c: %s" % c_bits)
         for name, (tree, colors) in zip(("min", "max"), heaps):
             print("%s: %s" % (name, tree_to_text(tree, colors)))
     return EXIT_OK

@@ -19,16 +19,15 @@ plus n-1-2g packed trits, largest at g = 0
 side strings, from each heap's degree list and sibling codes.  An array
 gets them from ``trees.scan_heaps`` and builds no tree; a tree pair from
 ``colorize`` goes through ``encode_colored``, which reads the same lists
-off the trees.  ``decode_colored`` returns trees in the decoded form,
-which hold the next-value tables queries read (``trees.ColoredTree``);
-``decode_colored_heaps`` is its shape pass alone, which the general
-scheme runs under run-end labels.
+off the trees.  ``decode_tables`` is the one colored decode, to the four
+answer tables, under the general scheme's run-end labels too;
+``decode_colored`` wraps them as trees (``trees.ColoredTree``).
 """
 
 from .bitio import Encoding, check_bits, trit_pack_bits, write_degree
 from .errors import CorruptionError, PreconditionError
 from .joint import decode_heaps, duality_error
-from .trees import SIB_BLUE, ColoredTree
+from .trees import SIB_BLUE, ColoredTree, _next_value_table
 
 GOOD = "good"
 BAD = "bad"
@@ -163,33 +162,26 @@ def emit_colored(n, deg_min, code_min, deg_max, code_max):
 
 
 def decode_colored(enc):
-    """Rebuild both colored trees; exact inverse of encode_colored.
+    """Rebuild both colored trees; exact inverse of encode_colored.  Each
+    tree keeps the parent and next-value tables of ``decode_tables`` and
+    derives the rest, colors included, when read."""
+    tables = decode_tables(enc)
+    return (ColoredTree.from_decoded(tables["psv"], tables["nsv"]),
+            ColoredTree.from_decoded(tables["plv"], tables["nlv"]))
 
-    ``decode_heaps`` reads ``u_gb``, ``v_bad`` and ``v_neutral`` inline,
-    through one iterator each; an exhausted string is a truncation, as
-    in the degree streams.  Trits outside 0, 1, 2 are found before the
-    shape pass, by one C-level scan, so a bad trit costs no degree bit.
-    A side-string error names its segment and the position where it
-    went wrong: the string's length when it runs out, the first bad
-    trit, or the first character left unread.
 
-    Each tree keeps only what a query reads, its parents and its
-    next-value table, which is written over the decoded right-sibling
-    list, so the table is the very list ``decode_heaps`` returned.  No
-    color is stored: the shape pass lists each heap's blue nodes that
-    have a right sibling, and the tree derives its other tables and its
-    colors from the two it keeps when they are read
-    (``ColoredTree.from_decoded``).  Beside those, the decode's scratch
-    is its open-node stacks and the two blue lists.
+def decode_tables(enc, labels=None):
+    """The four answer tables of a colored encoding, keyed by kind, with
+    the nodes named by ``labels`` (``joint.decode_heaps``).
+
+    A trit outside 0, 1, 2 is found first, by one C-level scan, so it
+    costs no degree bit; the shape loop then reads the side strings
+    inline, and its errors name the segment and position.  Each heap's
+    parents are its previous-value table, and ``_next_value_table``
+    turns its right siblings into its next-value table in place, from
+    the blue nodes with a right sibling that the loop lists.  No color
+    is stored.
     """
-    return tuple(ColoredTree.from_decoded(*tables)
-                 for tables in decode_colored_heaps(enc))
-
-
-def decode_colored_heaps(enc, labels=None):
-    """The shape loop's (parent, right_sib, blue) tables of both heaps,
-    under ``labels`` (``joint.decode_heaps``), once the trits are
-    checked."""
     v_neutral = enc.v_neutral
     # lstrip drops the valid trits at the start; what is left starts at
     # the first invalid one
@@ -198,5 +190,10 @@ def decode_colored_heaps(enc, labels=None):
         raise CorruptionError("invalid trit %r in v_neutral" % (bad[0],),
                               segment="v_neutral",
                               offset=len(v_neutral) - len(bad))
-    return decode_heaps(enc.n, enc.t_min, enc.t_max, u_gb=enc.u_gb,
-                        v_bad=enc.v_bad, v_neutral=v_neutral, labels=labels)
+    heaps = decode_heaps(enc.n, enc.t_min, enc.t_max, u_gb=enc.u_gb,
+                         v_bad=enc.v_bad, v_neutral=v_neutral, labels=labels)
+    tables = {}
+    for (parent, sib, blue), prev, nxt in zip(heaps, ("psv", "plv"), ("nsv", "nlv")):
+        tables[prev] = parent
+        tables[nxt] = _next_value_table(parent, sib, blue, labels)
+    return tables

@@ -15,11 +15,11 @@ raises AllocationError.
 """
 
 from .bitio import BitStream, subset_rank_width, trit_pack_bits, pack_trits, unpack_trits
-from .colored import ColoredEncoding, decode_colored, emit_colored
+from .colored import ColoredEncoding, decode_colored, decode_tables, emit_colored
 from .errors import CorruptionError, PreconditionError
 from .general import GeneralEncoding, decode_general, decode_runs, encode_general
-from .joint import JointEncoding, decode_joint, emit_joint
-from .queries import QueryStructure, tables_of
+from .joint import JointEncoding, decode_heaps, decode_joint, emit_joint
+from .queries import QueryStructure
 from .trees import scan_heaps
 
 MAGIC = b"NLVE"
@@ -36,6 +36,9 @@ SCHEME_GENERAL = 3
 SCHEME_NAMES = {"joint": SCHEME_JOINT, "colored": SCHEME_COLORED,
                 "general": SCHEME_GENERAL}
 SCHEME_IDS = {v: k for k, v in SCHEME_NAMES.items()}
+
+# a kept flag (1 at a run's end) to its run bit, as a digit
+_RUN_BIT_OF_FLAG = bytes.maketrans(b"\0\1", b"10")
 
 
 def encode(a, scheme):
@@ -67,18 +70,19 @@ def decode(enc):
     if isinstance(enc, GeneralEncoding):
         return decode_general(enc)
     if isinstance(enc, JointEncoding):
-        min_t, max_t = decode_joint(enc)
-        return QueryStructure(enc.n, {"psv": min_t.parent, "plv": max_t.parent})
-    return QueryStructure(enc.n, tables_of(*decode_colored(enc)))
+        (parent_min, _, _), (parent_max, _, _) = decode_heaps(
+            enc.n, enc.t_min, enc.t_max, u=enc.u)
+        return QueryStructure(enc.n, {"psv": parent_min, "plv": parent_max})
+    return QueryStructure(enc.n, decode_tables(enc))
 
 
 def decode_shapes(enc):
-    """The decoded shapes behind ``decode``: the run bits (a general
-    encoding's, else None) and a (tree, colors) pair per heap, min first,
-    with colors None for joint."""
+    """The decoded shapes behind ``decode``: the run bits as a str of '0'
+    and '1' (a general encoding's, else None) and a (tree, colors) pair
+    per heap, min first, with colors None for joint."""
     c_bits = None
     if isinstance(enc, GeneralEncoding):
-        c_bits = decode_runs(enc).c_bits
+        c_bits = decode_runs(enc).translate(_RUN_BIT_OF_FLAG).decode()
         enc = enc.colored
     if isinstance(enc, JointEncoding):
         return c_bits, [(tree, None) for tree in decode_joint(enc)]
@@ -99,23 +103,32 @@ def write_varint(buf, value):
 
 
 def read_varint(data, pos):
+    """The varint that starts at byte ``pos`` of ``data``, and the byte
+    after it.  Its errors name the header at the varint's first bit."""
+    start = 8 * pos
     value = 0
     shift = 0
     while True:
         if pos >= len(data):
-            raise CorruptionError("truncated varint")
+            raise _header_error("truncated varint", start)
         byte = data[pos]
         pos += 1
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
             if byte == 0 and shift:
-                raise CorruptionError("non-canonical varint")
+                raise _header_error("non-canonical varint", start)
             if value >> 64:
-                raise CorruptionError("varint wider than 64 bits")
+                raise _header_error("varint wider than 64 bits", start)
             return value, pos
         shift += 7
         if shift > 63:
-            raise CorruptionError("varint too long")
+            raise _header_error("varint too long", start)
+
+
+def _header_error(message, offset=None):
+    """A CorruptionError in the header, at the bit where the field at
+    fault starts, or at None when no single field is."""
+    return CorruptionError(message, segment="header", offset=offset)
 
 
 def _colored_segments(c):
@@ -157,7 +170,7 @@ def serialize(enc):
 def _split_segments(payload_bytes, lengths):
     total = sum(lengths)
     if (total + 7) // 8 != len(payload_bytes):
-        raise CorruptionError("segment lengths do not match payload size")
+        raise _header_error("segment lengths do not match payload size")
     if total % 8 and payload_bytes[-1] & ((1 << (8 - total % 8)) - 1):
         raise CorruptionError("nonzero padding bits")
     bits = BitStream.from_bytes(payload_bytes, total)
@@ -169,66 +182,72 @@ def _split_segments(payload_bytes, lengths):
     return parts
 
 
-def _neutral_count(n, lengths):
-    """Check colored segment lengths against n before any payload is read;
-    returns the number m of packed trits."""
-    u_gb, v_bad, packed, t_min, t_max = lengths
-    if u_gb != 2 * v_bad:
-        raise CorruptionError("|u_gb| must be twice |v_bad|")
-    m = n - 1 - u_gb
-    if m < 0 or trit_pack_bits(m) != packed:
-        raise CorruptionError("packed trit segment has wrong length")
-    if t_min + t_max != 2 * n:
-        raise CorruptionError("degree streams must total 2n bits")
-    return m
-
-
 def deserialize(data):
-    """Parse container bytes back into the matching encoding object."""
-    if len(data) < 6 or data[:4] != MAGIC:
-        raise CorruptionError("bad magic")
+    """Parse container bytes back into the matching encoding object.
+
+    The segment lengths are checked against n (and k) before any payload
+    is read.  A header error sets ``segment`` "header" and ``offset`` at
+    the bit where the field at fault starts: the magic at 0, the version
+    at 32, the scheme at 40, a varint at its first byte.  A check of
+    lengths against each other or against the payload size names no
+    single field, and no offset.
+    """
+    if data[:4] != MAGIC:
+        raise _header_error("bad magic", 0)
+    if len(data) < 6:
+        raise _header_error("truncated header", 8 * len(data))
     if data[4] != VERSION:
-        raise CorruptionError("unsupported version %d" % data[4])
+        raise _header_error("unsupported version %d" % data[4], 32)
     scheme = data[5]
     if scheme not in SCHEME_IDS:
-        raise CorruptionError("unknown scheme %d" % scheme)
-    pos = 6
-    n, pos = read_varint(data, pos)
+        raise _header_error("unknown scheme %d" % scheme, 40)
+    n, pos = read_varint(data, 6)
     if n < 1:
-        raise CorruptionError("n must be >= 1")
+        raise _header_error("n must be >= 1", 48)
     if n > MAX_N:
-        raise CorruptionError("n = %d exceeds MAX_N = %d" % (n, MAX_N))
-    k = None
+        raise _header_error("n = %d exceeds MAX_N = %d" % (n, MAX_N), 48)
+    k = 0
     if scheme == SCHEME_GENERAL:
+        start = 8 * pos
         k, pos = read_varint(data, pos)
         if k > n - 1:
-            raise CorruptionError("run count k out of range")
-    nseg = 3 if scheme == SCHEME_JOINT else 5
-    lengths = []
-    for _ in range(nseg):
+            raise _header_error("run count k out of range", start)
+    # the segment lengths, and the bit where each one's varint starts
+    lengths, starts = [], []
+    for _ in range(3 if scheme == SCHEME_JOINT else 5):
+        starts.append(8 * pos)
         length, pos = read_varint(data, pos)
         lengths.append(length)
     payload = data[pos:]
+    # the elements of the joint array, or of the colored part
+    size = n - k
     if scheme == SCHEME_JOINT:
-        u, t_min, t_max = _split_segments(payload, lengths)
-        if len(u) != n - 1:
-            raise CorruptionError("U segment has wrong length")
-        return JointEncoding(n, u, t_min, t_max)
+        if lengths[0] != n - 1:
+            raise _header_error("U segment has wrong length", starts[0])
+    else:
+        u_gb, v_bad, packed = lengths[:3]
+        if u_gb != 2 * v_bad:
+            raise _header_error("|u_gb| must be twice |v_bad|")
+        m = size - 1 - u_gb
+        if m < 0 or trit_pack_bits(m) != packed:
+            raise _header_error("packed trit segment has wrong length", starts[2])
+    if lengths[-2] + lengths[-1] != 2 * size:
+        raise _header_error("degree streams must total 2n bits")
+    if scheme == SCHEME_JOINT:
+        return JointEncoding(n, *_split_segments(payload, lengths))
     if scheme == SCHEME_COLORED:
-        m = _neutral_count(n, lengths)
         return _colored_encoding(n, m, _split_segments(payload, lengths))
     # general: leading subset-rank bits, then the colored segments of A'.
     # The rank width falls back to a big binomial near integer values of
     # log2 C(n-1, k), so the payload size is first checked against cheap
     # bounds on it: 2^min(k, n-1-k) <= C(n-1, k) <= 2^(n-1).
-    m = _neutral_count(n - k, lengths)
     listed = sum(lengths)
     if not ((listed + min(k, n - 1 - k) + 7) // 8 <= len(payload)
             <= (listed + n - 1 + 7) // 8):
-        raise CorruptionError("payload size does not fit the run rank width")
+        raise _header_error("payload size does not fit the run rank width")
     width = subset_rank_width(n - 1, k)
     parts = _split_segments(payload, [width] + lengths)
-    return GeneralEncoding(n, k, parts[0], _colored_encoding(n - k, m, parts[1:]),
+    return GeneralEncoding(n, k, parts[0], _colored_encoding(size, m, parts[1:]),
                            width)
 
 

@@ -2,27 +2,27 @@
 plus the colored encoding of the run-compressed array.
 
 Payload approaches log2(13) * n bits.  Decoding unranks the run bitmap
-first, into kept flags, and labels node r of the reduced heaps with the
-end of run r.  The one shape loop (``joint.decode_heaps``) then writes
-both heaps into (n+1)-entry lists indexed by original position: the
-parents are the PSV and PLV tables, and ``trees._next_value_table``
-turns the siblings into the NSV and NLV tables in place.
-``arrays.fill_runs`` completes them: each next-value answer that names a
-run longer than one moves to the run's start, and each index inside a
-run copies its end's answers.  No reduced table, rank map or run-start
-list is built, and the tables share the labels' ints.
+first, into kept flags (``decode_runs``), and labels node r of the
+reduced heaps with the end of run r.  The colored decode
+(``colored.decode_tables``) then writes the four answer tables under
+those labels, as (n+1)-entry lists indexed by original position: the
+parents are the PSV and PLV tables, and the siblings turn into the NSV
+and NLV tables in place.  ``arrays.fill_runs`` completes them: each
+next-value answer that names a run longer than one moves to the run's
+start, and each index inside a run copies its end's answers.  No
+reduced table, run structure or run map is built, and the tables share
+the labels' ints.
 """
 
 import math
 
-from .arrays import (RunStructure, compute_runs, end_labels, fill_runs,
-                     kept_flags)
+from .arrays import compute_runs, end_labels, fill_runs, kept_flags
 from .bitio import (Encoding, check_bits, comb, subset_rank, subset_rank_width,
                     subset_unrank, uint_bits)
-from .colored import decode_colored_heaps, emit_colored
+from .colored import decode_tables, emit_colored
 from .errors import AllocationError, CorruptionError
 from .queries import QueryStructure
-from .trees import _next_value_table, scan_heaps
+from .trees import scan_heaps
 
 LOG2_13 = math.log2(13)
 
@@ -75,24 +75,19 @@ def encode_general(a):
     return GeneralEncoding(a.n, k, c_rank_bits, colored, width)
 
 
-def _equal_pairs(enc):
-    """The 0-based positions of the equal pairs, unranked from the rank
-    bits."""
+def decode_runs(enc):
+    """The kept flags of a general encoding (``arrays.kept_flags``),
+    unranked from its rank bits.
+
+    Raises AllocationError when they do not fit in memory.
+    """
     # the constructor checked the segment against the exact rank width;
     # a width of 0 leaves it empty
     try:
-        return subset_unrank(enc.k, int(enc.c_rank_bits or "0", 2), enc.n - 1)
+        return kept_flags(subset_unrank(enc.k, int(enc.c_rank_bits or "0", 2),
+                                        enc.n - 1), enc.n)
     except CorruptionError as exc:
         raise CorruptionError(str(exc), segment="c_rank") from None
-
-
-def decode_runs(enc):
-    """The run structure of a general encoding, from its rank bits.
-
-    Raises AllocationError when it does not fit in memory.
-    """
-    try:
-        return RunStructure._from_positions(_equal_pairs(enc), enc.n)
     except MemoryError:
         raise _allocation_error(enc.n) from None
 
@@ -106,15 +101,10 @@ def decode_general(enc):
     AllocationError when the tables do not fit in memory.
     """
     n = enc.n
+    keep = decode_runs(enc)
     try:
-        keep = kept_flags(_equal_pairs(enc), n)
         labels = end_labels(keep)
-        tables = {}
-        for (parent, sib, blue), prev, nxt in zip(
-                decode_colored_heaps(enc.colored, labels),
-                ("psv", "plv"), ("nsv", "nlv")):
-            tables[prev] = parent
-            tables[nxt] = _next_value_table(parent, sib, blue, labels)
+        tables = decode_tables(enc.colored, labels)
         fill_runs(keep, tables, labels)
     except MemoryError:
         raise _allocation_error(n) from None

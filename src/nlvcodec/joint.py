@@ -142,7 +142,7 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
     index reads the next ``u_gb`` bit, a bad one also the next
     ``v_bad`` bit, its color in the heap where it is internal; a
     neutral index reads the next ``v_neutral`` trit, which must be 0, 1
-    or 2 (``colored.decode_colored`` checks that first).  A node that is
+    or 2 (``colored.decode_tables`` checks that first).  A node that is
     blue and has a right sibling, a ``v_bad`` bit or trit 1, goes on
     its heap's ``blue`` list, in increasing order; no color is stored
     for any other node, and the joint scheme's lists stay empty.

@@ -3,12 +3,15 @@ colored max heap, without the source array.
 
 Every query is a range check plus one table lookup.  Previous-value
 answers are parents.  Next-value answers come from the table that
-decoding builds from the decoded siblings and the blue nodes the shape
-loop lists (``ColoredTree.from_decoded``, see
-``trees._next_value_table``), so no query walks siblings or ancestors.  The ``*_from_tree`` functions take decoded trees; the trees
-``colorize`` makes hold sibling codes only.
+``colored.decode_tables`` builds from the decoded siblings and the blue
+nodes the shape loop lists (see ``trees._next_value_table``), so no
+query walks siblings or ancestors.
 
-``QueryStructure`` holds one answer table per kind, for all three schemes.
+``QueryStructure`` holds one answer table per kind, for all three
+schemes, as ``container.decode`` returns it.  The ``*_from_tree``
+functions answer from the trees ``colored.decode_colored`` returns,
+which hold the same tables; the trees ``colorize`` makes hold sibling
+codes only.
 """
 
 from .arrays import QUERY_KINDS
@@ -57,12 +60,6 @@ TREE_QUERIES = {
     "nsv": nsv_from_tree,
     "nlv": nlv_from_tree,
 }
-
-
-def tables_of(cmin, cmax):
-    """The answer tables of a colored heap pair (its lists, not copies)."""
-    return {"psv": cmin.tree.parent, "plv": cmax.tree.parent,
-            "nsv": cmin.next_value, "nlv": cmax.next_value}
 
 
 class QueryStructure:

@@ -158,8 +158,9 @@ class ColoredTree:
     bytearray with one sibling code per node (``SIB_NONE``, ``SIB_RED``,
     ``SIB_BLUE``), which is all the encoders read.  ``from_decoded``
     makes the decoded form: ``tree.parent`` and ``next_value``, the two
-    lists a query reads (``queries.tables_of``), built from the decoded
-    siblings and the blue nodes that have one, with no color array.
+    lists a query reads, as ``colored.decode_tables`` builds them from
+    the decoded siblings and the blue nodes that have one, with no color
+    array.
     ``next_value[i]`` is the answer to NSV(i) in a min heap and NLV(i) in
     a max heap, n+1 when there is none; only the decoded form has it.
     The constructor takes a tree and any color sequence, one color per
@@ -197,18 +198,15 @@ class ColoredTree:
         return ct
 
     @classmethod
-    def from_decoded(cls, parent, right_sib, blue):
-        """The colored tree of decoded parent and right-sibling tables
-        and its blue nodes that have a right sibling, in increasing
-        order.  It keeps the parents and turns ``right_sib`` in place
-        into the next-value table, so it consumes that list: a caller
-        that still needs the siblings passes a copy.  ``blue`` is not
-        kept; the colors and the other tables are derived on first
-        read."""
+    def from_decoded(cls, parent, next_value):
+        """The decoded form over a heap's parent list and its next-value
+        table (``colored.decode_tables``), which it keeps; nothing is
+        checked or copied.  The colors and the other tables are derived
+        on first read."""
         ct = cls.__new__(cls)
         ct.tree = OrdinalTree.from_tables(parent)
         ct._red = ct._codes = None
-        ct.next_value = _next_value_table(parent, right_sib, blue)
+        ct.next_value = next_value
         return ct
 
     @property

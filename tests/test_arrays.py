@@ -1,5 +1,5 @@
 import itertools
-from array import array
+import re
 
 import pytest
 
@@ -8,7 +8,6 @@ from nlvcodec import (EmptyArrayError, ParseError, RangeError, ValueArray,
                       oracle_nlv, oracle_nsv, oracle_plv, oracle_psv,
                       parse_array_text)
 from nlvcodec.arrays import ORACLES, QUERY_KINDS, RunStructure, format_array_text
-from nlvcodec.bitio import subset_rank, subset_unrank
 
 from conftest import make_rng
 
@@ -75,6 +74,19 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"^value %d outside signed 64-bit range$"
                            % (1 << 63)):
             parse_array_text(" ".join(map(str, values)))
+
+    def test_only_ascii_digits_between_ascii_whitespace(self):
+        # int() takes each of these tokens, or str.split() splits them
+        for text, token in (("1 1_000 2", "1_000"),
+                            ("3 \uff11\uff12", "\uff11\uff12"),
+                            ("\u0663 4", "\u0663"),
+                            ("1\u00a02 3", "1\u00a02"),
+                            ("5\x1c6", "5\x1c6"),
+                            ("7 +", "+")):
+            with pytest.raises(ParseError,
+                               match="^not an integer: %s$" % re.escape(repr(token))):
+                parse_array_text(text)
+        assert parse_array_text("+5 -3 007\v\f8\r\n").values == (5, -3, 7, 8)
 
     def test_format_round_trip(self):
         a = ValueArray([5, -1, 0])
@@ -151,7 +163,7 @@ class TestRuns:
 
 
     def test_maps_match_a_scan_of_the_bits(self):
-        # kept positions, run starts and rank map against one plain loop
+        # kept positions and the two lifts against one plain loop
         rng = make_rng(12)
         for n in list(range(1, 12)) + [200, 1_000]:
             for density in (0.0, 0.5, 1 / 13, 1.0):
@@ -164,34 +176,16 @@ class TestRuns:
                         kept.append(i)
                         starts.append(i + 1)
                 assert rs.kept_positions == tuple(kept)
-                assert rs.run_starts == starts[:-1]
-                assert rs.rank_map == array("I", rank_map)
                 assert rs.k == sum(c_bits)
-
-    def test_from_positions_matches_the_checked_constructor(self):
-        # the decoder's unrank gives the pairs in increasing order, the
-        # order _from_positions needs
-        rng = make_rng(13)
-        for n in list(range(1, 9)) + [300]:
-            for density in (0.0, 0.5, 1.0):
-                c_bits = [int(rng.random() < density) for _ in range(n - 1)]
-                positions = [p for p in range(n - 1) if c_bits[p]]
-                k, rank = subset_rank(positions, max(n - 1, 0))
-                assert subset_unrank(k, rank, max(n - 1, 0)) == positions
-                rs = RunStructure._from_positions(positions, n)
-                ref = RunStructure(c_bits, n)
-                assert (rs.n, rs.k, rs.c_bits, rs.kept_positions) == \
-                    (ref.n, ref.k, ref.c_bits, ref.kept_positions)
-                assert (rs.run_starts, rs.rank_map) == (ref.run_starts, ref.rank_map)
-                for built in (rs, ref):
-                    for start, end in zip(built.run_starts, built.kept_positions):
-                        assert start is end or start < end
-
-    def test_rank_map_is_a_4_byte_array(self):
-        # 300 runs of one index, then one of 601 and one of 1
-        rs = RunStructure([0] * 300 + [1] * 600 + [0], 902)
-        assert (rs.rank_map.typecode, rs.rank_map.itemsize) == ("I", 4)
-        assert rs.rank_map.tolist() == [*range(1, 301), *[301] * 601, 302]
+                # index i reads the entry of its run's reduced position
+                r = len(kept)
+                assert map_query_index(rs, list(range(r + 1))) == [0, *rank_map]
+                # every reduced position, and the sentinels 0 and r + 1
+                answers = [None, *range(r + 2)]
+                for kind, targets in (("psv", kept), ("plv", kept),
+                                      ("nsv", starts[:-1]), ("nlv", starts[:-1])):
+                    assert map_answer_to_original(rs, answers, kind) == \
+                        [None, 0, *targets, n + 1]
 
     def test_bits_must_be_binary(self):
         for c_bits in ([0, 2], [-1, 0]):

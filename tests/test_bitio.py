@@ -22,7 +22,8 @@ class TestBitStream:
     def test_write_read(self):
         s = BitStream("1011")
         assert [s.read_bit() for _ in range(4)] == ["1", "0", "1", "1"]
-        assert s.at_end()
+        with pytest.raises(CorruptionError):
+            s.read_bit()
 
     def test_read_past_end(self):
         s = BitStream("1")
@@ -56,6 +57,35 @@ class TestBitStream:
         assert BitStream.from_bytes(s.to_bytes(), len(bits)) == bits
 
 
+class TestSubsetCoderRejections:
+    def test_unrank_rejects_a_negative_rank(self):
+        with pytest.raises(CorruptionError, match="out of range"):
+            subset_unrank(3, -1, 10)
+
+    def test_unrank_of_the_only_subset_takes_rank_zero(self):
+        for k in (0, 10):
+            assert subset_unrank(k, 0, 10) == list(range(k))
+            with pytest.raises(CorruptionError, match="out of range"):
+                subset_unrank(k, 1, 10)
+
+    def test_unrank_rejects_a_far_rank_before_any_block(self, monkeypatch):
+        # r >= (c+1)(b+1) at the first step: no block is folded
+        def refuse(*args):
+            raise AssertionError("a block was folded")
+        monkeypatch.setattr(bitio, "_fold", refuse)
+        with pytest.raises(CorruptionError, match="out of range"):
+            subset_unrank(3, comb(10, 3) * 20, 10)
+
+    def test_rank_rejects_more_positions_than_slots(self):
+        with pytest.raises(ValueError, match="more positions than slots"):
+            subset_rank([0, 1, 2], 2)
+
+    def test_from_bytes_rejects_more_bits_than_the_bytes_hold(self):
+        assert BitStream.from_bytes(b"\xa0", 8) == "10100000"
+        with pytest.raises(CorruptionError, match="exceeds payload"):
+            BitStream.from_bytes(b"\xa0", 9)
+
+
 class TestDegreeCodes:
     def test_figure_values(self):
         assert write_degree(3) == "110"
@@ -78,7 +108,8 @@ class TestDegreeCodes:
     def test_sequence_round_trip(self, degrees):
         s = BitStream("".join(write_degree(d) for d in degrees))
         assert [read_degree(s) for _ in degrees] == degrees
-        assert s.at_end()
+        with pytest.raises(CorruptionError):
+            s.read_bit()
 
 
 class TestBitReadContract:

@@ -393,9 +393,10 @@ class TestDecode:
 
 
 def refuse_tables(monkeypatch, message):
-    def refuse(parent, right_sib, blue):
+    def refuse(*args):
         raise AssertionError(message)
     monkeypatch.setattr(trees_module, "_next_value_table", refuse)
+    monkeypatch.setattr(colored_module, "_next_value_table", refuse)
 
 
 class TestNextValueTables:

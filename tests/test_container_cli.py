@@ -8,13 +8,13 @@ import pytest
 
 import nlvcodec
 
-from nlvcodec import (ORACLES, QUERY_KINDS, BitStream, ColoredEncoding,
-                      CorruptionError, JointEncoding, PreconditionError,
+from nlvcodec import (ORACLES, QUERY_KINDS, AllocationError, BitStream,
+                      ColoredEncoding, CorruptionError, JointEncoding, PreconditionError,
                       RangeError, ValueArray,
                       build_max_heap, build_min_heap, colorize, decode,
                       deserialize, encode, encode_colored, encode_general,
                       encode_joint, serialize, trit_pack_bits)
-from nlvcodec import bitio, container
+from nlvcodec import bitio, container, fuzz, general
 from nlvcodec.cli import main
 from nlvcodec.container import (MAGIC, SCHEME_GENERAL, VERSION, read_varint,
                                 write_varint)
@@ -288,11 +288,14 @@ class TestCli:
         assert "A[1] == A[2]" in capsys.readouterr().err
 
     def test_encode_parse_error(self, tmp_path, capsys):
+        # the ASCII read lets "1_000" through, and int() would take it
         src = tmp_path / "bad.txt"
-        src.write_text("1 two 3\n")
-        rc = main(["encode", "--scheme", "general", "--in", str(src),
-                   "--out", str(tmp_path / "o.nlve")])
-        assert rc == 2
+        for text, token in (("1 two 3\n", "two"), ("1 1_000 3\n", "1_000")):
+            src.write_text(text)
+            rc = main(["encode", "--scheme", "general", "--in", str(src),
+                       "--out", str(tmp_path / "o.nlve")])
+            assert rc == 2
+            assert capsys.readouterr().err == "parse error: not an integer: %r\n" % token
 
     def test_encode_non_ascii_parse_error(self, tmp_path, capsys):
         src = tmp_path / "utf8.txt"
@@ -404,8 +407,9 @@ class TestCli:
         bad.write_bytes(b"not a container")
         rc = main(["decode", "--in", str(bad)])
         assert rc == 4
-        # a header error names no segment, so the line has no position
-        assert capsys.readouterr().err == "corruption error: bad magic\n"
+        # a header error names the header and the bit of the field at fault
+        assert (capsys.readouterr().err
+                == "corruption error: bad magic (segment header, bit 0)\n")
 
     def test_decode_corrupt_names_segment(self, tmp_path, capsys):
         # containers that parse but whose payload breaks in the decode: the
@@ -437,6 +441,36 @@ class TestCli:
         runs = encode(ValueArray([2, 2, 1, 1, 3, 1, 3, 3]), "general")
         cases.append((with_segment(runs, 0, "1" * 6),
                       "subset rank out of range for C(7, 3) (segment c_rank)"))
+        # header errors: at the bit where the field at fault starts (magic
+        # 0, version 32, scheme 40, each varint at its first byte), at no
+        # bit where two fields disagree; the figure's joint header is
+        # n = 9 at byte 6, then the lengths of U, t_min and t_max, the
+        # colored one n, then u_gb, v_bad, packed trits, t_min and t_max,
+        # and the general one n, k, then the colored lengths
+        jdata, cdata, gdata = (serialize(enc) for enc in (joint, fig,
+                                                          encode(a, "general")))
+
+        def patched(data, pos, new):
+            return data[:pos] + bytes(new) + data[pos + 1:]
+        cases += [
+            (MAGIC + bytes([VERSION]), "truncated header (segment header, bit 40)"),
+            (patched(jdata, 4, [2]), "unsupported version 2 (segment header, bit 32)"),
+            (patched(jdata, 5, [9]), "unknown scheme 9 (segment header, bit 40)"),
+            (jdata[:6] + b"\x80", "truncated varint (segment header, bit 48)"),
+            (patched(jdata, 6, [0]), "n must be >= 1 (segment header, bit 48)"),
+            (HUGE_N_CONTAINER, "n = %d exceeds MAX_N = %d (segment header, bit 48)"
+             % (2 ** 40, container.MAX_N)),
+            (patched(jdata, 7, [0x88, 0]),
+             "non-canonical varint (segment header, bit 56)"),
+            (patched(jdata, 7, [7]), "U segment has wrong length (segment header, bit 56)"),
+            (patched(jdata, 8, [10]),
+             "degree streams must total 2n bits (segment header)"),
+            (patched(gdata, 7, [9]), "run count k out of range (segment header, bit 56)"),
+            (patched(cdata, 9, [8]),
+             "packed trit segment has wrong length (segment header, bit 72)"),
+            (patched(cdata, 7, [2]), "|u_gb| must be twice |v_bad| (segment header)"),
+            (jdata + b"\0", "segment lengths do not match payload size (segment header)"),
+        ]
         for data, message in cases:
             path = tmp_path / "broken.nlve"
             path.write_bytes(data)
@@ -445,6 +479,31 @@ class TestCli:
                 assert rc == 4
                 err = capsys.readouterr().err
                 assert err == "corruption error: %s\n" % message, err
+
+    @pytest.mark.parametrize("step", ["kept_flags", "end_labels"])
+    def test_out_of_memory_is_an_allocation_error(self, step, tmp_path,
+                                                   monkeypatch, capsys):
+        # a MemoryError in the run flags (which --dump-trees also needs)
+        # or in the tables becomes AllocationError, and the CLI's exit 6
+        def fail(*args):
+            raise MemoryError
+        monkeypatch.setattr(general, step, fail)
+        enc = encode(ValueArray([2, 2, 1, 1, 3, 1, 3, 3]), "general")
+        with pytest.raises(AllocationError, match="^cannot allocate the decode "
+                           "tables for n = 8$"):
+            decode(enc)
+        if step == "kept_flags":
+            with pytest.raises(AllocationError):
+                general.decode_runs(enc)
+        path = tmp_path / "runs.nlve"
+        path.write_bytes(serialize(enc))
+        commands = [["query", "--kind", "nsv", "--index", "1"]]
+        if step == "kept_flags":
+            commands.append(["decode", "--dump-trees"])
+        for command in commands:
+            assert main([command[0], "--in", str(path)] + command[1:]) == 6
+            assert capsys.readouterr().err == (
+                "allocation error: cannot allocate the decode tables for n = 8\n")
 
     def test_tables_too_large_for_memory_exit(self, tmp_path):
         # only ever decoded in a child whose address space is capped
@@ -531,6 +590,22 @@ class TestCli:
                    "3", "--seed", "42"])
         assert rc == 0
         assert "0 failures" in capsys.readouterr().out
+
+    def test_fuzz_failure_prints_a_minimized_reproducer(self, monkeypatch, capsys):
+        # a planted failure on every array that holds a value of 4 or more
+        # shrinks to one such element
+        def check_array(a):
+            return ["planted failure"] if max(a.values) >= 4 else []
+        monkeypatch.setattr(fuzz, "check_array", check_array)
+        report = fuzz.run_fuzz(20, 30, 5, 0)
+        assert not report.ok and report.failures == ["planted failure"]
+        assert report.arrays_checked == 1
+        assert len(report.reproducer) == 1 and report.reproducer[0] >= 4
+        rc = main(["fuzz", "--count", "20", "--max-n", "30", "--alphabet", "5"])
+        assert rc == 5
+        out = capsys.readouterr().out
+        assert "FAIL on" in out and "planted failure" in out
+        assert "minimized reproducer: %r" % (report.reproducer,) in out
 
     def test_fuzz_exhaustive(self, capsys):
         rc = main(["fuzz", "--max-n", "4", "--alphabet", "3", "--exhaustive"])

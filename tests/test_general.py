@@ -15,7 +15,6 @@ from nlvcodec import (ColoredEncoding, ColoredTree, CorruptionError,
 from nlvcodec.arrays import ORACLES, QUERY_KINDS, RunStructure
 from nlvcodec.general import LOG2_13
 from nlvcodec.joint import decode_heaps
-from nlvcodec.queries import tables_of
 
 from conftest import make_rng, monotone_runs_array
 
@@ -66,33 +65,30 @@ class TestEncode:
         assert calls == [(7, 4), (7, 4)]
 
     def test_no_run_map_and_no_reduced_decode(self, monkeypatch):
-        # encode builds no run map; decode neither decodes the reduced
+        # encode reads no run map; decode neither decodes the reduced
         # trees nor lifts their tables through the run maps, and builds
         # no run structure at all
-        builds = []
+        reads = []
 
-        def counted(name, build):
-            def read(rs):
-                builds.append(name)
-                return build(rs)
-            return property(read)
+        def counted(rs):
+            reads.append("kept_positions")
+            return kept_positions(rs)
 
         def refuse(name):
             def call(*args, **kwargs):
                 raise AssertionError("decode_general called " + name)
             return call
-        for name in ("rank_map", "run_starts"):
-            monkeypatch.setattr(RunStructure, name,
-                                counted(name, getattr(RunStructure, name).fget))
-        enc = encode_general(ValueArray([5, 5, 2, 8, 8, 8, 1, 1]))
-        assert builds == []
-        monkeypatch.setattr(RunStructure, "_set_runs", refuse("RunStructure"))
-        monkeypatch.setattr(colored, "decode_colored", refuse("decode_colored"))
-        monkeypatch.setattr(ColoredTree, "from_decoded", refuse("from_decoded"))
+        kept_positions = RunStructure.kept_positions.fget
+        monkeypatch.setattr(RunStructure, "kept_positions", property(counted))
         for name in ("map_query_index", "map_answer_to_original"):
             monkeypatch.setattr(arrays, name, refuse(name))
+        enc = encode_general(ValueArray([5, 5, 2, 8, 8, 8, 1, 1]))
+        assert reads == []
+        monkeypatch.setattr(RunStructure, "__init__", refuse("RunStructure"))
+        monkeypatch.setattr(colored, "decode_colored", refuse("decode_colored"))
+        monkeypatch.setattr(ColoredTree, "from_decoded", refuse("from_decoded"))
         qs = decode_general(enc)
-        assert builds == []
+        assert reads == []
         assert not hasattr(arrays, "lift_answers")
         assert [qs.nsv(i) for i in range(1, 9)] == [3, 3, 7, 7, 7, 7, 9, 9]
 
@@ -131,8 +127,9 @@ class TestDecodeAndQuery:
         """The four tables lifted from the reduced array's: each answer
         translated to original coordinates, then each index reading its
         run's entry."""
-        rs = general.decode_runs(enc)
-        reduced = tables_of(*decode_colored(enc.colored))
+        keep = general.decode_runs(enc)
+        rs = RunStructure([1 - flag for flag in keep], enc.n)
+        reduced = colored.decode_tables(enc.colored)
         return {kind: map_query_index(rs, map_answer_to_original(rs, table, kind))
                 for kind, table in reduced.items()}
 
@@ -264,17 +261,6 @@ class TestDecodedMemory:
         qs, held, peak = self.traced_decode(encoding)
         bound = 1.2 * self.held_bound(qs)
         assert peak <= bound, (peak, bound, held)
-
-    def test_runs_of_one_share_their_start(self, encoding):
-        rs = general.decode_runs(encoding)
-        kept, starts = rs.kept_positions, rs.run_starts
-        ends = (0,) + kept
-        for r, end in enumerate(kept):
-            if end - ends[r] == 1:
-                assert starts[r] is end
-            else:
-                assert starts[r] == ends[r] + 1
-
 
 class TestSizeBound:
     def test_randomized_distributions(self):

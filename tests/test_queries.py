@@ -10,7 +10,7 @@ from nlvcodec import (ColoredTree, RangeError, ValueArray, build_min_heap,
                       psv_from_tree, serialize)
 from nlvcodec.arrays import ORACLES, QUERY_KINDS
 from nlvcodec.queries import TREE_QUERIES
-from nlvcodec.trees import SIB_BLUE, OrdinalTree
+from nlvcodec.trees import SIB_BLUE, OrdinalTree, _next_value_table
 
 from conftest import decoded_pair, make_rng, random_no_equal_neighbours
 
@@ -109,14 +109,15 @@ class TestOracleEquivalence:
         # equivalence above, directly here on a long equal-plateau array
         # the colored codec takes no equal neighbours, so the decoded form
         # is made straight from colorize's tree and its blue nodes with a
-        # right sibling; from_decoded consumes the sibling list, so it
-        # gets a copy
+        # right sibling; the next-value table is written over the sibling
+        # list, so it gets a copy
         a = ValueArray([2, 5, 5, 5, 5, 1][i % 6] for i in range(60))
         ct = colorize(build_min_heap(a), a)
         blue = [i for i, code in enumerate(ct.codes) if code == SIB_BLUE]
         assert blue
-        cmin = ColoredTree.from_decoded(ct.tree.parent,
-                                        list(ct.tree.right_sib), blue)
+        parent = ct.tree.parent
+        cmin = ColoredTree.from_decoded(
+            parent, _next_value_table(parent, list(ct.tree.right_sib), blue))
         for i in range(1, a.n + 1):
             assert nsv_from_tree(cmin, i) == ORACLES["nsv"](a, i)
 
