@@ -92,9 +92,11 @@ def parse_array_text(text):
     Strict: each token must be ASCII ``[+-]?[0-9]+``.  ``int`` also takes
     "1_000" and non-ASCII digits, and ``str.split`` splits at non-ASCII
     spaces, so only an ASCII text with no "_" (two C-level tests) is
-    converted, split as bytes at ASCII whitespace alone.  Any other text,
-    or a token ``int`` rejects, raises ParseError naming the first bad
-    token.
+    converted, split as bytes at ASCII whitespace alone.  Any other text
+    goes token by token: the first token that is not ``[+-]?[0-9]+``
+    raises ParseError naming it, and the rest are read with their
+    leading zeros stripped, since ``int`` refuses a token of more than
+    ``sys.get_int_max_str_digits()`` digits, zeros included.
     """
     values = None
     if text.isascii() and "_" not in text:
@@ -103,7 +105,11 @@ def parse_array_text(text):
         except ValueError:
             pass
     if values is None:
-        raise ParseError("not an integer: %r" % (_first_bad_token(text),))
+        tokens = list(filter(None, _SEPARATORS.split(text)))
+        for tok in tokens:
+            if not _INT_TOKEN.fullmatch(tok):
+                raise ParseError("not an integer: %r" % (tok,))
+        values = tuple(map(_int_of_token, tokens))
     if not values:
         raise ParseError("no integers found in input")
     # int() made each value once; one range test checks them all
@@ -111,16 +117,16 @@ def parse_array_text(text):
     return ValueArray._from_checked(values)
 
 
-def _first_bad_token(text):
-    """The first token of ``text`` that is not ASCII [+-]?[0-9]+, or that
-    ``int`` rejects for its digit count."""
-    for tok in filter(None, _SEPARATORS.split(text)):
-        if not _INT_TOKEN.fullmatch(tok):
-            return tok
-        try:
-            int(tok)
-        except ValueError:
-            return tok
+def _int_of_token(tok):
+    """The value of an ASCII ``[+-]?[0-9]+`` token, read without its
+    leading zeros; ParseError when the digits left are too many for
+    ``int``, which no signed 64-bit value is."""
+    digits = tok.lstrip("+-").lstrip("0") or "0"
+    try:
+        return int(tok[0] + digits if tok[0] == "-" else digits)
+    except ValueError:
+        raise ParseError("value of %d digits outside signed 64-bit range"
+                         % len(digits)) from None
 
 
 def format_array_text(a):
@@ -177,60 +183,33 @@ ORACLES = {
 }
 
 
-class RunStructure:
-    """The runs of equal consecutive values, which the general scheme
-    reduces to one element each.
+def compute_runs(a):
+    """The kept flags of a ValueArray, in one C-level scan: n-1 bytes
+    whose byte i-1 is 1 when A[i] != A[i+1], so index i ends its run and
+    the reduced array keeps it, and 0 inside a run.  They are the form
+    ``kept_flags`` gives the decode."""
+    v = a.values
+    return bytes(map(operator.ne, v, v[1:]))
 
-    c_bits[i-1] == 1 (for 1 <= i <= n-1) iff A[i] == A[i+1].  The reduced
-    array keeps the last element of every run, so kept positions are the
-    indices i with i == n or c_bits[i-1] == 0.  The structure holds the
-    complement of c_bits as bytes, the kept flags (``kept_flags``), and
-    builds the rest from them on each read.  The encode reads
-    ``equal_pairs`` and the reduced array; the decode builds only the
-    kept flags.
-    """
 
-    __slots__ = ("n", "k", "_keep", "_values")
+def equal_pairs(keep):
+    """The 0-based positions p of the equal pairs A[p+1] == A[p+2], in
+    increasing order, from the kept flags: the subset the general scheme
+    ranks."""
+    return list(itertools.compress(range(len(keep)), keep.translate(_FLIP_BITS)))
 
-    def __init__(self, c_bits, n, values=None):
-        """``values``, if given, is the ``values`` tuple of the ValueArray
-        whose runs these are, so ``reduced_array`` does not check them
-        again."""
-        # bytes() takes ints and bools alike and rejects any outside 0..255
-        c_bits = bytes(c_bits)
-        if n < 1:
-            raise EmptyArrayError("run structure requires n >= 1")
-        if len(c_bits) != n - 1:
-            raise ValueError("c_bits must have length n-1")
-        if c_bits.translate(None, b"\0\1"):
-            raise ValueError("c_bits must be binary")
-        self.n = n
-        self.k = c_bits.count(1)
-        self._keep = c_bits.translate(_FLIP_BITS)
-        self._values = values
 
-    @property
-    def c_bits(self):
-        """The run bits as a tuple of 0 and 1."""
-        return tuple(self._keep.translate(_FLIP_BITS))
+def reduced_array(a, keep):
+    """The array A' of run-last elements of ``a``, from its kept flags."""
+    return ValueArray._from_checked(
+        tuple(itertools.compress(a.values, keep + b"\1")))
 
-    def equal_pairs(self):
-        """The 0-based positions p of the equal pairs A[p+1] == A[p+2],
-        in increasing order: the subset the general scheme ranks."""
-        return list(itertools.compress(range(self.n - 1),
-                                       self._keep.translate(_FLIP_BITS)))
 
-    @property
-    def kept_positions(self):
-        """The run ends, increasing, as a tuple."""
-        return (*itertools.compress(range(1, self.n), self._keep), self.n)
-
-    def reduced_array(self):
-        """The array A' of run-last elements (requires source values)."""
-        if self._values is None:
-            raise ValueError("run structure was built without values")
-        return ValueArray._from_checked(
-            tuple(itertools.compress(self._values, self._keep + b"\1")))
+def kept_positions(keep):
+    """The run ends, increasing, as a tuple: the indices i with i == n or
+    kept flag 1."""
+    n = len(keep) + 1
+    return (*itertools.compress(range(1, n), keep), n)
 
 
 def kept_flags(positions, n):
@@ -291,22 +270,18 @@ def fill_runs(keep, tables, labels):
                 table[lo:hi] = map(move, table[lo:hi])
 
 
-def compute_runs(a):
-    """Build the RunStructure of a ValueArray in one C-level scan."""
-    v = a.values
-    return RunStructure(map(operator.eq, v, v[1:]), a.n, values=v)
-
-
-def map_query_index(rs, table):
-    """Lift a reduced-position table to original indices: i reads its run's entry."""
+def map_query_index(keep, table):
+    """Lift a reduced-position table to original indices, given the kept
+    flags: i reads its run's entry."""
     # the reduced position of i is one more than the count of run ends
     # below i
-    ranks = itertools.accumulate(rs._keep, initial=1)
+    ranks = itertools.accumulate(keep, initial=1)
     return [table[0], *map(table.__getitem__, ranks)]
 
 
-def map_answer_to_original(rs, answers, kind):
-    """Translate a table of reduced-array answers to original coordinates.
+def map_answer_to_original(keep, answers, kind):
+    """Translate a table of reduced-array answers to original coordinates,
+    given the kept flags.
 
     PSV/PLV answers are run ends and map straight to the kept position.
     NSV/NLV answers map to the first element of the answering run, one
@@ -314,9 +289,9 @@ def map_answer_to_original(rs, answers, kind):
     """
     if kind not in QUERY_KINDS:
         raise ValueError("unknown query kind %r" % (kind,))
-    ends = rs.kept_positions
+    ends = kept_positions(keep)
     targets = (ends if kind in ("psv", "plv")
                else (1, *(end + 1 for end in ends[:-1])))
     # entry 0 is unused; the sentinels 0 and n-k+1 map to 0 and n+1
-    lookup = (0, *targets, rs.n + 1)
+    lookup = (0, *targets, len(keep) + 2)
     return [None, *map(lookup.__getitem__, answers[1:])]

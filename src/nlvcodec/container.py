@@ -172,7 +172,8 @@ def _split_segments(payload_bytes, lengths):
     if (total + 7) // 8 != len(payload_bytes):
         raise _header_error("segment lengths do not match payload size")
     if total % 8 and payload_bytes[-1] & ((1 << (8 - total % 8)) - 1):
-        raise CorruptionError("nonzero padding bits")
+        raise CorruptionError("nonzero padding bits", segment="padding",
+                              offset=total)
     bits = BitStream.from_bytes(payload_bytes, total)
     parts = []
     start = 0
@@ -190,7 +191,8 @@ def deserialize(data):
     the bit where the field at fault starts: the magic at 0, the version
     at 32, the scheme at 40, a varint at its first byte.  A check of
     lengths against each other or against the payload size names no
-    single field, and no offset.
+    single field, and no offset.  Nonzero padding bits set ``segment``
+    "padding" and ``offset`` at the payload bit where the padding starts.
     """
     if data[:4] != MAGIC:
         raise _header_error("bad magic", 0)
@@ -231,8 +233,10 @@ def deserialize(data):
         m = size - 1 - u_gb
         if m < 0 or trit_pack_bits(m) != packed:
             raise _header_error("packed trit segment has wrong length", starts[2])
-    if lengths[-2] + lengths[-1] != 2 * size:
-        raise _header_error("degree streams must total 2n bits")
+    degree_bits = lengths[-2] + lengths[-1]
+    if degree_bits != 2 * size:
+        raise _header_error("degree streams must total %s = %d bits, not %d"
+                            % ("2n" if k == 0 else "2(n-k)", 2 * size, degree_bits))
     if scheme == SCHEME_JOINT:
         return JointEncoding(n, *_split_segments(payload, lengths))
     if scheme == SCHEME_COLORED:

@@ -7,7 +7,7 @@ Deterministic per seed; used by both the CLI and the test suite.
 import itertools
 import random
 
-from .arrays import ORACLES, QUERY_KINDS, ValueArray, compute_runs
+from .arrays import ORACLES, QUERY_KINDS, ValueArray, compute_runs, reduced_array
 from .colored import (ColoredEncoding, count_good_bad, decode_colored,
                       encode_colored)
 from .container import decode, deserialize, encode, serialize
@@ -128,7 +128,7 @@ def check_array(a):
     general = encode_general(a)
     if general.payload_bits() > general.payload_bound(a.n):
         failures.append("general payload exceeds bound")
-    reduced = compute_runs(a).reduced_array()
+    reduced = reduced_array(a, compute_runs(a))
     if reduced.has_consecutive_equal() is not None:
         failures.append("reduced array still has equal neighbours")
     elif general.colored != encode_colored(colorize(build_min_heap(reduced), reduced),

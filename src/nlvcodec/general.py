@@ -10,13 +10,14 @@ parents are the PSV and PLV tables, and the siblings turn into the NSV
 and NLV tables in place.  ``arrays.fill_runs`` completes them: each
 next-value answer that names a run longer than one moves to the run's
 start, and each index inside a run copies its end's answers.  No
-reduced table, run structure or run map is built, and the tables share
-the labels' ints.
+reduced table or run map is built, and the tables share the labels'
+ints.
 """
 
 import math
 
-from .arrays import compute_runs, end_labels, fill_runs, kept_flags
+from .arrays import (compute_runs, end_labels, equal_pairs, fill_runs,
+                     kept_flags, reduced_array)
 from .bitio import (Encoding, check_bits, comb, subset_rank, subset_rank_width,
                     subset_unrank, uint_bits)
 from .colored import decode_tables, emit_colored
@@ -66,11 +67,11 @@ def encode_general(a):
     """Encode any array: the rank of its equal pairs first, then the
     reduced array's colored pair, from one stack scan of both heaps and
     no tree."""
-    rs = compute_runs(a)
-    k, rank = subset_rank(rs.equal_pairs(), a.n - 1)
+    keep = compute_runs(a)
+    k, rank = subset_rank(equal_pairs(keep), a.n - 1)
     width = subset_rank_width(a.n - 1, k)
     c_rank_bits = uint_bits(rank, width)
-    reduced = rs.reduced_array()
+    reduced = reduced_array(a, keep)
     colored = emit_colored(reduced.n, *scan_heaps(reduced))
     return GeneralEncoding(a.n, k, c_rank_bits, colored, width)
 

@@ -15,21 +15,19 @@ A tree is its parent list plus the first-child, right-sibling and degree
 tables that go with it.  The heap builders fill all four in the same
 stack scan; every other tree derives the three from the parents, on
 first read, in one right-to-left pass (``OrdinalTree._derive``).  A
-colored tree adds a color per node, and the colors determine every
-next-value answer.  The trees ``colorize`` makes hold the sibling codes,
-one bytearray per heap, and no answers; ``colored.encode_colored`` reads
-those codes the way the array path reads the scan's.  A decoded tree
-keeps only ``parent`` and ``next_value``, the two tables a query reads,
-and derives the rest, colors included, when something reads them.  The
-decoder stores no color: the next-value table needs only the blue nodes
-with a right sibling, which the shape loop lists.
+colored tree adds a sibling code per node, its color, and the colors
+determine every next-value answer.  The trees ``colorize`` makes hold
+the sibling codes, one bytearray per heap, and no answers;
+``colored.encode_colored`` reads those codes the way the array path
+reads the scan's.  A decoded tree keeps only ``parent`` and
+``next_value``, the two tables a query reads, and derives the rest,
+codes included, when something reads them.  The decoder stores no
+color: the next-value table needs only the blue nodes with a right
+sibling, which the shape loop lists.
 """
 
 import math
 import operator
-
-RED = "red"
-BLUE = "blue"
 
 # a node's sibling code: no right sibling, a red one (the sibling holds a
 # different value) or a blue one (the same value)
@@ -152,40 +150,21 @@ class OrdinalTree:
 
 
 class ColoredTree:
-    """An OrdinalTree plus a red/blue color per node, in one of two forms.
+    """An OrdinalTree plus a sibling code per node (``SIB_NONE``,
+    ``SIB_RED``, ``SIB_BLUE``), which are its colors, in one of two forms.
 
-    ``colorize`` makes the encoder form: the tree and ``codes``, a
-    bytearray with one sibling code per node (``SIB_NONE``, ``SIB_RED``,
-    ``SIB_BLUE``), which is all the encoders read.  ``from_decoded``
-    makes the decoded form: ``tree.parent`` and ``next_value``, the two
-    lists a query reads, as ``colored.decode_tables`` builds them from
-    the decoded siblings and the blue nodes that have one, with no color
-    array.
-    ``next_value[i]`` is the answer to NSV(i) in a min heap and NLV(i) in
-    a max heap, n+1 when there is none; only the decoded form has it.
-    The constructor takes a tree and any color sequence, one color per
-    node, for trees from outside.
-
-    ``is_red`` and ``codes`` are read-only properties, each derived from
-    what the tree holds on first read.  The encoder form's colors are its
-    codes, translated; the decoded form's are found from its answers:
-    node x is red iff it has a right sibling s and ``next_value[x] ==
-    s``, since a blue node with a sibling takes ``next_value[s]``, which
-    is greater than s.  So the derived colors equal the ones the payload
-    holds, and the two forms of one heap compare equal.  Codes derived
-    from colors ignore the color of a node with no right sibling, as the
-    encoders do.
+    The encoder form (``from_codes``, as ``colorize`` makes it) holds the
+    tree and its ``codes`` bytearray, all the encoders read.  The decoded
+    form (``from_decoded``) holds ``tree.parent`` and ``next_value``, the
+    two lists a query reads: ``next_value[i]`` answers NSV(i) in a min
+    heap and NLV(i) in a max heap, n+1 when there is none.  It derives
+    its codes on first read: node x with right sibling s is red iff
+    ``next_value[x] == s``, since a blue node with a sibling takes
+    ``next_value[s]``, which is greater than s.  So the two forms of one
+    heap compare equal.  ``is_red`` is the codes translated, 1 for red.
     """
 
-    __slots__ = ("tree", "_red", "_codes", "next_value")
-
-    def __init__(self, tree, is_red):
-        is_red = bytearray(is_red)
-        if len(is_red) != tree.n + 1:
-            raise ValueError("need one color per node")
-        self.tree = tree
-        self._red = is_red
-        self._codes = None
+    __slots__ = ("tree", "_codes", "next_value")
 
     @classmethod
     def from_codes(cls, tree, codes):
@@ -193,7 +172,6 @@ class ColoredTree:
         which it keeps; nothing is checked or copied."""
         ct = cls.__new__(cls)
         ct.tree = tree
-        ct._red = None
         ct._codes = codes
         return ct
 
@@ -201,46 +179,34 @@ class ColoredTree:
     def from_decoded(cls, parent, next_value):
         """The decoded form over a heap's parent list and its next-value
         table (``colored.decode_tables``), which it keeps; nothing is
-        checked or copied.  The colors and the other tables are derived
+        checked or copied.  The codes and the other tables are derived
         on first read."""
         ct = cls.__new__(cls)
         ct.tree = OrdinalTree.from_tables(parent)
-        ct._red = ct._codes = None
+        ct._codes = None
         ct.next_value = next_value
         return ct
-
-    @property
-    def is_red(self):
-        red = self._red
-        if red is None:
-            if self._codes is not None:
-                red = self._codes.translate(_RED_OF_CODE)
-            else:
-                # a sibling-less node has right_sib 0, never a next value
-                red = bytearray(map(operator.eq, self.tree.right_sib,
-                                    self.next_value))
-            self._red = red
-        return red
 
     @property
     def codes(self):
         codes = self._codes
         if codes is None:
             codes = self._codes = bytearray(
-                SIB_NONE if not sib else SIB_RED if red else SIB_BLUE
-                for sib, red in zip(self.tree.right_sib, self.is_red))
+                SIB_NONE if not sib else SIB_RED if sib == nxt else SIB_BLUE
+                for sib, nxt in zip(self.tree.right_sib, self.next_value))
         return codes
+
+    @property
+    def is_red(self):
+        return self.codes.translate(_RED_OF_CODE)
 
     def __eq__(self, other):
         return (isinstance(other, ColoredTree)
-                and self.tree == other.tree and self.is_red == other.is_red)
+                and self.tree == other.tree and self.codes == other.codes)
 
     @property
     def n(self):
         return self.tree.n
-
-    def color(self, i):
-        return RED if self.is_red[i] else BLUE
 
 
 def _next_value_table(parent, right_sib, blue, labels=None):

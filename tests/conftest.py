@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from nlvcodec import (PreconditionError, ValueArray, build_max_heap,
-                      build_min_heap, colorize, decode_colored, encode_colored)
+from nlvcodec import PreconditionError, ValueArray
+from nlvcodec.colored import decode_colored, encode_colored
+from nlvcodec.trees import build_max_heap, build_min_heap, colorize
 
 FIGURE_VALUES = [3, 8, 5, 6, 3, 2, 7, 10, 9]
 

@@ -8,13 +8,15 @@ import math
 import time
 
 from nlvcodec import (ColoredEncoding, GeneralEncoding, ValueArray,
-                      build_max_heap, build_min_heap, check_leaf_internal_duality,
-                      check_red_leaf_rule, colorize, count_good_bad, decode_colored,
-                      decode_general, deserialize, encode_colored,
-                      encode_general, encode_joint, serialize)
+                      deserialize, serialize)
 from nlvcodec.arrays import ORACLES, QUERY_KINDS
-from nlvcodec.general import LOG2_13
+from nlvcodec.colored import count_good_bad, decode_colored, encode_colored
+from nlvcodec.general import LOG2_13, decode_general, encode_general
+from nlvcodec.joint import encode_joint
 from nlvcodec.queries import TREE_QUERIES
+from nlvcodec.trees import (build_max_heap, build_min_heap,
+                            check_leaf_internal_duality, check_red_leaf_rule,
+                            colorize)
 
 from conftest import FIGURE_VALUES, make_rng, random_no_equal_neighbours
 
@@ -196,7 +198,7 @@ def test_criterion_8_round_trip_bit_exact():
             checked += 1
         # decode to structures and re-encode: payloads must be identical
         if a.has_consecutive_equal() is None:
-            from nlvcodec import decode_joint
+            from nlvcodec.joint import decode_joint
             assert encode_joint(*decode_joint(encs[1])) == encs[1]
             assert encode_colored(*decode_colored(encs[2])) == encs[2]
         ge = encs[0]

@@ -4,10 +4,12 @@ import re
 import pytest
 
 from nlvcodec import (EmptyArrayError, ParseError, RangeError, ValueArray,
-                      compute_runs, map_answer_to_original, map_query_index,
-                      oracle_nlv, oracle_nsv, oracle_plv, oracle_psv,
                       parse_array_text)
-from nlvcodec.arrays import ORACLES, QUERY_KINDS, RunStructure, format_array_text
+from nlvcodec.arrays import (ORACLES, QUERY_KINDS, compute_runs, equal_pairs,
+                             format_array_text, kept_flags, kept_positions,
+                             map_answer_to_original, map_query_index,
+                             oracle_nlv, oracle_nsv, oracle_plv, oracle_psv,
+                             reduced_array)
 
 from conftest import make_rng
 
@@ -88,6 +90,16 @@ class TestParsing:
                 parse_array_text(text)
         assert parse_array_text("+5 -3 007\v\f8\r\n").values == (5, -3, 7, 8)
 
+    def test_tokens_longer_than_int_reads(self):
+        # int() refuses more than 4 300 digits, leading zeros included: a
+        # zero-padded value still parses, and a value of more digits than
+        # int() reads is out of range, not a bad token
+        assert parse_array_text("0" * 5000 + "1 -" + "0" * 5000 + "7 +0").values \
+            == (1, -7, 0)
+        with pytest.raises(ParseError,
+                           match=r"^value of 5000 digits outside signed 64-bit range$"):
+            parse_array_text("1 " + "9" * 5000)
+
     def test_format_round_trip(self):
         a = ValueArray([5, -1, 0])
         assert parse_array_text(format_array_text(a)) == a
@@ -135,116 +147,115 @@ class TestOracles:
 
 class TestRuns:
     def test_basic(self):
-        rs = compute_runs(ValueArray([2, 1, 1, 3]))
-        assert rs.c_bits == (0, 1, 0)
-        assert rs.k == 1
-        assert rs.kept_positions == (1, 3, 4)
-        assert rs.reduced_array() == ValueArray([2, 1, 3])
+        a = ValueArray([2, 1, 1, 3])
+        keep = compute_runs(a)
+        assert keep == bytes([1, 0, 1])
+        assert equal_pairs(keep) == [1]
+        assert kept_positions(keep) == (1, 3, 4)
+        assert reduced_array(a, keep) == ValueArray([2, 1, 3])
 
     def test_singleton(self):
-        rs = compute_runs(ValueArray([5]))
-        assert rs.c_bits == ()
-        assert rs.k == 0
-        assert rs.reduced_array() == ValueArray([5])
+        a = ValueArray([5])
+        keep = compute_runs(a)
+        assert keep == b""
+        assert equal_pairs(keep) == []
+        assert reduced_array(a, keep) == ValueArray([5])
 
     def test_single_run(self):
-        rs = compute_runs(ValueArray([7, 7, 7]))
-        assert rs.c_bits == (1, 1)
-        assert rs.k == 2
-        assert rs.reduced_array() == ValueArray([7])
+        a = ValueArray([7, 7, 7])
+        keep = compute_runs(a)
+        assert keep == bytes([0, 0])
+        assert equal_pairs(keep) == [0, 1]
+        assert reduced_array(a, keep) == ValueArray([7])
 
     def test_invariants(self):
         a = ValueArray([3, 3, 1, 2, 2, 2, 5])
-        rs = compute_runs(a)
-        assert len(rs.kept_positions) == a.n - rs.k
-        assert list(rs.kept_positions) == sorted(rs.kept_positions)
-        assert rs.kept_positions[-1] == a.n
-        assert rs.reduced_array().has_consecutive_equal() is None
-
+        keep = compute_runs(a)
+        k = len(equal_pairs(keep))
+        assert len(kept_positions(keep)) == a.n - k
+        assert list(kept_positions(keep)) == sorted(kept_positions(keep))
+        assert kept_positions(keep)[-1] == a.n
+        assert reduced_array(a, keep).has_consecutive_equal() is None
 
     def test_maps_match_a_scan_of_the_bits(self):
-        # kept positions and the two lifts against one plain loop
+        # the equal pairs, kept positions and the two lifts against one
+        # plain loop over the run bits; the decode's kept flags from the
+        # equal pairs are the same flags
         rng = make_rng(12)
         for n in list(range(1, 12)) + [200, 1_000]:
             for density in (0.0, 0.5, 1 / 13, 1.0):
                 c_bits = [int(rng.random() < density) for _ in range(n - 1)]
-                rs = RunStructure(c_bits, n)
+                keep = bytes(1 - c for c in c_bits)
                 kept, starts, rank_map = [], [1], []
                 for i in range(1, n + 1):
                     rank_map.append(len(kept) + 1)
                     if i == n or c_bits[i - 1] == 0:
                         kept.append(i)
                         starts.append(i + 1)
-                assert rs.kept_positions == tuple(kept)
-                assert rs.k == sum(c_bits)
+                assert kept_positions(keep) == tuple(kept)
+                assert equal_pairs(keep) == [p for p in range(n - 1) if c_bits[p]]
+                assert kept_flags(equal_pairs(keep), n) == keep
                 # index i reads the entry of its run's reduced position
                 r = len(kept)
-                assert map_query_index(rs, list(range(r + 1))) == [0, *rank_map]
+                assert map_query_index(keep, list(range(r + 1))) == [0, *rank_map]
                 # every reduced position, and the sentinels 0 and r + 1
                 answers = [None, *range(r + 2)]
                 for kind, targets in (("psv", kept), ("plv", kept),
                                       ("nsv", starts[:-1]), ("nlv", starts[:-1])):
-                    assert map_answer_to_original(rs, answers, kind) == \
+                    assert map_answer_to_original(keep, answers, kind) == \
                         [None, 0, *targets, n + 1]
-
-    def test_bits_must_be_binary(self):
-        for c_bits in ([0, 2], [-1, 0]):
-            with pytest.raises(ValueError):
-                RunStructure(c_bits, 3)
-        with pytest.raises(ValueError):
-            RunStructure([0], 3)
 
 
 class TestIndexMaps:
     def test_map_query_index(self):
         # lifting the identity table of reduced positions gives each
         # original index the reduced position of its run
-        rs = compute_runs(ValueArray([2, 1, 1, 3]))
-        lifted = map_query_index(rs, [0, 1, 2, 3])
+        keep = compute_runs(ValueArray([2, 1, 1, 3]))
+        lifted = map_query_index(keep, [0, 1, 2, 3])
         assert len(lifted) == 5
         assert lifted[2] == 2
         assert lifted[1] == 1
-        rs7 = compute_runs(ValueArray([7, 7, 7]))
-        assert map_query_index(rs7, [0, 1])[1] == 1
+        keep7 = compute_runs(ValueArray([7, 7, 7]))
+        assert map_query_index(keep7, [0, 1])[1] == 1
 
     def test_map_answer_examples(self):
-        rs = compute_runs(ValueArray([2, 1, 1, 3]))
-        assert map_answer_to_original(rs, [None, 2], "nsv") == [None, 2]
-        assert map_answer_to_original(rs, [None, 0, 2], "psv") == [None, 0, 3]
+        keep = compute_runs(ValueArray([2, 1, 1, 3]))
+        assert map_answer_to_original(keep, [None, 2], "nsv") == [None, 2]
+        assert map_answer_to_original(keep, [None, 0, 2], "psv") == [None, 0, 3]
 
     def test_map_answer_sentinels(self):
-        rs = compute_runs(ValueArray([7, 7, 7]))
-        assert map_answer_to_original(rs, [None, 2], "nsv") == [None, 4]  # n'+1 -> n+1
-        assert map_answer_to_original(rs, [None, 0], "plv") == [None, 0]
+        keep = compute_runs(ValueArray([7, 7, 7]))
+        assert map_answer_to_original(keep, [None, 2], "nsv") == [None, 4]  # n'+1 -> n+1
+        assert map_answer_to_original(keep, [None, 0], "plv") == [None, 0]
 
     def test_map_answer_invalid(self):
-        rs = compute_runs(ValueArray([1, 2]))
+        keep = compute_runs(ValueArray([1, 2]))
         with pytest.raises(ValueError):
-            map_answer_to_original(rs, [None, 1], "bogus")
+            map_answer_to_original(keep, [None, 1], "bogus")
 
     def test_psv_answers_are_run_ends(self):
         # the full-array oracle only ever lands on the last index of a run
         for values in itertools.product(range(1, 4), repeat=5):
             a = ValueArray(values)
-            rs = compute_runs(a)
+            keep = compute_runs(a)
             for i in range(1, a.n + 1):
                 for oracle in (oracle_psv, oracle_plv):
                     j = oracle(a, i)
                     if j:
-                        assert j == a.n or rs.c_bits[j - 1] == 0
+                        assert j == a.n or keep[j - 1] == 1
 
     def test_reduction_round_trip_exhaustive(self):
         # oracle on A == unmap(oracle on A'(map(i))), all kinds, all i
         for n in range(1, 6):
             for values in itertools.product(range(1, 4), repeat=n):
                 a = ValueArray(values)
-                rs = compute_runs(a)
-                reduced = rs.reduced_array()
+                keep = compute_runs(a)
+                reduced = reduced_array(a, keep)
                 for kind in QUERY_KINDS:
                     oracle = ORACLES[kind]
                     answers = [None] + [oracle(reduced, j)
                                         for j in range(1, reduced.n + 1)]
                     lifted = map_query_index(
-                        rs, map_answer_to_original(rs, answers, kind))
+                        keep, map_answer_to_original(keep, answers, kind))
                     assert lifted[1:] == [oracle(a, i) for i in range(1, a.n + 1)], \
                         (values, kind)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlvcodec import (BitStream, ColoredEncoding, CorruptionError, ValueArray,
-                      bitio, compute_runs, decode_colored, encode, pack_trits,
-                      read_degree, subset_rank, subset_rank_width,
-                      subset_unrank, trit_pack_bits, unpack_trits,
-                      write_degree)
-from nlvcodec.bitio import BITS_PER_BLOCK, TRITS_PER_BLOCK, uint_bits
+from nlvcodec import ColoredEncoding, CorruptionError, ValueArray, encode
+from nlvcodec import bitio
+from nlvcodec.arrays import compute_runs, reduced_array
+from nlvcodec.bitio import (BITS_PER_BLOCK, TRITS_PER_BLOCK, BitStream,
+                            pack_trits, read_degree, subset_rank,
+                            subset_rank_width, subset_unrank, trit_pack_bits,
+                            uint_bits, unpack_trits, write_degree)
+from nlvcodec.colored import decode_colored
 from nlvcodec.joint import decode_heaps
 
 from conftest import make_rng, random_no_equal_neighbours
@@ -129,7 +131,7 @@ class TestBitReadContract:
     def test_reads_per_decode(self):
         for a in self.arrays():
             # the colored part of a general encoding is the reduced array's
-            reduced = compute_runs(a).reduced_array()
+            reduced = reduced_array(a, compute_runs(a))
             joint = encode(reduced, "joint")
             enc = encode(reduced, "colored")
             assert (joint.t_min, joint.t_max) == (enc.t_min, enc.t_max)

@@ -6,22 +6,25 @@ import types
 
 import pytest
 
-from nlvcodec import (ColoredEncoding, ColoredTree, CorruptionError,
-                      PreconditionError, ValueArray, build_max_heap,
-                      build_min_heap, check_leaf_internal_duality,
-                      check_red_leaf_rule, classify_index, colorize,
-                      compute_runs, count_good_bad, decode_colored, encode,
-                      encode_colored, encode_general, encode_joint,
-                      trit_pack_bits)
+from nlvcodec import (ColoredEncoding, CorruptionError, PreconditionError,
+                      ValueArray, encode)
+from nlvcodec.arrays import ORACLES, compute_runs, reduced_array
+from nlvcodec.bitio import trit_pack_bits
+from nlvcodec.cli import main
+from nlvcodec.colored import (classify_index, count_good_bad, decode_colored,
+                              encode_colored)
+from nlvcodec.general import encode_general
+from nlvcodec.joint import decode_heaps, encode_joint
+from nlvcodec.queries import TREE_QUERIES
+from nlvcodec.trees import (SIB_BLUE, SIB_NONE, SIB_RED, ColoredTree,
+                            build_max_heap, build_min_heap,
+                            check_leaf_internal_duality, check_red_leaf_rule,
+                            colorize, scan_heaps)
 import nlvcodec.colored as colored_module
 import nlvcodec.trees as trees_module
-from nlvcodec.arrays import ORACLES
-from nlvcodec.cli import main
-from nlvcodec.joint import decode_heaps
-from nlvcodec.queries import TREE_QUERIES
-from nlvcodec.trees import SIB_BLUE, SIB_NONE, SIB_RED, scan_heaps
 
-from conftest import make_rng, outcome, random_no_equal_neighbours, scan_arrays
+from conftest import (make_rng, outcome, random_no_equal_neighbours, scan_arrays,
+                      stack_answers)
 
 
 def colored_pair(a):
@@ -151,9 +154,9 @@ class TestEncodeErrors:
                 for i in range(1, a.n + 1):
                     if not (t.is_leaf(i) and t.has_right_sibling(i)):
                         continue
-                    is_red = list((cmin, cmax)[side].is_red)
-                    is_red[i] = False
-                    flipped = ColoredTree(t, is_red)
+                    codes = bytearray((cmin, cmax)[side].codes)
+                    codes[i] = SIB_BLUE
+                    flipped = ColoredTree.from_codes(t, codes)
                     assert not check_red_leaf_rule(flipped)
                     pair = [cmin, cmax]
                     pair[side] = flipped
@@ -169,10 +172,10 @@ class TestEncodeErrors:
         cmin, cmax = colored_pair(figure_array)
         for side, i in ((0, 2), (0, 5), (0, 8), (1, 1), (1, 3)):
             pair = [cmin, cmax]
-            is_red = bytearray(pair[side].is_red)
-            assert is_red[i]
-            is_red[i] = False
-            pair[side] = ColoredTree(pair[side].tree, is_red)
+            codes = bytearray(pair[side].codes)
+            assert codes[i] == SIB_RED
+            codes[i] = SIB_BLUE
+            pair[side] = ColoredTree.from_codes(pair[side].tree, codes)
             with pytest.raises(PreconditionError,
                                match="^blue leaf with right sibling") as exc:
                 encode_colored(*pair)
@@ -199,7 +202,7 @@ class TestArrayPath:
 
     def test_general_colored_part_equals_tree_path(self):
         for name, a in scan_arrays():
-            reduced = compute_runs(a).reduced_array()
+            reduced = reduced_array(a, compute_runs(a))
             assert (encode_general(a).colored
                     == encode_colored(*colored_pair(reduced))), name
 
@@ -242,8 +245,9 @@ class TestArrayPath:
         for name, a in itertools.chain(scan_arrays(), self.run_arrays()):
             both_pop += sum(map(int.__eq__, a.values, a.values[1:]))
             deg_min, code_min, deg_max, code_max = scan_heaps(a)
-            for tree, degrees, codes in ((build_min_heap(a), deg_min, code_min),
-                                         (build_max_heap(a), deg_max, code_max)):
+            for tree, degrees, codes, kind in (
+                    (build_min_heap(a), deg_min, code_min, "nsv"),
+                    (build_max_heap(a), deg_max, code_max, "nlv")):
                 assert degrees == tree.degrees, name
                 right_sib = tree.right_sib
                 expected = bytearray(
@@ -253,8 +257,12 @@ class TestArrayPath:
                 ct = colorize(tree, a)
                 assert ct.codes == codes, name
                 assert ct.is_red == bytearray(c == SIB_RED for c in codes), name
-                # codes derived from colors alone agree
-                assert ColoredTree(tree, ct.is_red).codes == codes, name
+                # the decoded form derives the same codes from the parents
+                # and the next-value answers
+                dec = ColoredTree.from_decoded(
+                    tree.parent, [a.n + 1, *stack_answers(a, kind)])
+                assert dec.codes == codes, name
+                assert dec == ct, name
         assert both_pop > 1000
 
 

@@ -8,16 +8,19 @@ import pytest
 
 import nlvcodec
 
-from nlvcodec import (ORACLES, QUERY_KINDS, AllocationError, BitStream,
-                      ColoredEncoding, CorruptionError, JointEncoding, PreconditionError,
-                      RangeError, ValueArray,
-                      build_max_heap, build_min_heap, colorize, decode,
-                      deserialize, encode, encode_colored, encode_general,
-                      encode_joint, serialize, trit_pack_bits)
+from nlvcodec import (AllocationError, ColoredEncoding, CorruptionError,
+                      JointEncoding, PreconditionError, RangeError, ValueArray,
+                      decode, deserialize, encode, serialize)
 from nlvcodec import bitio, container, fuzz, general
+from nlvcodec.arrays import ORACLES, QUERY_KINDS
+from nlvcodec.bitio import BitStream, trit_pack_bits
 from nlvcodec.cli import main
+from nlvcodec.colored import encode_colored
 from nlvcodec.container import (MAGIC, SCHEME_GENERAL, VERSION, read_varint,
                                 write_varint)
+from nlvcodec.general import encode_general
+from nlvcodec.joint import encode_joint
+from nlvcodec.trees import build_max_heap, build_min_heap, colorize
 
 from conftest import FIGURE_VALUES, make_rng, random_no_equal_neighbours
 
@@ -53,6 +56,20 @@ def all_encodings(a):
         out.append(encode_joint(min_t, max_t))
         out.append(encode_colored(colorize(min_t, a), colorize(max_t, a)))
     return out
+
+
+def test_package_exports_only_the_library_verbs():
+    # the README's quick start and its payload bounds use these; every
+    # other name is imported from its own module
+    verbs = ["ValueArray", "parse_array_text", "encode", "decode", "serialize",
+             "deserialize", "QueryStructure", "MAX_N", "JointEncoding",
+             "ColoredEncoding", "GeneralEncoding", "NlvError",
+             "EmptyArrayError", "RangeError", "ParseError",
+             "PreconditionError", "CorruptionError", "AllocationError"]
+    assert sorted(nlvcodec.__all__) == sorted(verbs)
+    star = {}
+    exec("from nlvcodec import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(verbs)
 
 
 class TestVarint:
@@ -464,12 +481,20 @@ class TestCli:
              "non-canonical varint (segment header, bit 56)"),
             (patched(jdata, 7, [7]), "U segment has wrong length (segment header, bit 56)"),
             (patched(jdata, 8, [10]),
-             "degree streams must total 2n bits (segment header)"),
+             "degree streams must total 2n = 18 bits, not 19 (segment header)"),
+            # the colored part of a general container holds n - k = 5
+            # elements; t_max's length is the varint at byte 12
+            (patched(serialize(runs), 12, [6]),
+             "degree streams must total 2(n-k) = 10 bits, not 11 (segment header)"),
             (patched(gdata, 7, [9]), "run count k out of range (segment header, bit 56)"),
             (patched(cdata, 9, [8]),
              "packed trit segment has wrong length (segment header, bit 72)"),
             (patched(cdata, 7, [2]), "|u_gb| must be twice |v_bad| (segment header)"),
             (jdata + b"\0", "segment lengths do not match payload size (segment header)"),
+            # the figure's joint payload is 8 + 18 = 26 bits, then 6 bits
+            # of padding
+            (jdata[:-1] + bytes([jdata[-1] | 1]),
+             "nonzero padding bits (segment padding, bit 26)"),
         ]
         for data, message in cases:
             path = tmp_path / "broken.nlve"

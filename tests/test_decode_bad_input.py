@@ -11,8 +11,9 @@ exhaustive enumeration (n <= 5) and the container mutation test.
 
 import types
 
-from nlvcodec import (CorruptionError, decode_colored, decode_joint, encode,
-                      encode_colored, encode_joint)
+from nlvcodec import CorruptionError, encode
+from nlvcodec.colored import decode_colored, encode_colored
+from nlvcodec.joint import decode_joint, encode_joint
 
 from conftest import make_rng, random_no_equal_neighbours
 

@@ -6,15 +6,17 @@ import tracemalloc
 
 import pytest
 
-from nlvcodec import (ColoredEncoding, ColoredTree, CorruptionError,
-                      GeneralEncoding, RangeError, ValueArray, arrays,
-                      check_subset_coding_inequality, colored, container,
-                      decode_colored, decode_general, deserialize,
-                      encode_general, general, map_answer_to_original,
-                      map_query_index, serialize, subset_rank_width)
-from nlvcodec.arrays import ORACLES, QUERY_KINDS, RunStructure
-from nlvcodec.general import LOG2_13
+from nlvcodec import (ColoredEncoding, CorruptionError, GeneralEncoding,
+                      RangeError, ValueArray, deserialize, serialize)
+from nlvcodec import arrays, colored, container, general
+from nlvcodec.arrays import (ORACLES, QUERY_KINDS, map_answer_to_original,
+                             map_query_index)
+from nlvcodec.bitio import subset_rank_width
+from nlvcodec.colored import decode_colored
+from nlvcodec.general import (check_subset_coding_inequality, decode_general,
+                              encode_general)
 from nlvcodec.joint import decode_heaps
+from nlvcodec.trees import ColoredTree
 
 from conftest import make_rng, monotone_runs_array
 
@@ -66,25 +68,27 @@ class TestEncode:
 
     def test_no_run_map_and_no_reduced_decode(self, monkeypatch):
         # encode reads no run map; decode neither decodes the reduced
-        # trees nor lifts their tables through the run maps, and builds
-        # no run structure at all
+        # trees nor lifts their tables through the run maps, and neither
+        # scans the runs of an array nor builds a reduced one
         reads = []
 
-        def counted(rs):
+        def counted(keep):
             reads.append("kept_positions")
-            return kept_positions(rs)
+            return kept_positions(keep)
 
         def refuse(name):
             def call(*args, **kwargs):
                 raise AssertionError("decode_general called " + name)
             return call
-        kept_positions = RunStructure.kept_positions.fget
-        monkeypatch.setattr(RunStructure, "kept_positions", property(counted))
+        kept_positions = arrays.kept_positions
+        monkeypatch.setattr(arrays, "kept_positions", counted)
         for name in ("map_query_index", "map_answer_to_original"):
             monkeypatch.setattr(arrays, name, refuse(name))
         enc = encode_general(ValueArray([5, 5, 2, 8, 8, 8, 1, 1]))
         assert reads == []
-        monkeypatch.setattr(RunStructure, "__init__", refuse("RunStructure"))
+        for name in ("compute_runs", "reduced_array"):
+            for module in (arrays, general):
+                monkeypatch.setattr(module, name, refuse(name))
         monkeypatch.setattr(colored, "decode_colored", refuse("decode_colored"))
         monkeypatch.setattr(ColoredTree, "from_decoded", refuse("from_decoded"))
         qs = decode_general(enc)
@@ -128,9 +132,8 @@ class TestDecodeAndQuery:
         translated to original coordinates, then each index reading its
         run's entry."""
         keep = general.decode_runs(enc)
-        rs = RunStructure([1 - flag for flag in keep], enc.n)
         reduced = colored.decode_tables(enc.colored)
-        return {kind: map_query_index(rs, map_answer_to_original(rs, table, kind))
+        return {kind: map_query_index(keep, map_answer_to_original(keep, table, kind))
                 for kind, table in reduced.items()}
 
     def test_tables_equal_the_two_step_lift(self):

@@ -1,11 +1,11 @@
 import pytest
 
-from nlvcodec import (CorruptionError, JointEncoding,
-                      PreconditionError, ValueArray, build_max_heap,
-                      build_min_heap, decode_joint, encode, encode_joint)
-
+from nlvcodec import (CorruptionError, JointEncoding, PreconditionError,
+                      ValueArray, encode)
 from nlvcodec.arrays import ORACLES
-from nlvcodec.joint import decode_heaps
+from nlvcodec.joint import decode_heaps, decode_joint, encode_joint
+from nlvcodec.trees import build_max_heap, build_min_heap
+
 
 from conftest import (decoded_pair, make_rng, outcome,
                       random_no_equal_neighbours, scan_arrays, stack_answers)

@@ -8,8 +8,10 @@ import re
 import pytest
 
 from nlvcodec import (MAX_N, ColoredEncoding, GeneralEncoding, JointEncoding,
-                      ValueArray, compute_runs, encode, fuzz, trit_pack_bits)
-from nlvcodec.bitio import BITS_PER_BLOCK, TRITS_PER_BLOCK
+                      ValueArray, encode)
+from nlvcodec import fuzz
+from nlvcodec.arrays import compute_runs, reduced_array
+from nlvcodec.bitio import BITS_PER_BLOCK, TRITS_PER_BLOCK, trit_pack_bits
 
 from conftest import make_rng
 
@@ -46,7 +48,7 @@ def test_payloads_meet_their_bounds():
     for dist in fuzz.DISTRIBUTIONS:
         for _ in range(15):
             a = fuzz.random_array(rng, 2000, 5, dist)
-            reduced = compute_runs(a).reduced_array()
+            reduced = reduced_array(a, compute_runs(a))
             encs = [encode(reduced, "joint"), encode(reduced, "colored"),
                     encode(a, "general")]
             for enc in encs:

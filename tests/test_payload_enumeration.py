@@ -8,9 +8,9 @@ numbers.
 
 import itertools
 
-from nlvcodec import (ColoredEncoding, CorruptionError,
-                      JointEncoding, decode_colored, decode_joint,
-                      encode_colored, encode_joint)
+from nlvcodec import ColoredEncoding, CorruptionError, JointEncoding
+from nlvcodec.colored import decode_colored, encode_colored
+from nlvcodec.joint import decode_joint, encode_joint
 
 JOINT_ACCEPTED = {1: 1, 2: 2, 3: 6, 4: 22, 5: 92}
 COLORED_ACCEPTED = {1: 1, 2: 2, 3: 8, 4: 40}

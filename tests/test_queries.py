@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlvcodec import (ColoredTree, RangeError, ValueArray, build_min_heap,
-                      colorize, compute_runs, decode, deserialize, encode,
-                      nlv_from_tree, nsv_from_tree, plv_from_tree,
-                      psv_from_tree, serialize)
-from nlvcodec.arrays import ORACLES, QUERY_KINDS
-from nlvcodec.queries import TREE_QUERIES
-from nlvcodec.trees import SIB_BLUE, OrdinalTree, _next_value_table
+from nlvcodec import (RangeError, ValueArray, decode, deserialize, encode,
+                      serialize)
+from nlvcodec.arrays import (ORACLES, QUERY_KINDS, compute_runs,
+                             reduced_array)
+from nlvcodec.queries import (TREE_QUERIES, nlv_from_tree, nsv_from_tree,
+                              plv_from_tree, psv_from_tree)
+from nlvcodec.trees import (SIB_BLUE, ColoredTree, OrdinalTree,
+                            _next_value_table, build_min_heap, colorize)
 
 from conftest import decoded_pair, make_rng, random_no_equal_neighbours
 
@@ -138,7 +139,7 @@ class TestNextValueTables:
     def test_decoded_tables_match_oracles(self, a):
         # joint and colored need no equal neighbours, which run arrays
         # almost never lack, so they take the run-compressed array
-        reduced = compute_runs(a).reduced_array()
+        reduced = reduced_array(a, compute_runs(a))
         for scheme, b in (("general", a), ("joint", reduced), ("colored", reduced)):
             qs = decode(deserialize(serialize(encode(b, scheme))))
             for kind, table in qs.tables.items():

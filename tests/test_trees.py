@@ -2,13 +2,16 @@ import itertools
 
 import pytest
 
-from nlvcodec import (ValueArray, build_max_heap, build_min_heap, check_leaf_internal_duality,
-                      check_red_leaf_rule, colorize, compute_runs, decode_colored,
-                      decode_joint, encode_colored, encode_general, encode_joint,
-                      tree_to_text)
-from nlvcodec.arrays import ORACLES, oracle_plv, oracle_psv
-from nlvcodec.trees import (OrdinalTree, check_preorder_labels,
-                            check_sibling_monotonicity)
+from nlvcodec import ValueArray
+from nlvcodec.arrays import (ORACLES, compute_runs, oracle_plv, oracle_psv,
+                             reduced_array)
+from nlvcodec.colored import decode_colored, encode_colored
+from nlvcodec.general import encode_general
+from nlvcodec.joint import decode_joint, encode_joint
+from nlvcodec.trees import (OrdinalTree, build_max_heap, build_min_heap,
+                            check_leaf_internal_duality, check_preorder_labels,
+                            check_red_leaf_rule, check_sibling_monotonicity,
+                            colorize, tree_to_text)
 
 from conftest import make_rng, random_no_equal_neighbours
 
@@ -99,7 +102,7 @@ class TestColorize:
     def test_cmin_figure(self, figure_array):
         ct = colorize(build_min_heap(figure_array), figure_array)
         assert {i for i in range(1, 10) if ct.is_red[i]} == {2, 5, 8}
-        assert ct.color(2) == "red" and ct.color(1) == "blue"
+        assert ct.is_red[2] == 1 and ct.is_red[1] == 0
 
     def test_cmax_figure(self, figure_array):
         ct = colorize(build_max_heap(figure_array), figure_array)
@@ -199,7 +202,7 @@ class TestDerivedEqualsBuilt:
     def test_joint_and_colored(self, alphabet):
         blue_siblings = 0
         for a in self.arrays(81, alphabet):
-            reduced = compute_runs(a).reduced_array()
+            reduced = reduced_array(a, compute_runs(a))
             min_t, max_t = build_min_heap(reduced), build_max_heap(reduced)
             enc = encode_joint(min_t, max_t)
             decoded = decode_joint(enc)
@@ -218,7 +221,7 @@ class TestDerivedEqualsBuilt:
     def test_reduced_part_of_general(self, alphabet):
         for a in self.arrays(82, alphabet):
             enc = encode_general(a)
-            assert self.check_colored(compute_runs(a).reduced_array()) == enc.colored
+            assert self.check_colored(reduced_array(a, compute_runs(a))) == enc.colored
 
 
 class TestStructuralRules:
