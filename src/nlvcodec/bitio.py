@@ -13,8 +13,8 @@ bounds on r/b, taking one exact step at a near tie.  An out-of-range
 rank leaves a nonzero remainder, which is the unranker's range check.
 ``subset_rank_width`` comes from ``lgamma``, then from a 50-digit
 Stirling sum in ``decimal`` where the float sum could round the wrong
-way; the exact binomial decides only at small lengths, or where the
-Stirling sum too lies within its margin of an integer.
+way; the exact binomial decides only where the Stirling sum too lies
+within its margin of an integer.
 
 ``comb`` is the library's exact binomial.  With m = min(k, n-k), it
 multiplies C(n, k) together from its prime powers, without a division,
@@ -57,8 +57,6 @@ SCAN_BLOCK = 128
 _TOP_BITS = 64
 _DOWN = 1 - 2.0 ** -50
 _UP = 1 + 2.0 ** -50
-# below this length subset_rank_width takes the exact binomial
-_EXACT_WIDTH_BELOW = 1024
 _LN2 = log(2)
 # _stirling_width sums ln m! in this context; _ln_factorial takes the
 # exact m! below _STIRLING_FROM and Stirling's series, cut after the
@@ -189,13 +187,6 @@ def trit_pack_bits(m):
     return full * BITS_PER_BLOCK + (3 ** rest - 1).bit_length()
 
 
-def _block_width(count):
-    """Bits of a block of ``count`` trits."""
-    if count == TRITS_PER_BLOCK:
-        return BITS_PER_BLOCK
-    return (3 ** count - 1).bit_length()
-
-
 def pack_trits(trits):
     """Pack a str of trit digits '0'/'1'/'2' into a bit str, 41 trits per
     65-bit block.
@@ -207,7 +198,7 @@ def pack_trits(trits):
     chunks = []
     for start in range(0, len(trits), TRITS_PER_BLOCK):
         block = trits[start:start + TRITS_PER_BLOCK]
-        chunks.append(uint_bits(int(block, 3), _block_width(len(block))))
+        chunks.append(uint_bits(int(block, 3), trit_pack_bits(len(block))))
     return "".join(chunks)
 
 
@@ -221,7 +212,7 @@ def unpack_trits(bits, m):
     for start in range(0, m, TRITS_PER_BLOCK):
         blen = min(m - start, TRITS_PER_BLOCK)
         pos = start // TRITS_PER_BLOCK * BITS_PER_BLOCK
-        value = int(bits[pos:pos + _block_width(blen)], 2)
+        value = int(bits[pos:pos + trit_pack_bits(blen)], 2)
         if value >= 3 ** blen:
             raise CorruptionError("trit block value %d out of range" % value,
                                   segment="packed_trits", offset=pos)
@@ -474,8 +465,7 @@ def subset_rank_width(length, k):
     """Bits needed to store any rank of a k-subset: ceil(log2 comb(L,k)),
     which is (comb(L, k) - 1).bit_length().
 
-    Below L = _EXACT_WIDTH_BELOW the exact binomial decides.  From there
-    on the width is the ceiling of log2 C(L, k) as summed from
+    The width is the ceiling of log2 C(L, k) as summed from
     ``math.lgamma`` (``_float_width``) and, where that sum lies too near
     an integer, from a 50-digit Stirling sum (``_stirling_width``).  The
     exact binomial decides only where the Stirling sum too lies within
@@ -488,13 +478,12 @@ def subset_rank_width(length, k):
         raise ValueError("need 0 <= k <= length")
     if k == 0 or k == length:
         return 0
-    if length >= _EXACT_WIDTH_BELOW:
-        width = _float_width(length, k)
-        if width is None:
-            width = _stirling_width(length, k)
-        if width is not None:
-            return width
-    return (comb(length, k) - 1).bit_length()
+    width = _float_width(length, k)
+    if width is None:
+        width = _stirling_width(length, k)
+    if width is None:
+        width = (comb(length, k) - 1).bit_length()
+    return width
 
 
 def _float_width(length, k):

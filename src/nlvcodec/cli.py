@@ -113,8 +113,8 @@ def cmd_decode(args):
     if args.dump_trees:
         if c_bits is not None:
             print("c: %s" % c_bits)
-        for name, (tree, colors) in zip(("min", "max"), heaps):
-            print("%s: %s" % (name, tree_to_text(tree, colors)))
+        for name, (tree, codes) in zip(("min", "max"), heaps):
+            print("%s: %s" % (name, tree_to_text(tree, codes)))
     return EXIT_OK
 
 

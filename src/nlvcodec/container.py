@@ -78,15 +78,15 @@ def decode(enc):
 
 def decode_shapes(enc):
     """The decoded shapes behind ``decode``: the run bits as a str of '0'
-    and '1' (a general encoding's, else None) and a (tree, colors) pair
-    per heap, min first, with colors None for joint."""
+    and '1' (a general encoding's, else None) and a (tree, sibling codes)
+    pair per heap, min first, with codes None for joint."""
     c_bits = None
     if isinstance(enc, GeneralEncoding):
         c_bits = decode_runs(enc).translate(_RUN_BIT_OF_FLAG).decode()
         enc = enc.colored
     if isinstance(enc, JointEncoding):
         return c_bits, [(tree, None) for tree in decode_joint(enc)]
-    return c_bits, [(ct.tree, ct.is_red) for ct in decode_colored(enc)]
+    return c_bits, [(ct.tree, ct.codes) for ct in decode_colored(enc)]
 
 
 def write_varint(buf, value):

@@ -310,4 +310,4 @@ def decode_joint(enc):
     """Rebuild the (min, max) heap pair; exact inverse of encode_joint.
     The trees keep their parents and derive the rest on read."""
     heaps = decode_heaps(enc.n, enc.t_min, enc.t_max, u=enc.u)
-    return tuple(OrdinalTree.from_tables(parent) for parent, _, _ in heaps)
+    return tuple(OrdinalTree(parent) for parent, _, _ in heaps)

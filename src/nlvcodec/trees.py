@@ -14,7 +14,7 @@ which is when its right sibling arrives.
 A tree is its parent list plus the first-child, right-sibling and degree
 tables that go with it.  The heap builders fill all four in the same
 stack scan; every other tree derives the three from the parents, on
-first read, in one right-to-left pass (``OrdinalTree._derive``).  A
+first read, in one right-to-left pass (``OrdinalTree._tables``).  A
 colored tree adds a sibling code per node, its color, and the colors
 determine every next-value answer.  The trees ``colorize`` makes hold
 the sibling codes, one bytearray per heap, and no answers;
@@ -35,9 +35,6 @@ SIB_NONE = 0
 SIB_RED = 1
 SIB_BLUE = 2
 
-# bytes.translate table from sibling codes to is_red bytes
-_RED_OF_CODE = bytes((0, 1)) + bytes(254)
-
 
 class OrdinalTree:
     """Preorder-labeled ordinal tree on nodes 0..n, held as flat tables.
@@ -46,44 +43,24 @@ class OrdinalTree:
     ``first_child``, ``right_sib`` and ``degrees`` go with it, 0 standing
     for "none" in the first two, since the root is nobody's child or
     sibling.  These three are read-only properties: the heap builders
-    pass them in (``from_tables``), and a tree made from parents alone,
-    as the decoders make them, derives them on first read.  The
-    constructor is for parent lists from outside: it raises ValueError
-    unless every parent(i) is an int, not a bool, in 0..i-1, then derives
-    the three tables by the same pass.
+    pass them in, and a tree made from parents alone, as the decoders
+    make them, derives them on first read.  The tables must already
+    agree; nothing is checked or copied.
     """
 
     __slots__ = ("n", "parent", "_derived")
 
-    def __init__(self, parent):
-        parent = list(parent)
-        if len(parent) < 2 or parent[0] is not None:
-            raise ValueError("parent list must start with None and cover node 1")
-        for i in range(1, len(parent)):
-            p = parent[i]
-            # bool subclasses int, but True is no node label
-            if type(p) is not int or not 0 <= p < i:
-                raise ValueError("parent of node %d must be an int in 0..%d"
-                                 % (i, i - 1))
+    def __init__(self, parent, first_child=None, right_sib=None, degrees=None):
         self.n = len(parent) - 1
         self.parent = parent
-        self._derive()
-
-    @classmethod
-    def from_tables(cls, parent, first_child=None, right_sib=None, degrees=None):
-        """A tree over tables that already agree; nothing is checked or
-        copied.  Given the parents alone, the tree derives the other three
-        tables on first read."""
-        tree = cls.__new__(cls)
-        tree.n = len(parent) - 1
-        tree.parent = parent
-        tree._derived = (None if first_child is None
+        self._derived = (None if first_child is None
                          else (first_child, right_sib, degrees))
-        return tree
 
-    def _derive(self):
-        """First-child, right-sibling and degree tables from the parents,
-        in one right-to-left pass; returns them and keeps them."""
+    def _tables(self):
+        """First-child, right-sibling and degree tables; given no tables,
+        derived from the parents in one right-to-left pass and kept."""
+        if self._derived:
+            return self._derived
         parent = self.parent
         size = self.n + 1
         first = [0] * size
@@ -96,9 +73,6 @@ class OrdinalTree:
             degrees[p] += 1
         self._derived = tables = (first, right_sib, degrees)
         return tables
-
-    def _tables(self):
-        return self._derived or self._derive()
 
     @property
     def first_child(self):
@@ -115,18 +89,9 @@ class OrdinalTree:
     def __eq__(self, other):
         return isinstance(other, OrdinalTree) and self.parent == other.parent
 
-    def degree(self, i):
-        return self.degrees[i]
-
-    def is_leaf(self, i):
-        return self.first_child[i] == 0
-
     def right_sibling(self, i):
         """Immediate right sibling of i, or 0 if it is a last child."""
         return self.right_sib[i]
-
-    def has_right_sibling(self, i):
-        return self.right_sib[i] != 0
 
     def children(self, i):
         """Children of i, left to right."""
@@ -161,7 +126,7 @@ class ColoredTree:
     its codes on first read: node x with right sibling s is red iff
     ``next_value[x] == s``, since a blue node with a sibling takes
     ``next_value[s]``, which is greater than s.  So the two forms of one
-    heap compare equal.  ``is_red`` is the codes translated, 1 for red.
+    heap compare equal.
     """
 
     __slots__ = ("tree", "_codes", "next_value")
@@ -182,7 +147,7 @@ class ColoredTree:
         checked or copied.  The codes and the other tables are derived
         on first read."""
         ct = cls.__new__(cls)
-        ct.tree = OrdinalTree.from_tables(parent)
+        ct.tree = OrdinalTree(parent)
         ct._codes = None
         ct.next_value = next_value
         return ct
@@ -196,17 +161,9 @@ class ColoredTree:
                 for sib, nxt in zip(self.tree.right_sib, self.next_value))
         return codes
 
-    @property
-    def is_red(self):
-        return self.codes.translate(_RED_OF_CODE)
-
     def __eq__(self, other):
         return (isinstance(other, ColoredTree)
                 and self.tree == other.tree and self.codes == other.codes)
-
-    @property
-    def n(self):
-        return self.tree.n
 
 
 def _next_value_table(parent, right_sib, blue, labels=None):
@@ -270,7 +227,7 @@ def _build_heap(values):
         degrees[p] += 1
         stack.append(i)
         p = i
-    return OrdinalTree.from_tables(parent, first, right_sib, degrees)
+    return OrdinalTree(parent, first, right_sib, degrees)
 
 
 def scan_heaps(a):
@@ -375,9 +332,9 @@ def check_red_leaf_rule(ct):
     """Every leaf with a right sibling must be red (holds when the source
     array has no consecutive equal elements).  Returns True/False."""
     t = ct.tree
-    first, right_sib, is_red = t.first_child, t.right_sib, ct.is_red
+    first, codes = t.first_child, ct.codes
     for i in range(1, t.n + 1):
-        if not first[i] and right_sib[i] and not is_red[i]:
+        if not first[i] and codes[i] == SIB_BLUE:
             return False
     return True
 
@@ -385,13 +342,15 @@ def check_red_leaf_rule(ct):
 def check_sibling_monotonicity(tree, a, kind):
     """In a min heap consecutive sibling values are non-increasing; in a
     max heap, non-decreasing."""
+    values = a.values
+    right_sib = tree.right_sib
     for i in range(1, tree.n + 1):
-        j = tree.right_sibling(i)
+        j = right_sib[i]
         if j == 0:
             continue
-        if kind == "min" and a[i] < a[j]:
+        if kind == "min" and values[i - 1] < values[j - 1]:
             return False
-        if kind == "max" and a[i] > a[j]:
+        if kind == "max" and values[i - 1] > values[j - 1]:
             return False
     return True
 
@@ -401,9 +360,10 @@ def check_preorder_labels(tree):
     return tree.preorder() == list(range(tree.n + 1))
 
 
-def tree_to_text(tree, colors=None):
-    """Parenthesized debug form, e.g. (0 (1r) (2b)).  Iterative, so deep
-    chains are safe."""
+def tree_to_text(tree, codes=None):
+    """Parenthesized debug form, e.g. (0 (1r) (2b)), with each node's
+    sibling code from ``codes`` as r for ``SIB_RED``, else b.  Iterative,
+    so deep chains are safe."""
     out = ["(0"]
     # one entry per open node: its next child to open, 0 when none is left
     stack = [tree.first_child[0]]
@@ -414,8 +374,8 @@ def tree_to_text(tree, colors=None):
             continue
         stack.append(tree.right_sib[c])
         label = str(c)
-        if colors is not None:
-            label += "r" if colors[c] else "b"
+        if codes is not None:
+            label += "r" if codes[c] == SIB_RED else "b"
         out.append("(" + label)
         stack.append(tree.first_child[c])
     return " ".join(out).replace(" )", ")")

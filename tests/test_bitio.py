@@ -449,7 +449,9 @@ class TestBlockedSubsetCoder:
         assert subset_rank(positions, 5_000)[1] == _reference_rank(positions, 5_000)
 
     def test_width_exact_small_lengths(self):
-        for length in range(301):
+        # no length takes the exact binomial first: these widths come from
+        # the lgamma and Stirling sums, the binomial only at a power of two
+        for length in [*range(301), 511, 512, 513, 1000, 1023]:
             for k in range(length + 1):
                 assert subset_rank_width(length, k) == (comb(length, k) - 1).bit_length()
 
@@ -471,7 +473,7 @@ class TestBlockedSubsetCoder:
                 assert subset_rank_width(length, k) == m
 
     def test_width_from_stirling_sum(self, monkeypatch):
-        # every width past the exact range goes through the 50-digit sum;
+        # every width goes through the 50-digit sum;
         # the binomial is taken only where C(L, k) is a power of two
         monkeypatch.setattr(bitio, "_float_width", lambda length, k: None)
         exact = []

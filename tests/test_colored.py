@@ -152,7 +152,7 @@ class TestEncodeErrors:
             for side in (0, 1):
                 t = (cmin, cmax)[side].tree
                 for i in range(1, a.n + 1):
-                    if not (t.is_leaf(i) and t.has_right_sibling(i)):
+                    if t.first_child[i] or not t.right_sib[i]:
                         continue
                     codes = bytearray((cmin, cmax)[side].codes)
                     codes[i] = SIB_BLUE
@@ -210,7 +210,7 @@ class TestArrayPath:
         def refuse(*args):
             raise AssertionError("tree built while encoding an array")
         # every way a tree is made
-        for cls, names in ((trees_module.OrdinalTree, ("__init__", "from_tables")),
+        for cls, names in ((trees_module.OrdinalTree, ("__init__",)),
                            (ColoredTree, ("__init__", "from_codes", "from_decoded"))):
             for name in names:
                 monkeypatch.setattr(cls, name, refuse)
@@ -256,7 +256,6 @@ class TestArrayPath:
                 assert codes == bytearray(1) + expected, name
                 ct = colorize(tree, a)
                 assert ct.codes == codes, name
-                assert ct.is_red == bytearray(c == SIB_RED for c in codes), name
                 # the decoded form derives the same codes from the parents
                 # and the next-value answers
                 dec = ColoredTree.from_decoded(
@@ -274,15 +273,15 @@ class TestDecode:
         # colorize's trees hold colors only, in the form decoded trees derive
         for built, dec in ((cmin, dmin), (cmax, dmax)):
             assert not hasattr(built, "next_value")
-            assert type(built.is_red) is type(dec.is_red) is bytearray
-        assert {i for i in range(1, 10) if dmin.is_red[i]} == {2, 5, 8}
-        assert {i for i in range(1, 10) if dmax.is_red[i]} == {1, 2, 3, 4}
+            assert type(built.codes) is type(dec.codes) is bytearray
+        assert {i for i in range(1, 10) if dmin.codes[i] == SIB_RED} == {2, 5, 8}
+        assert {i for i in range(1, 10) if dmax.codes[i] == SIB_RED} == {1, 2, 3, 4}
 
     def test_singleton(self):
         enc = ColoredEncoding(1, "0", "0", "", "", "")
         dmin, dmax = decode_colored(enc)
         assert dmin.tree.parent == [None, 0]
-        assert not dmin.is_red[1] and not dmax.is_red[1]
+        assert dmin.codes[1] == dmax.codes[1] == SIB_NONE
 
     def test_exhaustive_round_trip_and_queries(self):
         for n in range(1, 7):
@@ -322,10 +321,31 @@ class TestDecode:
     def test_invalid_trit(self):
         enc = encode_colored(*colored_pair(ValueArray([3, 8, 5])))
         assert len(enc.v_neutral) == 2
-        broken = ColoredEncoding(enc.n, enc.t_min, enc.t_max, enc.u_gb,
-                                 enc.v_bad, "9" + enc.v_neutral[1:])
+        fields = {name: getattr(enc, name) for name in ColoredEncoding.__slots__}
+        broken = types.SimpleNamespace(**dict(fields, v_neutral="9" + enc.v_neutral[1:]))
         with pytest.raises(CorruptionError):
             decode_colored(broken)
+
+    @pytest.mark.parametrize("v_neutral, offset", [("92", 0), ("2x", 1), ("2\n", 1),
+                                                   ("0-", 1), ("2\u00e9", 1),
+                                                   ("22x", 2)])
+    def test_constructor_checks_trits(self, v_neutral, offset):
+        # a bad trit is a corruption named at its position, found before
+        # the length check ("22x" is one character too long), so no
+        # encoding holds one for serialize to meet
+        enc = encode_colored(*colored_pair(ValueArray([3, 8, 5])))
+        with pytest.raises(CorruptionError, match="^invalid trit ") as exc:
+            ColoredEncoding(enc.n, enc.t_min, enc.t_max, enc.u_gb, enc.v_bad,
+                            v_neutral)
+        assert (exc.value.segment, exc.value.offset) == ("v_neutral", offset)
+
+    @pytest.mark.parametrize("v_neutral", [None, 22, ["2", "2"], b"22"])
+    def test_constructor_rejects_non_str_trits(self, v_neutral):
+        enc = encode_colored(*colored_pair(ValueArray([3, 8, 5])))
+        with pytest.raises(ValueError, match="^v_neutral must be a str") as exc:
+            ColoredEncoding(enc.n, enc.t_min, enc.t_max, enc.u_gb, enc.v_bad,
+                            v_neutral)
+        assert not isinstance(exc.value, CorruptionError)
 
     def test_side_strings_exhausted_or_trailing(self, figure_array):
         # the degree streams of the figure array (g = 2) with the side
@@ -388,9 +408,9 @@ class TestDecode:
         monkeypatch.setattr(colored_module, "decode_heaps", refuse)
         enc = encode_colored(*colored_pair(ValueArray([3, 8, 5, 1, 4])))
         assert len(enc.v_neutral) >= 2
+        fields = {name: getattr(enc, name) for name in ColoredEncoding.__slots__}
         for bad in ("9" + enc.v_neutral[1:], enc.v_neutral[:-1] + "3"):
-            broken = ColoredEncoding(enc.n, enc.t_min, enc.t_max, enc.u_gb,
-                                     enc.v_bad, bad)
+            broken = types.SimpleNamespace(**dict(fields, v_neutral=bad))
             with pytest.raises(CorruptionError, match="invalid trit '[93]'"):
                 decode_colored(broken)
 

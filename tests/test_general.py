@@ -16,7 +16,7 @@ from nlvcodec.colored import decode_colored
 from nlvcodec.general import (check_subset_coding_inequality, decode_general,
                               encode_general)
 from nlvcodec.joint import decode_heaps
-from nlvcodec.trees import ColoredTree
+from nlvcodec.trees import ColoredTree, OrdinalTree
 
 from conftest import make_rng, monotone_runs_array
 
@@ -67,9 +67,9 @@ class TestEncode:
         assert calls == [(7, 4), (7, 4)]
 
     def test_no_run_map_and_no_reduced_decode(self, monkeypatch):
-        # encode reads no run map; decode neither decodes the reduced
-        # trees nor lifts their tables through the run maps, and neither
-        # scans the runs of an array nor builds a reduced one
+        # encode reads no run map; decode builds no tree, reduced or not,
+        # nor lifts tables through the run maps, and neither scans the
+        # runs of an array nor builds a reduced one
         reads = []
 
         def counted(keep):
@@ -91,6 +91,7 @@ class TestEncode:
                 monkeypatch.setattr(module, name, refuse(name))
         monkeypatch.setattr(colored, "decode_colored", refuse("decode_colored"))
         monkeypatch.setattr(ColoredTree, "from_decoded", refuse("from_decoded"))
+        monkeypatch.setattr(OrdinalTree, "__init__", refuse("OrdinalTree"))
         qs = decode_general(enc)
         assert reads == []
         assert not hasattr(arrays, "lift_answers")

@@ -8,10 +8,10 @@ from nlvcodec.arrays import (ORACLES, compute_runs, oracle_plv, oracle_psv,
 from nlvcodec.colored import decode_colored, encode_colored
 from nlvcodec.general import encode_general
 from nlvcodec.joint import decode_joint, encode_joint
-from nlvcodec.trees import (OrdinalTree, build_max_heap, build_min_heap,
-                            check_leaf_internal_duality, check_preorder_labels,
-                            check_red_leaf_rule, check_sibling_monotonicity,
-                            colorize, tree_to_text)
+from nlvcodec.trees import (SIB_BLUE, SIB_RED, OrdinalTree, build_max_heap,
+                            build_min_heap, check_leaf_internal_duality,
+                            check_preorder_labels, check_red_leaf_rule,
+                            check_sibling_monotonicity, colorize, tree_to_text)
 
 from conftest import make_rng, random_no_equal_neighbours
 
@@ -21,27 +21,15 @@ class TestOrdinalTree:
         t = OrdinalTree([None, 0, 0, 2])
         assert t.children(0) == [1, 2]
         assert t.children(2) == [3]
-        assert t.degree(0) == 2 and t.is_leaf(1)
+        assert t.degrees[0] == 2 and t.first_child[1] == 0
 
     def test_right_sibling(self):
         t = OrdinalTree([None, 0, 0, 2])
         assert t.right_sibling(1) == 2
-        assert not t.has_right_sibling(2)
-
-    def test_invalid_parent(self):
-        with pytest.raises(ValueError):
-            OrdinalTree([None, 1])
-        with pytest.raises(ValueError):
-            OrdinalTree([0, 0])
-
-    @pytest.mark.parametrize("parent", [[None, None], [None, 0, "1"],
-                                        [None, 0, 0.5], [None, 0, True]])
-    def test_non_int_parent_is_value_error(self, parent):
-        with pytest.raises(ValueError, match="must be an int in"):
-            OrdinalTree(parent)
+        assert t.right_sib[2] == 0
 
     def test_derived_tables_are_read_only(self):
-        t = OrdinalTree.from_tables([None, 0, 0, 2])
+        t = OrdinalTree([None, 0, 0, 2])
         assert t.first_child == [1, 0, 3, 0]
         for name in ("first_child", "right_sib", "degrees"):
             with pytest.raises(AttributeError):
@@ -101,17 +89,17 @@ class TestBuilders:
 class TestColorize:
     def test_cmin_figure(self, figure_array):
         ct = colorize(build_min_heap(figure_array), figure_array)
-        assert {i for i in range(1, 10) if ct.is_red[i]} == {2, 5, 8}
-        assert ct.is_red[2] == 1 and ct.is_red[1] == 0
+        assert {i for i in range(1, 10) if ct.codes[i] == SIB_RED} == {2, 5, 8}
+        assert ct.codes[2] == SIB_RED and ct.codes[1] == SIB_BLUE
 
     def test_cmax_figure(self, figure_array):
         ct = colorize(build_max_heap(figure_array), figure_array)
-        assert {i for i in range(1, 10) if ct.is_red[i]} == {1, 2, 3, 4}
+        assert {i for i in range(1, 10) if ct.codes[i] == SIB_RED} == {1, 2, 3, 4}
 
     def test_chain_all_blue(self):
         a = ValueArray([1, 2, 3])
         ct = colorize(build_min_heap(a), a)
-        assert not any(ct.is_red)
+        assert SIB_RED not in ct.codes
 
     def test_last_node_never_red(self):
         rng = make_rng(13)
@@ -119,14 +107,14 @@ class TestColorize:
             a = random_no_equal_neighbours(rng, rng.randint(1, 40))
             for build in (build_min_heap, build_max_heap):
                 ct = colorize(build(a), a)
-                assert not ct.is_red[0] and not ct.is_red[a.n]
+                assert ct.codes[0] != SIB_RED and ct.codes[a.n] != SIB_RED
 
 
 class TestOnePassTables:
     """The heap builders fill first_child, right_sib and degrees in their
     stack scan, and decoded trees derive them from their parents on first
-    read; both must equal the tables OrdinalTree's constructor derives
-    from the parent list."""
+    read; both must equal the tables a tree given the parent list alone
+    derives."""
 
     @staticmethod
     def assert_tables_derived(tree):
@@ -186,7 +174,7 @@ class TestDerivedEqualsBuilt:
         decoded = decode_colored(enc)
         for dec, built, kind in zip(decoded, (cmin, cmax), ("nsv", "nlv")):
             # colors first, while the tree has not derived its tables yet
-            assert dec.is_red == built.is_red
+            assert dec.codes == built.codes
             self.assert_same_tree(dec.tree, built.tree)
             assert dec.next_value[1:] == [ORACLES[kind](a, i)
                                           for i in range(1, a.n + 1)]
@@ -213,7 +201,7 @@ class TestDerivedEqualsBuilt:
             blue_siblings += sum(
                 1 for ct in (colorize(min_t, reduced), colorize(max_t, reduced))
                 for i in range(1, reduced.n + 1)
-                if ct.tree.right_sib[i] and not ct.is_red[i])
+                if ct.codes[i] == SIB_BLUE)
         if alphabet < 10:
             assert blue_siblings > 50
 
@@ -229,8 +217,8 @@ class TestStructuralRules:
         min_t = build_min_heap(figure_array)
         max_t = build_max_heap(figure_array)
         assert check_leaf_internal_duality(min_t, max_t) is None
-        assert {i for i in range(1, 10) if min_t.is_leaf(i)} == {2, 4, 5, 8, 9}
-        assert {i for i in range(1, 9) if not max_t.is_leaf(i)} == {2, 4, 5, 8}
+        assert {i for i in range(1, 10) if not min_t.first_child[i]} == {2, 4, 5, 8, 9}
+        assert {i for i in range(1, 9) if max_t.first_child[i]} == {2, 4, 5, 8}
 
     def test_duality_singleton(self):
         a = ValueArray([5])
@@ -273,7 +261,7 @@ class TestDebugExport:
 
     def test_colored(self, figure_array):
         ct = colorize(build_min_heap(figure_array), figure_array)
-        text = tree_to_text(ct.tree, ct.is_red)
+        text = tree_to_text(ct.tree, ct.codes)
         assert text.startswith("(0 (1b (2r) (3b (4b)))")
         assert "(5r)" in text
 
