@@ -27,11 +27,14 @@ A bit segment is a plain ``'0'/'1'`` str from the encoder to the
 container and back: encoders build it by joining string chunks, the
 container joins and slices segments, and bytes come from one base-2
 ``int`` conversion, which Python's int/str digit limit does not apply
-to.  A decoder reads a segment through a cursor it builds for itself, so
-an encoding holds no read state and several decodes of it may run at
-once: ``joint.decode_heaps`` keeps a bit position per degree stream and
-reads each unary code below the root with one ``str.find``, and an
-iterator over each colored side string.
+to.  A segment's digits are checked with one C-level
+``bytes.translate`` pass (``only_digits``), and ``unpack_trits`` turns
+each full 65-bit block into its 41 digits with eight ``divmod`` steps
+and no per-block join.  A decoder reads a segment through a cursor it
+builds for itself, so an encoding holds no read state and several
+decodes of it may run at once: ``joint.decode_heaps`` keeps a bit
+position per degree stream and reads each unary code below the root
+with one ``str.find``, and an iterator over each colored side string.
 """
 
 import itertools
@@ -45,6 +48,8 @@ from .errors import CorruptionError
 # 3^41 < 2^65, so 41 trits always fit a 65-bit block.
 TRITS_PER_BLOCK = 41
 BITS_PER_BLOCK = 65
+# a full block's values: 0 <= v < 3^41
+_BLOCK_VALUES = 3 ** TRITS_PER_BLOCK
 
 # the message of every read past the end of a bit segment
 TRUNCATED = "bitstream truncated: read past end"
@@ -111,10 +116,24 @@ class Encoding:
         raise AttributeError("%s fields are read-only" % type(self).__name__)
 
 
+def only_digits(text, digits):
+    """True iff ``text`` is a str of characters from the ASCII ``digits``
+    (bytes).
+
+    One ``bytes.translate`` pass over the str's ASCII bytes deletes the
+    digits and must leave nothing, about 1 ns a character.  A str that
+    is not ASCII fails before it is encoded, which a lone surrogate
+    could not be.
+    """
+    return (isinstance(text, str) and text.isascii()
+            and not text.encode().translate(None, digits))
+
+
 def check_bits(*segments):
-    """Raise ValueError unless every segment is a str of '0' and '1'."""
+    """Raise ValueError unless every segment is a str of '0' and '1'
+    (``only_digits``)."""
     for bits in segments:
-        if not isinstance(bits, str) or bits.strip("01"):
+        if not only_digits(bits, b"01"):
             raise ValueError("bits must be a str of '0' and '1'")
 
 
@@ -191,9 +210,10 @@ def pack_trits(trits):
     """Pack a str of trit digits '0'/'1'/'2' into a bit str, 41 trits per
     65-bit block.
 
-    A final partial block of t trits uses bitlen(3^t - 1) bits.
+    A final partial block of t trits uses bitlen(3^t - 1) bits.  Any
+    other str or object raises ValueError (``only_digits``).
     """
-    if not isinstance(trits, str) or trits.strip("012"):
+    if not only_digits(trits, b"012"):
         raise ValueError("trits must be a str of '0', '1' and '2'")
     chunks = []
     for start in range(0, len(trits), TRITS_PER_BLOCK):
@@ -204,25 +224,58 @@ def pack_trits(trits):
 
 def unpack_trits(bits, m):
     """The m trits that pack_trits wrote into the bit str ``bits``, as a
-    str of digits; ``bits`` must be exactly trit_pack_bits(m) long."""
+    str of digits; ``bits`` must be exactly trit_pack_bits(m) long.
+
+    A full block's value v < 3^41 takes a fixed chain of eight
+    ``divmod(v, 243)`` steps, each splitting off five digits, least
+    significant first, and leaves the top digit; the block's nine groups
+    go straight onto one output list, most significant first, as
+    ``_FIVE_TRITS`` strs and one digit.  A partial last block of t
+    digits takes ceil(t/5) steps and keeps its last t digits.  A block
+    value of 3^t or more raises CorruptionError with ``segment``
+    packed_trits and ``offset`` the block's first bit.
+    """
     if len(bits) != trit_pack_bits(m):
         raise CorruptionError("trit segment has %d bits, not %d"
                               % (len(bits), trit_pack_bits(m)))
     out = []
-    for start in range(0, m, TRITS_PER_BLOCK):
-        blen = min(m - start, TRITS_PER_BLOCK)
-        pos = start // TRITS_PER_BLOCK * BITS_PER_BLOCK
-        value = int(bits[pos:pos + trit_pack_bits(blen)], 2)
-        if value >= 3 ** blen:
+    add = out.append
+    five = _FIVE_TRITS
+    full, rest = divmod(m, TRITS_PER_BLOCK)
+    end = full * BITS_PER_BLOCK
+    for pos in range(0, end, BITS_PER_BLOCK):
+        value = int(bits[pos:pos + BITS_PER_BLOCK], 2)
+        if value >= _BLOCK_VALUES:
             raise CorruptionError("trit block value %d out of range" % value,
                                   segment="packed_trits", offset=pos)
-        # five digits per divmod, least significant group first; the
-        # digits above blen are zeros, since value < 3^blen
+        q, g0 = divmod(value, 243)
+        q, g1 = divmod(q, 243)
+        q, g2 = divmod(q, 243)
+        q, g3 = divmod(q, 243)
+        q, g4 = divmod(q, 243)
+        q, g5 = divmod(q, 243)
+        q, g6 = divmod(q, 243)
+        q, g7 = divmod(q, 243)
+        add("012"[q])
+        add(five[g7])
+        add(five[g6])
+        add(five[g5])
+        add(five[g4])
+        add(five[g3])
+        add(five[g2])
+        add(five[g1])
+        add(five[g0])
+    if rest:
+        value = int(bits[end:], 2)
+        if value >= 3 ** rest:
+            raise CorruptionError("trit block value %d out of range" % value,
+                                  segment="packed_trits", offset=end)
+        # the digits above rest are zeros, since value < 3^rest
         groups = []
-        for _ in range((blen + 4) // 5):
+        for _ in range((rest + 4) // 5):
             value, low = divmod(value, 243)
-            groups.append(_FIVE_TRITS[low])
-        out.append("".join(reversed(groups))[-blen:])
+            groups.append(five[low])
+        add("".join(reversed(groups))[-rest:])
     return "".join(out)
 
 

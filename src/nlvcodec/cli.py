@@ -87,9 +87,12 @@ def _read_array(path):
 
 
 def _stats_line(enc):
+    """The payload against its bound; the margin is bound - payload, so
+    a negative one is a payload over its bound."""
     bits = enc.payload_bits()
-    return ("n=%d scheme=%s payload=%d bits bits/n=%.4f bound=%.2f"
-            % (enc.n, enc.scheme, bits, bits / enc.n, enc.payload_bound(enc.n)))
+    bound = enc.payload_bound(enc.n)
+    return ("n=%d scheme=%s payload=%d bits bits/n=%.4f bound=%.2f margin=%.2f"
+            % (enc.n, enc.scheme, bits, bits / enc.n, bound, bound - bits))
 
 
 def cmd_encode(args):

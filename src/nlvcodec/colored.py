@@ -24,7 +24,8 @@ answer tables, under the general scheme's run-end labels too;
 ``decode_colored`` wraps them as trees (``trees.ColoredTree``).
 """
 
-from .bitio import Encoding, check_bits, trit_pack_bits, write_degree
+from .bitio import (Encoding, check_bits, only_digits, trit_pack_bits,
+                    write_degree)
 from .errors import CorruptionError, PreconditionError
 from .joint import decode_heaps, duality_error
 from .trees import SIB_BLUE, ColoredTree, _next_value_table
@@ -45,11 +46,13 @@ def check_trits(v_neutral):
     """Raise ValueError unless ``v_neutral`` is a str, and CorruptionError
     at its first character that is no trit digit, with ``segment``
     v_neutral and ``offset`` its position.  A valid str costs one
-    ``bytes.translate`` pass over its ASCII bytes, about 1 ns a character;
-    ``str.lstrip``, over 20 times slower, only finds a bad one."""
+    ``bytes.translate`` pass over its ASCII bytes (``bitio.only_digits``,
+    as ``bitio.check_bits`` checks the bit segments), about 1 ns a
+    character; ``str.lstrip``, over 20 times slower, only finds a bad
+    one."""
     if not isinstance(v_neutral, str):
         raise ValueError("v_neutral must be a str of trit digits")
-    if v_neutral.isascii() and not v_neutral.encode().translate(None, b"012"):
+    if only_digits(v_neutral, b"012"):
         return
     # lstrip drops the valid trits at the start; what is left starts at
     # the first invalid one
@@ -197,15 +200,14 @@ def decode_tables(enc, labels=None):
     so it costs no degree bit; the shape loop then reads the side strings
     inline, and its errors name the segment and position.  Each heap's
     parents are its previous-value table, and ``_next_value_table``
-    turns its right siblings into its next-value table in place, from
-    the blue nodes with a right sibling that the loop lists.  No color
-    is stored.
+    turns both heaps' right siblings into their next-value tables in
+    place, in one loop over the nodes and then a pass over each heap's
+    blue nodes with a right sibling, which the shape loop lists.  No
+    color is stored.
     """
     check_trits(enc.v_neutral)
     heaps = decode_heaps(enc.n, enc.t_min, enc.t_max, u_gb=enc.u_gb,
                          v_bad=enc.v_bad, v_neutral=enc.v_neutral, labels=labels)
-    tables = {}
-    for (parent, sib, blue), prev, nxt in zip(heaps, ("psv", "plv"), ("nsv", "nlv")):
-        tables[prev] = parent
-        tables[nxt] = _next_value_table(parent, sib, blue, labels)
-    return tables
+    nsv, nlv = _next_value_table(heaps, labels)
+    (psv, _, _), (plv, _, _) = heaps
+    return {"psv": psv, "nsv": nsv, "plv": plv, "nlv": nlv}

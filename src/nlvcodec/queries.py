@@ -2,10 +2,10 @@
 colored max heap, without the source array.
 
 Every query is a range check plus one table lookup.  Previous-value
-answers are parents.  Next-value answers come from the table that
-``colored.decode_tables`` builds from the decoded siblings and the blue
-nodes the shape loop lists (see ``trees._next_value_table``), so no
-query walks siblings or ancestors.
+answers are parents.  Next-value answers come from the two tables that
+``colored.decode_tables`` builds together, in one loop over the nodes,
+from the decoded siblings and the blue nodes the shape loop lists (see
+``trees._next_value_table``), so no query walks siblings or ancestors.
 
 ``QueryStructure`` holds one answer table per kind, for all three
 schemes, as ``container.decode`` returns it.  The ``*_from_tree``

@@ -22,8 +22,10 @@ the sibling codes, one bytearray per heap, and no answers;
 reads the scan's.  A decoded tree keeps only ``parent`` and
 ``next_value``, the two tables a query reads, and derives the rest,
 codes included, when something reads them.  The decoder stores no
-color: the next-value table needs only the blue nodes with a right
-sibling, which the shape loop lists.
+color: the next-value tables need only the blue nodes with a right
+sibling, which the shape loop lists, and ``_next_value_table`` writes
+both heaps' tables over their sibling lists in one top-down loop over
+the nodes, then one pass over each heap's blue nodes.
 """
 
 import math
@@ -166,10 +168,12 @@ class ColoredTree:
                 and self.tree == other.tree and self.codes == other.codes)
 
 
-def _next_value_table(parent, right_sib, blue, labels=None):
-    """Next-value answer of every node, from the tree and its blue nodes
-    with a right sibling (``blue``, in increasing order), written over
-    ``right_sib``, which it returns.  ``labels`` names the nodes as
+def _next_value_table(heaps, labels=None):
+    """Next-value answers of both heaps, ``(min_table, max_table)``,
+    from the (parent, right_sib, blue) pair that ``joint.decode_heaps``
+    returns: each heap's table is written over its ``right_sib``.
+    ``blue`` lists the heap's blue nodes with a right sibling, in
+    increasing order.  ``labels`` names the nodes as
     ``joint.decode_heaps`` takes them, node i labelled i by default;
     the walk visits the labels, the answers are labels too, and n+1 is
     the tables' length.  An entry that is no label's is left as it is.
@@ -178,23 +182,28 @@ def _next_value_table(parent, right_sib, blue, labels=None):
     sibling holds the same value as that sibling and shares its answer.
     A last child takes the right sibling of its nearest strict ancestor
     below the root that has one (ancestor values are strictly closer to
-    the extreme), else n+1.  So one top-down pass writes each
-    sibling-less node's climb answer (its parent's) over its 0, after
-    which red nodes and last children hold their answers; one
-    right-to-left pass over the blue nodes then copies each sibling's
-    answer into the blue node before it.  Every answer is an object of
-    ``right_sib`` or the one n+1, so the table holds no int of its own
-    and needs no list beside the siblings.
+    the extreme), else n+1.  So one top-down loop over the nodes writes,
+    in each heap, each sibling-less node's climb answer (its parent's)
+    over its 0, after which red nodes and last children hold their
+    answers; then one right-to-left pass per heap over its blue nodes
+    copies each sibling's answer into the blue node before it.  Every
+    answer is an object of a ``right_sib`` list or the one n+1, so the
+    tables hold no int of their own and need no list beside the
+    siblings.
     """
-    n = len(parent) - 1
-    table = right_sib
-    table[0] = n + 1
+    (parent_min, table_min, blue_min), (parent_max, table_max, blue_max) = heaps
+    n = len(parent_min) - 1
+    table_min[0] = table_max[0] = n + 1
     for j in range(1, n + 1) if labels is None else filter(None, labels):
-        if not table[j]:
-            table[j] = table[parent[j]]
-    for i in reversed(blue):
-        table[i] = table[table[i]]
-    return table
+        if not table_min[j]:
+            table_min[j] = table_min[parent_min[j]]
+        if not table_max[j]:
+            table_max[j] = table_max[parent_max[j]]
+    for i in reversed(blue_min):
+        table_min[i] = table_min[table_min[i]]
+    for i in reversed(blue_max):
+        table_max[i] = table_max[table_max[i]]
+    return table_min, table_max
 
 
 def _build_heap(values):
@@ -341,7 +350,10 @@ def check_red_leaf_rule(ct):
 
 def check_sibling_monotonicity(tree, a, kind):
     """In a min heap consecutive sibling values are non-increasing; in a
-    max heap, non-decreasing."""
+    max heap, non-decreasing.  ``kind`` is "min" or "max"; any other
+    value raises ValueError."""
+    if kind not in ("min", "max"):
+        raise ValueError("kind must be 'min' or 'max', not %r" % (kind,))
     values = a.values
     right_sib = tree.right_sib
     for i in range(1, tree.n + 1):

@@ -49,9 +49,16 @@ class TestBitStream:
         assert BitStream.from_bytes(data, 10) == "1011001011"
 
     def test_only_binary_text(self):
-        for bad in ("012", "1 0", "1_0", [1, 0], (0,)):
-            with pytest.raises(ValueError):
+        # non-ASCII digits (Arabic-Indic and fullwidth one), a lone
+        # surrogate and NUL fail as well as the ASCII cases, before and
+        # after valid bits
+        for bad in ("012", "1 0", "1_0", [1, 0], (0,), "\ud800",
+                    "\u0661", "\uff11", "\0", "01\u0661", "\uff1110", "10\0"):
+            with pytest.raises(ValueError, match="^bits must be a str"):
                 BitStream(bad)
+            with pytest.raises(ValueError, match="^bits must be a str"):
+                bitio.check_bits("01", bad)
+        bitio.check_bits("", "0", "1", "0110" * 100)
 
     @given(st.text("01", max_size=200))
     def test_bytes_round_trip_property(self, bits):
@@ -175,8 +182,9 @@ class TestTritPacking:
         assert s == "0" * BITS_PER_BLOCK
 
     def test_only_trit_digits(self):
-        for bad in ("0123", "1_2", "+12", [0, 1, 2]):
-            with pytest.raises(ValueError):
+        for bad in ("0123", "1_2", "+12", [0, 1, 2], "\ud800",
+                    "\u0661", "\uff11", "\0", "02\u0661", "\uff1120", "21\0"):
+            with pytest.raises(ValueError, match="^trits must be a str"):
                 pack_trits(bad)
 
     def test_block_capacity(self):
@@ -186,6 +194,24 @@ class TestTritPacking:
         s = "1111111"  # 127 >= 3^4
         with pytest.raises(CorruptionError):
             unpack_trits(s, 4)
+
+    def test_out_of_range_full_block_names_its_first_bit(self):
+        # 3^41, the first value past the block's range, and 2^65 - 1, the
+        # largest a block's bits hold, in the first and the second of
+        # two full blocks, with valid blocks and a partial one around it
+        valid = pack_trits("2" * TRITS_PER_BLOCK)
+        tail = pack_trits("120")
+        for value in (3 ** TRITS_PER_BLOCK, 2 ** BITS_PER_BLOCK - 1):
+            bad = uint_bits(value, BITS_PER_BLOCK)
+            for bits, offset in ((bad + valid, 0), (valid + bad, BITS_PER_BLOCK)):
+                for rest, m in (("", 2 * TRITS_PER_BLOCK),
+                                (tail, 2 * TRITS_PER_BLOCK + 3)):
+                    with pytest.raises(CorruptionError, match="out of range") as info:
+                        unpack_trits(bits + rest, m)
+                    assert (info.value.segment, info.value.offset) == (
+                        "packed_trits", offset)
+        # one below 3^41 is the all-2 block
+        assert uint_bits(3 ** TRITS_PER_BLOCK - 1, BITS_PER_BLOCK) == valid
 
     def test_bit_cost_formula(self):
         for m in (0, 1, 40, 41, 42, 100, 1000):

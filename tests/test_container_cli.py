@@ -584,9 +584,9 @@ class TestCli:
     def test_stats_joint_and_colored(self, figure_file, tmp_path, capsys):
         expected = {
             "joint": "n=9 scheme=joint payload=26 bits bits/n=2.8889 "
-                     "bound=26.00",
+                     "bound=26.00 margin=0.00",
             "colored": "n=9 scheme=colored payload=31 bits bits/n=3.4444 "
-                       "bound=31.00",
+                       "bound=31.00 margin=0.00",
         }
         for scheme, line in expected.items():
             out = tmp_path / (scheme + ".nlve")
@@ -608,7 +608,7 @@ class TestCli:
         assert main(["stats", "--in", str(out)]) == 0
         assert capsys.readouterr().out.strip() == encoded == (
             "n=100000 scheme=colored payload=358535 bits bits/n=3.5854 "
-            "bound=358535.00")
+            "bound=358535.00 margin=0.00")
 
     def test_fuzz_small(self, capsys):
         rc = main(["fuzz", "--count", "25", "--max-n", "12", "--alphabet",

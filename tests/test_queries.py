@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from nlvcodec import (RangeError, ValueArray, decode, deserialize, encode,
                       serialize)
-from nlvcodec.arrays import (ORACLES, QUERY_KINDS, compute_runs,
+from nlvcodec.arrays import (ORACLES, QUERY_KINDS, compute_runs, end_labels,
                              reduced_array)
+from nlvcodec.general import decode_runs
+from nlvcodec.joint import decode_heaps
 from nlvcodec.queries import (TREE_QUERIES, nlv_from_tree, nsv_from_tree,
                               plv_from_tree, psv_from_tree)
 from nlvcodec.trees import (SIB_BLUE, ColoredTree, OrdinalTree,
-                            _next_value_table, build_min_heap, colorize)
+                            _next_value_table, build_max_heap, build_min_heap,
+                            colorize)
 
 from conftest import decoded_pair, make_rng, random_no_equal_neighbours
 
@@ -108,19 +111,35 @@ class TestOracleEquivalence:
     def test_walk_terminates_without_revisits(self, figure_cmin):
         # walk length bounded by depth + sibling hops; indirectly checked by
         # equivalence above, directly here on a long equal-plateau array
-        # the colored codec takes no equal neighbours, so the decoded form
-        # is made straight from colorize's tree and its blue nodes with a
-        # right sibling; the next-value table is written over the sibling
-        # list, so it gets a copy
+        # the colored codec takes no equal neighbours, so the decoded forms
+        # are made straight from colorize's trees and their blue nodes with
+        # a right sibling; the next-value tables are written over the
+        # sibling lists, so they get copies
         a = ValueArray([2, 5, 5, 5, 5, 1][i % 6] for i in range(60))
-        ct = colorize(build_min_heap(a), a)
-        blue = [i for i, code in enumerate(ct.codes) if code == SIB_BLUE]
-        assert blue
-        parent = ct.tree.parent
-        cmin = ColoredTree.from_decoded(
-            parent, _next_value_table(parent, list(ct.tree.right_sib), blue))
+        heaps = []
+        for ct in (colorize(build_min_heap(a), a), colorize(build_max_heap(a), a)):
+            blue = [i for i, code in enumerate(ct.codes) if code == SIB_BLUE]
+            assert blue
+            heaps.append((ct.tree.parent, list(ct.tree.right_sib), blue))
+        cmin, cmax = (ColoredTree.from_decoded(parent, table) for (parent, _, _), table
+                      in zip(heaps, _next_value_table(heaps)))
         for i in range(1, a.n + 1):
             assert nsv_from_tree(cmin, i) == ORACLES["nsv"](a, i)
+            assert nlv_from_tree(cmax, i) == ORACLES["nlv"](a, i)
+
+
+def _per_heap_table(parent, right_sib, blue, labels=None):
+    """One heap's next-value table, from a top-down pass of its own: the
+    reference for ``_next_value_table``'s one loop over both heaps."""
+    n = len(parent) - 1
+    table = right_sib
+    table[0] = n + 1
+    for j in range(1, n + 1) if labels is None else filter(None, labels):
+        if not table[j]:
+            table[j] = table[parent[j]]
+    for i in reversed(blue):
+        table[i] = table[table[i]]
+    return table
 
 
 @st.composite
@@ -145,6 +164,34 @@ class TestNextValueTables:
             for kind, table in qs.tables.items():
                 assert table[1:] == [ORACLES[kind](b, i)
                                      for i in range(1, b.n + 1)], (scheme, kind)
+
+    def test_one_loop_equals_the_per_heap_reference(self):
+        # colored containers of small alphabets have blue nodes in both
+        # heaps; general ones of arrays in runs take run-end labels, with
+        # 0 at every index inside a run
+        rng = make_rng(26)
+        cases = []
+        for _ in range(60):
+            cases.append((encode(random_no_equal_neighbours(
+                rng, rng.randint(1, 150), hi=rng.choice((3, 5, 40))), "colored"), None))
+            runs = ValueArray([v for _ in range(rng.randint(1, 30))
+                               for v in [rng.randint(1, 4)] * rng.randint(1, 5)])
+            enc = encode(runs, "general")
+            cases.append((enc.colored, end_labels(decode_runs(enc))))
+        blue_seen = [0, 0]
+        inside_runs = 0
+        for enc, labels in cases:
+            heaps = decode_heaps(enc.n, enc.t_min, enc.t_max, u_gb=enc.u_gb,
+                                 v_bad=enc.v_bad, v_neutral=enc.v_neutral,
+                                 labels=labels)
+            expected = [_per_heap_table(parent, list(sib), blue, labels)
+                        for parent, sib, blue in heaps]
+            assert list(_next_value_table(heaps, labels)) == expected
+            for h, (_, _, blue) in enumerate(heaps):
+                blue_seen[h] += len(blue)
+            inside_runs += labels is not None and labels.count(0) > 1
+        assert min(blue_seen) > 100
+        assert inside_runs > 10
 
     def test_structure_holds_only_tables(self):
         cases = [("joint", [3, 1, 2, 5, 4]), ("colored", [3, 1, 2, 5, 4]),

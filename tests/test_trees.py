@@ -85,6 +85,18 @@ class TestBuilders:
             assert check_sibling_monotonicity(min_t, a, "min")
             assert check_sibling_monotonicity(max_t, a, "max")
 
+    def test_sibling_monotonicity_takes_only_min_or_max(self):
+        # 1 and 2 are siblings under the root of the max heap of
+        # [1, 3, 2], so checked as a min heap it fails; a kind that is
+        # neither raises instead of passing as a holding invariant
+        a = ValueArray([1, 3, 2])
+        max_t = build_max_heap(a)
+        assert check_sibling_monotonicity(max_t, a, "max")
+        assert not check_sibling_monotonicity(max_t, a, "min")
+        for kind in ("Max", "MIN", "", None, "maximum"):
+            with pytest.raises(ValueError, match="kind must be 'min' or 'max'"):
+                check_sibling_monotonicity(max_t, a, kind)
+
 
 class TestColorize:
     def test_cmin_figure(self, figure_array):
