@@ -15,20 +15,25 @@ characters.  With g good and g bad indices the payload is 2n + 3g bits
 plus n-1-2g packed trits, largest at g = 0
 (``ColoredEncoding.payload_bound``).
 
-``emit_colored`` is the one loop that writes the degree streams and the
-side strings, from each heap's degree list and sibling codes.  An array
-gets them from ``trees.scan_heaps`` and builds no tree; a tree pair from
-``colorize`` goes through ``encode_colored``, which reads the same lists
-off the trees.  ``decode_tables`` is the one colored decode, to the four
+``emit_colored`` writes the degree streams and the side strings from
+each heap's degree list and sibling codes, in a fixed number of C-level
+passes with no loop over the indices: the degree streams and duality
+come from ``joint.heap_shapes``, each index gets one key byte from its
+heap choice and two sibling codes, and each side string is one
+``translate`` of the keys.  An array gets the lists from
+``trees.scan_heaps`` and builds no tree; a tree pair from ``colorize``
+goes through ``encode_colored``, which reads the same lists off the
+trees.  ``decode_tables`` is the one colored decode, to the four
 answer tables, under the general scheme's run-end labels too;
 ``decode_colored`` wraps them as trees (``trees.ColoredTree``).
 """
 
-from .bitio import (Encoding, check_bits, only_digits, trit_pack_bits,
-                    write_degree)
+import itertools
+
+from .bitio import Encoding, check_bits, only_digits, trit_pack_bits
 from .errors import CorruptionError, PreconditionError
-from .joint import decode_heaps, duality_error
-from .trees import SIB_BLUE, ColoredTree, _next_value_table
+from .joint import decode_heaps, duality_error, heap_shapes
+from .trees import SIB_BLUE, SIB_NONE, SIB_RED, ColoredTree, _next_value_table
 
 GOOD = "good"
 BAD = "bad"
@@ -133,53 +138,104 @@ def encode_colored(cmin, cmax):
                         max_t.degrees, cmax.codes)
 
 
+def _side_chars(own, leaf, c):
+    """An index's characters in (u_gb, v_bad, v_neutral), given its
+    sibling codes in the heap where it is internal (own) and in the other
+    (leaf), and its U bit c."""
+    if own:
+        color = _COLOR_OF_CODE[own]
+        if leaf:  # bad: right siblings in both trees
+            return c, color, ""
+        return "", "", color  # neutral, the tree where i is internal has one
+    if leaf:
+        return "", "", TRIT_NO_SIBLINGS
+    return c, "", ""  # good: right siblings in neither tree
+
+
+def _key_tables():
+    """The ``bytes.translate`` (table, delete) pair of each side string
+    (u_gb, v_bad, v_neutral), and the table that maps a blue leaf's key
+    to 1 and every other key to 0, over the keys 9 own_min + 3 code_min
+    + code_max that ``emit_colored`` gives an index."""
+    tables = [bytearray(256) for _ in range(4)]
+    deletes = [bytearray() for _ in range(3)]
+    for own_min, code_min, code_max in itertools.product((0, 1), range(3), range(3)):
+        key = 9 * own_min + 3 * code_min + code_max
+        own, leaf = (code_min, code_max) if own_min else (code_max, code_min)
+        chars = _side_chars(own, leaf, "0" if own_min else "1")
+        for table, delete, char in zip(tables, deletes, chars):
+            if char:
+                table[key] = ord(char)
+            else:
+                delete.append(key)
+        tables[3][key] = leaf == SIB_BLUE
+    return [(bytes(t), bytes(d)) for t, d in zip(tables, deletes)], bytes(tables[3])
+
+
+_SIDE_TABLES, _BLUE_LEAF = _key_tables()
+_SIB_CODES = bytes((SIB_NONE, SIB_RED, SIB_BLUE))
+
+
+def _sibling_codes(n, code_min, code_max):
+    """Both heaps' sibling codes of the nodes 0 < i < n, as bytes, after
+    one ``translate`` check each that every code is a ``trees.SIB_*``.
+    Any other code raises ValueError naming its node, the lowest such
+    node, and at one node the min heap's code first; a list too short
+    for node n - 1 raises IndexError there."""
+    try:
+        codes = bytes(code_min[1:n]), bytes(code_max[1:n])
+    except ValueError:  # a code outside 0..255
+        pass
+    else:
+        if (len(codes[0]) == len(codes[1]) == n - 1
+                and not codes[0].translate(None, _SIB_CODES)
+                and not codes[1].translate(None, _SIB_CODES)):
+            return codes
+    i, heap, code = next((i, heap, code) for i in range(1, n)
+                         for heap, code in (("min", code_min[i]), ("max", code_max[i]))
+                         if code not in (SIB_NONE, SIB_RED, SIB_BLUE))
+    raise ValueError("node %d has sibling code %r in the %s heap, not "
+                     "SIB_NONE, SIB_RED or SIB_BLUE" % (i, code, heap))
+
+
 def emit_colored(n, deg_min, code_min, deg_max, code_max):
     """The colored encoding of a heap pair given by its degree lists and
-    sibling codes (``trees.SIB_*``, indexed by node 0..n), in one loop
-    over 0 < i < n.
+    sibling codes (``trees.SIB_*``, indexed by node 0..n), in a fixed
+    number of C-level passes over 0 < i < n.
 
-    The loop checks leaf/internal duality as ``joint.emit_joint`` does
-    and then the red-leaf rule (``check_red_leaf_rule`` on both trees):
-    index 0 < i < n is a leaf only in the heap where it is not internal,
-    and node n has no right sibling in either heap.  A blue leaf with a
-    right sibling raises PreconditionError with ``index`` i, after any
-    duality error for i.  In a heap of an array, a leaf i's right
-    sibling can only be i + 1, so a blue leaf means A[i] == A[i+1], and
-    an array's first error is the duality error at its first equal pair.
+    First every code of nodes 0 < i < n must be a ``SIB_*``
+    (``_sibling_codes``); any other raises ValueError naming the first
+    such node.  ``joint.heap_shapes`` gives the degree streams, each
+    index's heap choice and the first index that breaks leaf/internal
+    duality.  Each index then gets one key byte, 9 own_min + 3 code_min
+    + code_max, at most 17, from one sum of the three byte strings read
+    as integers, so no key carries into its neighbour.  One ``translate``
+    of the keys per side string writes u_gb, v_bad and v_neutral, and
+    one more with a ``find`` looks for a blue leaf with a right sibling,
+    which breaks the red-leaf rule (``check_red_leaf_rule`` on both
+    trees): index 0 < i < n is a leaf only in the heap where it is not
+    internal, and node n has no right sibling in either heap.
+
+    The lower index of the two errors is raised, and at one index the
+    duality error (``duality_error``) comes before the blue leaf, a
+    PreconditionError with ``index`` i.  In a heap of an array, a leaf
+    i's right sibling can only be i + 1, so a blue leaf means A[i] ==
+    A[i+1], and an array's first error is the duality error at its first
+    equal pair.
     """
-    t_min = [write_degree(deg_min[0])]
-    t_max = [write_degree(deg_max[0])]
-    u_gb, v_bad, v_neutral = [], [], []
-    for i in range(1, n):
-        # "own" is the heap where i is internal, "leaf" the other one; c
-        # is i's U bit
-        d = deg_min[i]
-        e = deg_max[i]
-        if d and not e:
-            t_min.append("1" * (d - 1) + "0")
-            c, own, leaf = "0", code_min[i], code_max[i]
-        elif e and not d:
-            t_max.append("1" * (e - 1) + "0")
-            c, own, leaf = "1", code_max[i], code_min[i]
-        else:
-            raise duality_error(i)
-        if leaf == SIB_BLUE:
-            raise PreconditionError(
-                "blue leaf with right sibling: array had consecutive equal "
-                "elements or colors are inconsistent", index=i)
-        if own:
-            color = _COLOR_OF_CODE[own]
-            if leaf:  # bad: right siblings in both trees
-                u_gb.append(c)
-                v_bad.append(color)
-            else:  # neutral, the tree where i is internal has one
-                v_neutral.append(color)
-        elif leaf:
-            v_neutral.append(TRIT_NO_SIBLINGS)
-        else:  # good: right siblings in neither tree
-            u_gb.append(c)
-    return ColoredEncoding(n, "".join(t_min), "".join(t_max), "".join(u_gb),
-                           "".join(v_bad), "".join(v_neutral))
+    sib_min, sib_max = _sibling_codes(n, code_min, code_max)
+    own, bad, t_min, t_max = heap_shapes(n, deg_min, deg_max)
+    keys = (9 * int.from_bytes(own, "big") + 3 * int.from_bytes(sib_min, "big")
+            + int.from_bytes(sib_max, "big")).to_bytes(n - 1, "big")
+    blue = keys.translate(_BLUE_LEAF).find(1) + 1
+    if bad and not 0 < blue < bad:
+        raise duality_error(bad)
+    if blue:
+        raise PreconditionError(
+            "blue leaf with right sibling: array had consecutive equal "
+            "elements or colors are inconsistent", index=blue)
+    u_gb, v_bad, v_neutral = (keys.translate(*pair).decode() for pair in _SIDE_TABLES)
+    return ColoredEncoding(n, t_min, t_max, u_gb, v_bad, v_neutral)
 
 
 def decode_colored(enc):

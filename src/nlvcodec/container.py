@@ -45,10 +45,10 @@ def encode(a, scheme):
     """Encode a ValueArray under the named scheme.
 
     No tree is built: one stack scan of both heaps (``trees.scan_heaps``)
-    gives each node's degree and sibling code, and one loop writes the
-    payload from them, ``joint.emit_joint`` for joint and
-    ``colored.emit_colored`` for colored and for the run-reduced array
-    of general (``general.encode_general``).  ``joint`` and ``colored``
+    gives each node's degree and sibling code, and a writer with no loop
+    over the indices turns them into the payload, ``joint.emit_joint``
+    for joint and ``colored.emit_colored`` for colored and for the
+    run-reduced array of general (``general.encode_general``).  ``joint`` and ``colored``
     need an array with no consecutive equal elements and raise
     PreconditionError at the first i with A[i] == A[i+1] otherwise.
     Every scheme raises PreconditionError for n > MAX_N.

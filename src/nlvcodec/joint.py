@@ -5,10 +5,14 @@ With no consecutive equal elements, each index 0 < i < n is internal in
 exactly one heap.  Both shapes are then 2n unary degree bits (node 0 in
 each heap, every other i < n in the heap where it is internal) plus that
 choice of heap per index.  ``emit_joint`` writes the choice as the
-min-heap leaf bitmap U, in the same loop as the degree streams, from the
-two heaps' degree lists: those of ``trees.scan_heaps`` when encoding an
-array, a tree pair's when ``encode_joint`` or ``degree_streams`` is
-given trees.  ``decode_heaps`` is the one shape loop of all three
+min-heap leaf bitmap U beside the degree streams, from the two heaps'
+degree lists: those of ``trees.scan_heaps`` when encoding an array, a
+tree pair's when ``encode_joint`` or ``degree_streams`` is given trees.
+It has no loop over the indices: ``heap_shapes`` turns each degree list
+into bytes, checks duality with one bytes comparison and writes each
+stream with one join over a table of unary codes, and U is one
+``translate`` of the min heap's flags; ``colored.emit_colored`` takes
+the same passes.  ``decode_heaps`` is the one shape loop of all three
 schemes: it rebuilds both shapes (parents and right siblings) in one
 pass, under node labels the general scheme sets to its run ends,
 reading each choice inline, from U or from the colored scheme's side
@@ -63,32 +67,72 @@ def duality_error(i):
         index=i)
 
 
+# a degree byte d > 0 to its unary code (write_degree), and 0, a leaf,
+# to nothing; a list, since map calls list.__getitem__ faster than a
+# tuple's
+_UNARY = [""] + [write_degree(d) for d in range(1, 256)]
+# a degree byte to its node's flag: _INTERNAL gives 1 where the node is
+# internal, _LEAF 1 where it is a leaf
+_INTERNAL = bytes(1) + b"\1" * 255
+_LEAF = b"\1" + bytes(255)
+# a min heap internal flag to the node's U bit, as a digit
+_U_OF_INTERNAL = bytes.maketrans(b"\0\1", b"10")
+
+
+def _flags_and_stream(degrees, n, table):
+    """The flags ``table`` gives the degrees of nodes 0 < i < n, and the
+    heap's degree stream: the root's code, then the unary code of each
+    nonzero degree among them, in node order."""
+    root = write_degree(degrees[0])
+    body = degrees[1:n]
+    try:
+        small = bytes(body)
+    except ValueError:  # a degree of 256 or more
+        return (bytes(map(bool, body)).translate(table),
+                root + "".join(write_degree(d) for d in body if d))
+    return (small.translate(table),
+            root + "".join(map(_UNARY.__getitem__, small.translate(None, b"\0"))))
+
+
+def heap_shapes(n, deg_min, deg_max):
+    """``(own, bad, t_min, t_max)`` from a heap pair's degree lists, in a
+    fixed number of C-level passes, with no loop over the indices.
+
+    ``own`` holds one byte per 0 < i < n, 1 where i is internal in the
+    min heap: one ``translate`` of the degrees as bytes (of their truth
+    values, where one is 256 or more).  Under leaf/internal duality that
+    is where i is a leaf in the max heap, so duality is one comparison
+    with the max heap's leaf flags.  ``bad`` is the first i that breaks
+    it, looked up only when the comparison fails, and 0 if none; a list
+    too short for node n - 1 raises IndexError at the lookup.  ``t_min``
+    and ``t_max`` are the degree streams: the root's code, then the
+    unary code of each nonzero degree below it, by one join over a table
+    of the codes of 1..255, or ``write_degree`` per degree where one is
+    256 or more.  The root codes come first, so a root degree below 1
+    raises ValueError before any duality error.
+    """
+    own, t_min = _flags_and_stream(deg_min, n, _INTERNAL)
+    leaf_max, t_max = _flags_and_stream(deg_max, n, _LEAF)
+    bad = 0
+    if own != leaf_max or len(own) != n - 1:
+        bad = next(i for i in range(1, n) if bool(deg_min[i]) == bool(deg_max[i]))
+    return own, bad, t_min, t_max
+
+
 def emit_joint(n, deg_min, deg_max):
     """The joint encoding of a heap pair given by its two degree lists
-    (indexed by node 0..n), in one loop over i.
+    (indexed by node 0..n), from ``heap_shapes``.
 
-    U[i] = 1 iff i is a leaf in the min heap, for 1 <= i <= n-1.  Node 0
-    contributes to both streams, node i < n to the stream of the heap
-    where it is internal.  The first i that is a leaf in both heaps, or
-    internal in both, breaks leaf/internal duality and raises
-    ``duality_error(i)``.
+    U[i] = 1 iff i is a leaf in the min heap, for 1 <= i <= n-1, one
+    ``translate`` of the min heap's internal flags.  Node 0 contributes
+    to both streams, node i < n to the stream of the heap where it is
+    internal.  The first i that is a leaf in both heaps, or internal in
+    both, breaks leaf/internal duality and raises ``duality_error(i)``.
     """
-    u = []
-    t_min = [write_degree(deg_min[0])]
-    t_max = [write_degree(deg_max[0])]
-    for i in range(1, n):
-        # write_degree, inlined: d and e are the two degrees of i
-        d = deg_min[i]
-        e = deg_max[i]
-        if d and not e:
-            u.append("0")
-            t_min.append("1" * (d - 1) + "0")
-        elif e and not d:
-            u.append("1")
-            t_max.append("1" * (e - 1) + "0")
-        else:
-            raise duality_error(i)
-    return JointEncoding(n, "".join(u), "".join(t_min), "".join(t_max))
+    own, bad, t_min, t_max = heap_shapes(n, deg_min, deg_max)
+    if bad:
+        raise duality_error(bad)
+    return JointEncoding(n, own.translate(_U_OF_INTERNAL).decode(), t_min, t_max)
 
 
 def degree_streams(min_t, max_t):

@@ -43,7 +43,7 @@ def monotone_runs_array(rng, n):
 
 def scan_arrays():
     """(name, array) pairs on which the array path (``trees.scan_heaps``
-    and one emit loop) must match the tree path: the figure, seeded
+    and one payload writer) must match the tree path: the figure, seeded
     arrays over alphabets of 2-6 values, with and without equal
     neighbours, a permutation and the monotone k = n/13 family at 2e4."""
     yield "figure", ValueArray(FIGURE_VALUES)

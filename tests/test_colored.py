@@ -100,8 +100,8 @@ class TestEncode:
 
 
 class TestEncodeErrors:
-    """The duality and red-leaf checks run inside the encoders' loops and
-    must fail exactly where the reference checks do."""
+    """The duality and red-leaf checks of the encoders must fail exactly
+    where the reference checks do."""
 
     @staticmethod
     def arrays():

@@ -22,7 +22,23 @@ ENCODINGS = {"joint": JointEncoding, "colored": ColoredEncoding,
 
 
 def test_two_trits_cost_three_or_four_bits():
-    # so a good/bad pair (3 bits for 2 trits) never makes a payload longer
+    """g = 0 gives the largest colored payload for every n, and the
+    largest colored part of a general payload for every k.
+
+    A colored payload of n elements with g good and g bad indices is
+    2n + 3g + trit_pack_bits(n - 1 - 2g) bits.  Raising g by one adds a
+    good/bad pair's 3 bits and takes away two trits, which saves
+    step(m) = trit_pack_bits(m) - trit_pack_bits(m - 2) bits, m = n - 1 -
+    2(g - 1).  trit_pack_bits depends on m only through divmod(m, 41),
+    and the second loop shows trit_pack_bits(m + 41) = trit_pack_bits(m) +
+    65 over one period, so step(m + 41) = step(m) at every m >= 2.  The
+    first loop checks step(m) in {3, 4} at 41 consecutive m, one whole
+    period, so it holds at every m: no g > 0 yields more than g = 0, at
+    any n.  The general payload's colored part is the same sum with n - k
+    elements in place of n, and its rank width does not depend on g, so
+    g = 0 is also its maximum at every k, as ``_largest_general_payload``
+    takes it.
+    """
     for m in range(2, 2 + TRITS_PER_BLOCK):
         assert trit_pack_bits(m) - trit_pack_bits(m - 2) in (3, 4), m
     # one period of trit_pack_bits covers every m
@@ -118,6 +134,15 @@ def test_joint_payload_is_exactly_its_bound():
     # U has n - 1 bits and the degree streams 2n, whatever the array
     for n in list(range(1, EVERY_K_UP_TO + 1)) + WINDOW_NS:
         assert JointEncoding.payload_bound(n) == (n - 1) + 2 * n == 3 * n - 1, n
+
+
+@pytest.mark.parametrize("n", WINDOW_NS)
+def test_colored_widths_peak_at_g_0(n):
+    # g = 0..82 takes 2g = 0..164 trits away, four periods of 41: the
+    # payload never grows with g, so its largest is the bound, at g = 0
+    payloads = [2 * n + 3 * g + trit_pack_bits(n - 1 - 2 * g) for g in range(83)]
+    assert payloads[0] == ColoredEncoding.payload_bound(n)
+    assert all(a >= b for a, b in zip(payloads, payloads[1:]))
 
 
 def test_general_widths_meet_the_bound_for_every_k():
