@@ -92,11 +92,10 @@ def parse_array_text(text):
     Strict: each token must be ASCII ``[+-]?[0-9]+``.  ``int`` also takes
     "1_000" and non-ASCII digits, and ``str.split`` splits at non-ASCII
     spaces, so only an ASCII text with no "_" (two C-level tests) is
-    converted, split as bytes at ASCII whitespace alone.  Any other text
-    goes token by token: the first token that is not ``[+-]?[0-9]+``
-    raises ParseError naming it, and the rest are read with their
-    leading zeros stripped, since ``int`` refuses a token of more than
-    ``sys.get_int_max_str_digits()`` digits, zeros included.
+    converted, split as bytes at ASCII whitespace alone, and one range
+    test checks all its values.  Any other text goes token by token
+    (``_int_of_token``), so the first bad token in the text raises
+    ParseError naming it.
     """
     values = None
     if text.isascii() and "_" not in text:
@@ -104,29 +103,33 @@ def parse_array_text(text):
             values = tuple(map(int, text.encode().split()))
         except ValueError:
             pass
+        else:
+            if values:
+                _check_int64(values, ParseError)
     if values is None:
-        tokens = list(filter(None, _SEPARATORS.split(text)))
-        for tok in tokens:
-            if not _INT_TOKEN.fullmatch(tok):
-                raise ParseError("not an integer: %r" % (tok,))
-        values = tuple(map(_int_of_token, tokens))
+        values = tuple(map(_int_of_token, filter(None, _SEPARATORS.split(text))))
     if not values:
         raise ParseError("no integers found in input")
-    # int() made each value once; one range test checks them all
-    _check_int64(values, ParseError)
     return ValueArray._from_checked(values)
 
 
 def _int_of_token(tok):
-    """The value of an ASCII ``[+-]?[0-9]+`` token, read without its
-    leading zeros; ParseError when the digits left are too many for
-    ``int``, which no signed 64-bit value is."""
+    """The value of a token, which must be ASCII ``[+-]?[0-9]+`` and in
+    the signed 64-bit range, else ParseError.  It is read without its
+    leading zeros, since ``int`` refuses a token of more than
+    ``sys.get_int_max_str_digits()`` digits, zeros included; the digits
+    left being too many is a range error, since no signed 64-bit value
+    has them."""
+    if not _INT_TOKEN.fullmatch(tok):
+        raise ParseError("not an integer: %r" % (tok,))
     digits = tok.lstrip("+-").lstrip("0") or "0"
     try:
-        return int(tok[0] + digits if tok[0] == "-" else digits)
+        value = int(tok[0] + digits if tok[0] == "-" else digits)
     except ValueError:
         raise ParseError("value of %d digits outside signed 64-bit range"
                          % len(digits)) from None
+    _check_int64((value,), ParseError)
+    return value
 
 
 def format_array_text(a):

@@ -149,7 +149,7 @@ class BitStream:
 
     __slots__ = ("_bits", "_pos")
 
-    def __init__(self, bits=""):
+    def __init__(self, bits):
         check_bits(bits)
         self._bits = bits
         self._pos = 0

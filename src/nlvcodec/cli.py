@@ -116,8 +116,8 @@ def cmd_decode(args):
     if args.dump_trees:
         if c_bits is not None:
             print("c: %s" % c_bits)
-        for name, (tree, codes) in zip(("min", "max"), heaps):
-            print("%s: %s" % (name, tree_to_text(tree, codes)))
+        for name, tree in zip(("min", "max"), heaps):
+            print("%s: %s" % (name, tree_to_text(tree)))
     return EXIT_OK
 
 

@@ -72,7 +72,7 @@ class ColoredEncoding(Encoding):
     of trit digits."""
 
     scheme = "colored"
-    __slots__ = ("n", "t_min", "t_max", "u_gb", "v_bad", "v_neutral", "g")
+    __slots__ = ("n", "t_min", "t_max", "u_gb", "v_bad", "v_neutral")
 
     def __init__(self, n, t_min, t_max, u_gb, v_bad, v_neutral):
         check_bits(t_min, t_max, u_gb, v_bad)
@@ -85,7 +85,13 @@ class ColoredEncoding(Encoding):
         if len(t_min) + len(t_max) != 2 * n:
             raise CorruptionError("degree streams must total 2n bits")
         self._set(n=n, t_min=t_min, t_max=t_max, u_gb=u_gb, v_bad=v_bad,
-                  v_neutral=v_neutral, g=g)
+                  v_neutral=v_neutral)
+
+    @property
+    def g(self):
+        """The number of good indices, which equals the number of bad
+        ones."""
+        return len(self.v_bad)
 
     def payload_bits(self):
         return (len(self.t_min) + len(self.t_max) + len(self.u_gb)
@@ -131,11 +137,10 @@ def count_good_bad(min_t, max_t):
 def encode_colored(cmin, cmax):
     """Encode a colored heap pair from a no-consecutive-equals array:
     ``emit_colored`` over the trees' degree lists and sibling codes."""
-    min_t, max_t = cmin.tree, cmax.tree
-    if min_t.n != max_t.n:
+    if cmin.n != cmax.n:
         raise ValueError("tree sizes differ")
-    return emit_colored(min_t.n, min_t.degrees, cmin.codes,
-                        max_t.degrees, cmax.codes)
+    return emit_colored(cmin.n, cmin.degrees, cmin.codes,
+                        cmax.degrees, cmax.codes)
 
 
 def _side_chars(own, leaf, c):

@@ -78,15 +78,15 @@ def decode(enc):
 
 def decode_shapes(enc):
     """The decoded shapes behind ``decode``: the run bits as a str of '0'
-    and '1' (a general encoding's, else None) and a (tree, sibling codes)
-    pair per heap, min first, with codes None for joint."""
+    and '1' (a general encoding's, else None) and both heaps, min first,
+    as ``OrdinalTree``s for joint and ``ColoredTree``s otherwise."""
     c_bits = None
     if isinstance(enc, GeneralEncoding):
         c_bits = decode_runs(enc).translate(_RUN_BIT_OF_FLAG).decode()
         enc = enc.colored
     if isinstance(enc, JointEncoding):
-        return c_bits, [(tree, None) for tree in decode_joint(enc)]
-    return c_bits, [(ct.tree, ct.codes) for ct in decode_colored(enc)]
+        return c_bits, decode_joint(enc)
+    return c_bits, decode_colored(enc)
 
 
 def write_varint(buf, value):
@@ -249,10 +249,8 @@ def deserialize(data):
     if not ((listed + min(k, n - 1 - k) + 7) // 8 <= len(payload)
             <= (listed + n - 1 + 7) // 8):
         raise _header_error("payload size does not fit the run rank width")
-    width = subset_rank_width(n - 1, k)
-    parts = _split_segments(payload, [width] + lengths)
-    return GeneralEncoding(n, k, parts[0], _colored_encoding(size, m, parts[1:]),
-                           width)
+    parts = _split_segments(payload, [subset_rank_width(n - 1, k)] + lengths)
+    return GeneralEncoding(n, k, parts[0], _colored_encoding(size, m, parts[1:]))
 
 
 def _colored_encoding(n, m, parts):

@@ -35,15 +35,11 @@ class GeneralEncoding(Encoding):
     scheme = "general"
     __slots__ = ("n", "k", "c_rank_bits", "colored")
 
-    def __init__(self, n, k, c_rank_bits, colored, rank_width=None):
-        """``rank_width`` is subset_rank_width(n-1, k) when the caller has
-        it already, so an encode or a load computes it once."""
+    def __init__(self, n, k, c_rank_bits, colored):
         check_bits(c_rank_bits)
         if not 0 <= k <= max(n - 1, 0):
             raise CorruptionError("run count k out of range")
-        if rank_width is None:
-            rank_width = subset_rank_width(n - 1, k)
-        if len(c_rank_bits) != rank_width:
+        if len(c_rank_bits) != subset_rank_width(n - 1, k):
             raise CorruptionError("c rank segment has wrong width")
         if colored.n != n - k:
             raise CorruptionError("colored part must cover n-k elements")
@@ -69,11 +65,10 @@ def encode_general(a):
     no tree."""
     keep = compute_runs(a)
     k, rank = subset_rank(equal_pairs(keep), a.n - 1)
-    width = subset_rank_width(a.n - 1, k)
-    c_rank_bits = uint_bits(rank, width)
+    c_rank_bits = uint_bits(rank, subset_rank_width(a.n - 1, k))
     reduced = reduced_array(a, keep)
     colored = emit_colored(reduced.n, *scan_heaps(reduced))
-    return GeneralEncoding(a.n, k, c_rank_bits, colored, width)
+    return GeneralEncoding(a.n, k, c_rank_bits, colored)
 
 
 def decode_runs(enc):
@@ -116,12 +111,13 @@ def _allocation_error(n):
     return AllocationError("cannot allocate the decode tables for n = %d" % n)
 
 
-def check_subset_coding_inequality(c, n, k, tol_per_n=1e-6):
-    """Verify c(n-k) + log2 C(n,k) <= log2(2^c + 1) * n within tol * n."""
+def check_subset_coding_inequality(c, n, k):
+    """Verify c(n-k) + log2 C(n,k) <= log2(2^c + 1) * n within 1e-6 n,
+    float rounding's share."""
     if n < 1 or not 0 <= k <= n:
         raise ValueError("need n >= 1 and 0 <= k <= n")
     if c <= 0:
         raise ValueError("c must be positive")
     lhs = c * (n - k) + math.log2(comb(n, k))
     rhs = math.log2(2 ** c + 1) * n
-    return lhs <= rhs + tol_per_n * n
+    return lhs <= rhs + 1e-6 * n

@@ -199,8 +199,8 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
     of the code that runs past the end, or the first trailing bit; a side
     string's errors name it at its length when it runs out, or at its
     first unread character, after the degree and open-node checks.
-    First children and degrees are not kept: a tree derives them from
-    its parents when they are read.  Every ``right_sib`` entry but 0 is
+    Degrees are not kept: a tree derives them from its parents when they
+    are read.  Every ``right_sib`` entry but 0 is
     the int object of the loop that made the node, as is every non-root
     ``parent`` entry, so tables built from these share their ints.
 

@@ -11,7 +11,7 @@ from the decoded siblings and the blue nodes the shape loop lists (see
 schemes, as ``container.decode`` returns it.  The ``*_from_tree``
 functions answer from the trees ``colored.decode_colored`` returns,
 which hold the same tables; the trees ``colorize`` makes hold sibling
-codes only.
+codes and no next-value table.
 """
 
 from .arrays import QUERY_KINDS
@@ -24,23 +24,23 @@ def _out_of_range(i, n):
 
 def psv_from_tree(cmin, i):
     """PSV(i) = parent of i in the min heap."""
-    tree = cmin.tree
-    if not 1 <= i <= tree.n:
-        raise _out_of_range(i, tree.n)
-    return tree.parent[i]
+    n = cmin.n
+    if not 1 <= i <= n:
+        raise _out_of_range(i, n)
+    return cmin.parent[i]
 
 
 def plv_from_tree(cmax, i):
     """PLV(i) = parent of i in the max heap."""
-    tree = cmax.tree
-    if not 1 <= i <= tree.n:
-        raise _out_of_range(i, tree.n)
-    return tree.parent[i]
+    n = cmax.n
+    if not 1 <= i <= n:
+        raise _out_of_range(i, n)
+    return cmax.parent[i]
 
 
 def nsv_from_tree(cmin, i):
     """NSV(i) from the colored min heap alone."""
-    n = cmin.tree.n
+    n = cmin.n
     if not 1 <= i <= n:
         raise _out_of_range(i, n)
     return cmin.next_value[i]
@@ -48,7 +48,7 @@ def nsv_from_tree(cmin, i):
 
 def nlv_from_tree(cmax, i):
     """NLV(i) from the colored max heap alone."""
-    n = cmax.tree.n
+    n = cmax.n
     if not 1 <= i <= n:
         raise _out_of_range(i, n)
     return cmax.next_value[i]

@@ -2,8 +2,9 @@
 
 The min heap of A is the ordinal tree on nodes 0..n where the parent of
 node i is PSV(i); the max heap uses PLV.  Node labels coincide with
-preorder ranks.  A node is red when its immediate right sibling holds a
-different value, blue otherwise.
+preorder ranks, so an internal node i's first child is i + 1.  A node
+is red when its immediate right sibling holds a different value, blue
+otherwise.
 
 The encoders build no tree.  ``scan_heaps`` runs the left-to-right stack
 scan of both heaps in one pass, with a stack per heap, and keeps only
@@ -11,21 +12,17 @@ what the payload stores: each node's degree, and its sibling code
 (``SIB_NONE``, ``SIB_RED`` or ``SIB_BLUE``), set when the node is popped,
 which is when its right sibling arrives.
 
-A tree is its parent list plus the first-child, right-sibling and degree
-tables that go with it.  The heap builders fill all four in the same
-stack scan; every other tree derives the three from the parents, on
-first read, in one right-to-left pass (``OrdinalTree._tables``).  A
-colored tree adds a sibling code per node, its color, and the colors
-determine every next-value answer.  The trees ``colorize`` makes hold
-the sibling codes, one bytearray per heap, and no answers;
-``colored.encode_colored`` reads those codes the way the array path
-reads the scan's.  A decoded tree keeps only ``parent`` and
-``next_value``, the two tables a query reads, and derives the rest,
-codes included, when something reads them.  The decoder stores no
-color: the next-value tables need only the blue nodes with a right
-sibling, which the shape loop lists, and ``_next_value_table`` writes
-both heaps' tables over their sibling lists in one top-down loop over
-the nodes, then one pass over each heap's blue nodes.
+A tree (``OrdinalTree``) is its parent list plus its right-sibling and
+degree tables, which the heap builders fill in their stack scan and
+every other tree derives from the parents on first read.  A colored
+tree (``ColoredTree``) is a tree with a sibling code per node, its
+color.  ``colorize`` gives a built tree its codes; a decoded tree holds
+the next-value table a query reads and derives its codes from it.  The
+decoder stores no color: the next-value tables need only the blue
+nodes with a right sibling, which the shape loop lists, and
+``_next_value_table`` writes both heaps' tables over their sibling
+lists in one top-down loop over the nodes, then one pass over each
+heap's blue nodes.
 """
 
 import math
@@ -42,114 +39,100 @@ class OrdinalTree:
     """Preorder-labeled ordinal tree on nodes 0..n, held as flat tables.
 
     ``parent[i]`` is the parent of node i (None for the root 0);
-    ``first_child``, ``right_sib`` and ``degrees`` go with it, 0 standing
-    for "none" in the first two, since the root is nobody's child or
-    sibling.  These three are read-only properties: the heap builders
-    pass them in, and a tree made from parents alone, as the decoders
-    make them, derives them on first read.  The tables must already
-    agree; nothing is checked or copied.
+    ``right_sib[i]`` is its immediate right sibling, 0 for none, since
+    the root is nobody's sibling, and ``degrees[i]`` its number of
+    children.  Node i has children exactly when ``degrees[i]`` is
+    nonzero, and then its first child is i + 1.  ``right_sib`` and
+    ``degrees`` are read-only properties: the heap builders pass them
+    in, and a tree made from parents alone derives them on first read.
+    The tables must already agree; nothing is checked or copied.
     """
 
     __slots__ = ("n", "parent", "_derived")
 
-    def __init__(self, parent, first_child=None, right_sib=None, degrees=None):
+    def __init__(self, parent, right_sib=None, degrees=None):
         self.n = len(parent) - 1
         self.parent = parent
-        self._derived = (None if first_child is None
-                         else (first_child, right_sib, degrees))
+        self._derived = None if right_sib is None else (right_sib, degrees)
 
     def _tables(self):
-        """First-child, right-sibling and degree tables; given no tables,
-        derived from the parents in one right-to-left pass and kept."""
+        """Right-sibling and degree tables; given none, derived from the
+        parents in one right-to-left pass and kept."""
         if self._derived:
             return self._derived
         parent = self.parent
         size = self.n + 1
-        first = [0] * size
         right_sib = [0] * size
         degrees = [0] * size
+        # until node p is reached, right_sib[p] holds the leftmost child of
+        # p seen so far, since every parent has a lower label than its
+        # children
         for i in range(size - 1, 0, -1):
             p = parent[i]
-            right_sib[i] = first[p]
-            first[p] = i
+            right_sib[i] = right_sib[p]
+            right_sib[p] = i
             degrees[p] += 1
-        self._derived = tables = (first, right_sib, degrees)
+        right_sib[0] = 0
+        self._derived = tables = (right_sib, degrees)
         return tables
 
     @property
-    def first_child(self):
+    def right_sib(self):
         return self._tables()[0]
 
     @property
-    def right_sib(self):
+    def degrees(self):
         return self._tables()[1]
 
-    @property
-    def degrees(self):
-        return self._tables()[2]
-
     def __eq__(self, other):
-        return isinstance(other, OrdinalTree) and self.parent == other.parent
+        return type(other) is type(self) and self.parent == other.parent
 
     def right_sibling(self, i):
         """Immediate right sibling of i, or 0 if it is a last child."""
         return self.right_sib[i]
 
     def children(self, i):
-        """Children of i, left to right."""
-        first, right_sib, _ = self._tables()
+        """Children of i, left to right: i + 1 and its right siblings."""
+        right_sib, degrees = self._tables()
         out = []
-        c = first[i]
+        c = i + 1 if degrees[i] else 0
         while c:
             out.append(c)
             c = right_sib[c]
         return out
 
-    def preorder(self):
-        """Iterative preorder traversal from node 0."""
-        out = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(reversed(self.children(v)))
-        return out
 
+class ColoredTree(OrdinalTree):
+    """An OrdinalTree with a sibling code per node (``SIB_NONE``,
+    ``SIB_RED``, ``SIB_BLUE``), which are its colors.
 
-class ColoredTree:
-    """An OrdinalTree plus a sibling code per node (``SIB_NONE``,
-    ``SIB_RED``, ``SIB_BLUE``), which are its colors, in one of two forms.
-
-    The encoder form (``from_codes``, as ``colorize`` makes it) holds the
-    tree and its ``codes`` bytearray, all the encoders read.  The decoded
-    form (``from_decoded``) holds ``tree.parent`` and ``next_value``, the
-    two lists a query reads: ``next_value[i]`` answers NSV(i) in a min
-    heap and NLV(i) in a max heap, n+1 when there is none.  It derives
-    its codes on first read: node x with right sibling s is red iff
-    ``next_value[x] == s``, since a blue node with a sibling takes
-    ``next_value[s]``, which is greater than s.  So the two forms of one
-    heap compare equal.
+    A tree ``colorize`` makes (``from_codes``) holds its ``codes``
+    bytearray, all the encoders read.  A decoded tree (``from_decoded``)
+    holds ``next_value``, which a query reads: ``next_value[i]`` answers
+    NSV(i) in a min heap and NLV(i) in a max heap, n+1 when there is
+    none.  It derives its codes on first read: node x with right sibling
+    s is red iff ``next_value[x] == s``, since a blue node with a sibling
+    takes ``next_value[s]``, which is greater than s.  So the two trees
+    of one heap compare equal, by parents and codes.
     """
 
-    __slots__ = ("tree", "_codes", "next_value")
+    __slots__ = ("_codes", "next_value")
 
     @classmethod
     def from_codes(cls, tree, codes):
-        """The encoder form over a tree and its sibling-code bytearray,
-        which it keeps; nothing is checked or copied."""
-        ct = cls.__new__(cls)
-        ct.tree = tree
+        """The colored tree over a tree's tables and its sibling-code
+        bytearray, which it shares; nothing is checked or copied."""
+        ct = cls(tree.parent, *tree._tables())
         ct._codes = codes
         return ct
 
     @classmethod
     def from_decoded(cls, parent, next_value):
-        """The decoded form over a heap's parent list and its next-value
+        """The colored tree over a heap's parent list and its next-value
         table (``colored.decode_tables``), which it keeps; nothing is
         checked or copied.  The codes and the other tables are derived
         on first read."""
-        ct = cls.__new__(cls)
-        ct.tree = OrdinalTree(parent)
+        ct = cls(parent)
         ct._codes = None
         ct.next_value = next_value
         return ct
@@ -160,12 +143,11 @@ class ColoredTree:
         if codes is None:
             codes = self._codes = bytearray(
                 SIB_NONE if not sib else SIB_RED if sib == nxt else SIB_BLUE
-                for sib, nxt in zip(self.tree.right_sib, self.next_value))
+                for sib, nxt in zip(self.right_sib, self.next_value))
         return codes
 
     def __eq__(self, other):
-        return (isinstance(other, ColoredTree)
-                and self.tree == other.tree and self.codes == other.codes)
+        return super().__eq__(other) and self.codes == other.codes
 
 
 def _next_value_table(heaps, labels=None):
@@ -216,7 +198,6 @@ def _build_heap(values):
     padded = (-math.inf, *values)
     size = len(padded)
     parent = [None] * size
-    first = [0] * size
     right_sib = [0] * size
     degrees = [0] * size
     stack = [0]
@@ -230,13 +211,11 @@ def _build_heap(values):
                 if padded[p] < v:
                     break
             right_sib[last] = i
-        else:
-            first[p] = i
         parent[i] = p
         degrees[p] += 1
         stack.append(i)
         p = i
-    return OrdinalTree(parent, first, right_sib, degrees)
+    return OrdinalTree(parent, right_sib, degrees)
 
 
 def scan_heaps(a):
@@ -311,9 +290,8 @@ def build_max_heap(a):
 
 def colorize(tree, a):
     """Color nodes of a heap built from ``a``: red iff the immediate right
-    sibling holds a different value.  Returns the encoder form of
-    ``ColoredTree``, which holds the sibling codes and no next-value
-    table."""
+    sibling holds a different value.  Returns a ``ColoredTree`` that
+    holds the sibling codes and no next-value table."""
     if tree.n != a.n:
         raise ValueError("tree and array sizes differ")
     values = a.values
@@ -330,9 +308,9 @@ def check_leaf_internal_duality(min_t, max_t):
     """Leaf/internal duality: for 0 < i < n, i is a leaf in the min heap
     iff it is internal in the max heap.  Returns the first violating index
     or None."""
-    first_min, first_max = min_t.first_child, max_t.first_child
+    deg_min, deg_max = min_t.degrees, max_t.degrees
     for i in range(1, min_t.n):
-        if (first_min[i] == 0) == (first_max[i] == 0):
+        if (deg_min[i] == 0) == (deg_max[i] == 0):
             return i
     return None
 
@@ -340,10 +318,9 @@ def check_leaf_internal_duality(min_t, max_t):
 def check_red_leaf_rule(ct):
     """Every leaf with a right sibling must be red (holds when the source
     array has no consecutive equal elements).  Returns True/False."""
-    t = ct.tree
-    first, codes = t.first_child, ct.codes
-    for i in range(1, t.n + 1):
-        if not first[i] and codes[i] == SIB_BLUE:
+    degrees, codes = ct.degrees, ct.codes
+    for i in range(1, ct.n + 1):
+        if not degrees[i] and codes[i] == SIB_BLUE:
             return False
     return True
 
@@ -368,27 +345,40 @@ def check_sibling_monotonicity(tree, a, kind):
 
 
 def check_preorder_labels(tree):
-    """Node labels must equal preorder visit ranks."""
-    return tree.preorder() == list(range(tree.n + 1))
+    """Node labels must equal preorder visit ranks, children in label
+    order: the parent of each node i > 0 is i-1 or an ancestor of it."""
+    parent = tree.parent
+    # the path from the root to node i-1
+    path = [0]
+    for i in range(1, tree.n + 1):
+        p = parent[i]
+        while path and path[-1] != p:
+            path.pop()
+        if not path:
+            return False
+        path.append(i)
+    return True
 
 
-def tree_to_text(tree, codes=None):
-    """Parenthesized debug form, e.g. (0 (1r) (2b)), with each node's
-    sibling code from ``codes`` as r for ``SIB_RED``, else b.  Iterative,
-    so deep chains are safe."""
+def tree_to_text(tree):
+    """Parenthesized debug form, e.g. (0 (1r) (2b)); a ``ColoredTree``
+    shows each node's sibling code as r for ``SIB_RED``, else b.
+    Iterative, so deep chains are safe."""
+    right_sib, degrees = tree.right_sib, tree.degrees
+    codes = tree.codes if isinstance(tree, ColoredTree) else None
     out = ["(0"]
     # one entry per open node: its next child to open, 0 when none is left
-    stack = [tree.first_child[0]]
+    stack = [1 if degrees[0] else 0]
     while stack:
         c = stack.pop()
         if not c:
             out.append(")")
             continue
-        stack.append(tree.right_sib[c])
+        stack.append(right_sib[c])
         label = str(c)
         if codes is not None:
             label += "r" if codes[c] == SIB_RED else "b"
         out.append("(" + label)
-        stack.append(tree.first_child[c])
+        stack.append(c + 1 if degrees[c] else 0)
     return " ".join(out).replace(" )", ")")
 

@@ -100,6 +100,28 @@ class TestParsing:
                            match=r"^value of 5000 digits outside signed 64-bit range$"):
             parse_array_text("1 " + "9" * 5000)
 
+    def test_first_bad_token_in_text_order(self):
+        # the token path names the first bad token, whichever its kind;
+        # the fast path (ASCII, no "_") names the first value out of range
+        big = "99999999999999999999"
+        for text, message in (
+                (big + " " + "9" * 5000, "value %s outside signed 64-bit range" % big),
+                (big + " x", "value %s outside signed 64-bit range" % big),
+                (big + " 1_0", "value %s outside signed 64-bit range" % big),
+                ("9" * 5000 + " " + big, "value of 5000 digits outside signed 64-bit range"),
+                ("1 x " + big, "not an integer: 'x'"),
+                ("1_0 " + "9" * 5000, "not an integer: '1_0'"),
+                ("-" + big + " ٣", "value -%s outside signed 64-bit range" % big)):
+            with pytest.raises(ParseError, match="^%s$" % re.escape(message)):
+                parse_array_text(text)
+        # the fast path's messages, pinned as they are
+        for text, message in (
+                ("1 %s -%s" % (big, big), "value %s outside signed 64-bit range" % big),
+                ("1 -%s %s" % (big, big), "value -%s outside signed 64-bit range" % big),
+                ("\n \t", "no integers found in input")):
+            with pytest.raises(ParseError, match="^%s$" % re.escape(message)):
+                parse_array_text(text)
+
     def test_format_round_trip(self):
         a = ValueArray([5, -1, 0])
         assert parse_array_text(format_array_text(a)) == a

@@ -150,9 +150,9 @@ class TestEncodeErrors:
             a = random_no_equal_neighbours(rng, rng.randint(2, 60), hi=5)
             cmin, cmax = colored_pair(a)
             for side in (0, 1):
-                t = (cmin, cmax)[side].tree
+                t = (cmin, cmax)[side]
                 for i in range(1, a.n + 1):
-                    if t.first_child[i] or not t.right_sib[i]:
+                    if t.degrees[i] or not t.right_sib[i]:
                         continue
                     codes = bytearray((cmin, cmax)[side].codes)
                     codes[i] = SIB_BLUE
@@ -175,7 +175,7 @@ class TestEncodeErrors:
             codes = bytearray(pair[side].codes)
             assert codes[i] == SIB_RED
             codes[i] = SIB_BLUE
-            pair[side] = ColoredTree.from_codes(pair[side].tree, codes)
+            pair[side] = ColoredTree.from_codes(pair[side], codes)
             with pytest.raises(PreconditionError,
                                match="^blue leaf with right sibling") as exc:
                 encode_colored(*pair)
@@ -280,7 +280,7 @@ class TestDecode:
     def test_singleton(self):
         enc = ColoredEncoding(1, "0", "0", "", "", "")
         dmin, dmax = decode_colored(enc)
-        assert dmin.tree.parent == [None, 0]
+        assert dmin.parent == [None, 0]
         assert dmin.codes[1] == dmax.codes[1] == SIB_NONE
 
     def test_exhaustive_round_trip_and_queries(self):

@@ -97,8 +97,7 @@ def assert_same(n, deg_min, code_min, deg_max, code_max, label=None):
 
 def tree_lists(cmin, cmax):
     """A colored tree pair's degree lists and codes, in emit order."""
-    return (cmin.tree.n, cmin.tree.degrees, cmin.codes, cmax.tree.degrees,
-            cmax.codes)
+    return cmin.n, cmin.degrees, cmin.codes, cmax.degrees, cmax.codes
 
 
 def colored_pair(a, b=None):
@@ -243,7 +242,7 @@ class TestSiblingCodeGuard:
         codes = bytearray(cmax.codes)
         codes[4] = 255
         with pytest.raises(ValueError, match="^node 4 has sibling code 255 in the max"):
-            encode_colored(cmin, ColoredTree.from_codes(cmax.tree, codes))
+            encode_colored(cmin, ColoredTree.from_codes(cmax, codes))
 
     def test_first_node_wins_and_min_heap_first(self):
         a = ValueArray(FIGURE_VALUES)

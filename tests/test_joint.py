@@ -202,7 +202,7 @@ class TestShapeExtremes:
     def test_colored_round_trip(self, name):
         a = ValueArray(EXTREME_ARRAYS[name])
         dmin, dmax = decoded_pair(a)
-        decoded = {"psv": dmin.tree.parent, "plv": dmax.tree.parent,
+        decoded = {"psv": dmin.parent, "plv": dmax.parent,
                    "nsv": dmin.next_value, "nlv": dmax.next_value}
         for kind, table in decoded.items():
             expected = stack_answers(a, kind)

@@ -120,7 +120,7 @@ class TestOracleEquivalence:
         for ct in (colorize(build_min_heap(a), a), colorize(build_max_heap(a), a)):
             blue = [i for i, code in enumerate(ct.codes) if code == SIB_BLUE]
             assert blue
-            heaps.append((ct.tree.parent, list(ct.tree.right_sib), blue))
+            heaps.append((ct.parent, list(ct.right_sib), blue))
         cmin, cmax = (ColoredTree.from_decoded(parent, table) for (parent, _, _), table
                       in zip(heaps, _next_value_table(heaps)))
         for i in range(1, a.n + 1):

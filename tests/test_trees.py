@@ -8,12 +8,26 @@ from nlvcodec.arrays import (ORACLES, compute_runs, oracle_plv, oracle_psv,
 from nlvcodec.colored import decode_colored, encode_colored
 from nlvcodec.general import encode_general
 from nlvcodec.joint import decode_joint, encode_joint
-from nlvcodec.trees import (SIB_BLUE, SIB_RED, OrdinalTree, build_max_heap,
-                            build_min_heap, check_leaf_internal_duality,
-                            check_preorder_labels, check_red_leaf_rule,
-                            check_sibling_monotonicity, colorize, tree_to_text)
+from nlvcodec.trees import (SIB_BLUE, SIB_RED, ColoredTree, OrdinalTree,
+                            build_max_heap, build_min_heap,
+                            check_leaf_internal_duality, check_preorder_labels,
+                            check_red_leaf_rule, check_sibling_monotonicity,
+                            colorize, tree_to_text)
 
 from conftest import make_rng, random_no_equal_neighbours
+
+
+def assert_children_follow_labels(tree):
+    """Each node's children, by a scan of the parents, are what
+    ``children`` gives, and start at i + 1 exactly when degrees[i] > 0:
+    a preorder tree needs no first-child table."""
+    kids = [[] for _ in range(tree.n + 1)]
+    for j in range(1, tree.n + 1):
+        kids[tree.parent[j]].append(j)
+    assert [tree.children(i) for i in range(tree.n + 1)] == kids
+    assert [len(k) for k in kids] == tree.degrees
+    for i, k in enumerate(kids):
+        assert (k[:1] == [i + 1]) == (tree.degrees[i] > 0)
 
 
 class TestOrdinalTree:
@@ -21,7 +35,9 @@ class TestOrdinalTree:
         t = OrdinalTree([None, 0, 0, 2])
         assert t.children(0) == [1, 2]
         assert t.children(2) == [3]
-        assert t.degrees[0] == 2 and t.first_child[1] == 0
+        assert t.children(1) == t.children(3) == []
+        assert t.degrees[0] == 2 and t.degrees[1] == 0
+        assert_children_follow_labels(t)
 
     def test_right_sibling(self):
         t = OrdinalTree([None, 0, 0, 2])
@@ -30,10 +46,20 @@ class TestOrdinalTree:
 
     def test_derived_tables_are_read_only(self):
         t = OrdinalTree([None, 0, 0, 2])
-        assert t.first_child == [1, 0, 3, 0]
-        for name in ("first_child", "right_sib", "degrees"):
+        assert t.right_sib == [0, 2, 0, 0]
+        assert t.degrees == [2, 0, 1, 0]
+        assert not hasattr(t, "first_child")
+        for name in ("right_sib", "degrees"):
             with pytest.raises(AttributeError):
                 setattr(t, name, [])
+
+    def test_preorder_labels(self):
+        assert check_preorder_labels(OrdinalTree([None, 0, 0, 2]))
+        assert check_preorder_labels(OrdinalTree([None, 0, 1, 2, 1, 0]))
+        # node 3 is not below node 2, and node 2's parent is no ancestor
+        # of node 1
+        assert not check_preorder_labels(OrdinalTree([None, 0, 0, 1]))
+        assert not check_preorder_labels(OrdinalTree([None, 0, 3, 0]))
 
 
 class TestBuilders:
@@ -122,19 +148,61 @@ class TestColorize:
                 assert ct.codes[0] != SIB_RED and ct.codes[a.n] != SIB_RED
 
 
+class TestColoredTree:
+    """A colored tree is an OrdinalTree with sibling codes: colorize's
+    tree shares the built tree's tables, and the decoded tree of the same
+    heap compares equal to it."""
+
+    def pairs(self):
+        rng = make_rng(73)
+        for n in list(range(1, 8)) + [rng.randint(8, 120) for _ in range(20)]:
+            a = random_no_equal_neighbours(rng, n, hi=rng.choice((3, 10**6)))
+            built = build_min_heap(a), build_max_heap(a)
+            colored = tuple(colorize(t, a) for t in built)
+            yield built, colored, decode_colored(encode_colored(*colored))
+
+    def test_a_colored_tree_is_a_tree(self):
+        assert ColoredTree.__slots__ == ("_codes", "next_value")
+        for built, colored, decoded in self.pairs():
+            for plain, ct, dec in zip(built, colored, decoded):
+                assert isinstance(ct, OrdinalTree) and isinstance(dec, OrdinalTree)
+                assert not hasattr(ct, "tree")
+                assert ct.n == plain.n and ct.parent is plain.parent
+                assert ct.right_sib is plain.right_sib and ct.degrees is plain.degrees
+                assert (dec.n, dec.parent, dec.right_sib, dec.degrees) == (
+                    plain.n, plain.parent, plain.right_sib, plain.degrees)
+
+    def test_equality(self):
+        for built, colored, decoded in self.pairs():
+            for plain, ct, dec in zip(built, colored, decoded):
+                assert ct == dec and dec == ct
+                assert plain == OrdinalTree(dec.parent)
+                for tree in (ct, dec):
+                    assert plain != tree and tree != plain
+                    assert not tree == plain and not plain == tree
+                    assert OrdinalTree(tree.parent) != tree
+        # one tree, different codes: node 1 of [3, 1, 2] is red
+        a = ValueArray([3, 1, 2])
+        ct = colorize(build_min_heap(a), a)
+        codes = bytearray(ct.codes)
+        assert codes[1] == SIB_RED
+        codes[1] = SIB_BLUE
+        assert ColoredTree.from_codes(ct, codes) != ct
+
+
 class TestOnePassTables:
-    """The heap builders fill first_child, right_sib and degrees in their
-    stack scan, and decoded trees derive them from their parents on first
-    read; both must equal the tables a tree given the parent list alone
-    derives."""
+    """The heap builders fill right_sib and degrees in their stack scan,
+    and decoded trees derive them from their parents on first read; both
+    must equal the tables a tree given the parent list alone derives,
+    and each node's children must follow from them."""
 
     @staticmethod
     def assert_tables_derived(tree):
         derived = OrdinalTree(tree.parent)
         assert tree.n == derived.n
-        assert tree.first_child == derived.first_child
         assert tree.right_sib == derived.right_sib
         assert tree.degrees == derived.degrees
+        assert_children_follow_labels(tree)
 
     def check(self, a, decode):
         min_t, max_t = build_min_heap(a), build_max_heap(a)
@@ -145,7 +213,7 @@ class TestOnePassTables:
                 self.assert_tables_derived(tree)
             pair = encode_colored(colorize(min_t, a), colorize(max_t, a))
             for ct in decode_colored(pair):
-                self.assert_tables_derived(ct.tree)
+                self.assert_tables_derived(ct)
 
     def test_random_no_equal_neighbours(self):
         rng = make_rng(71)
@@ -168,17 +236,19 @@ class TestOnePassTables:
 
 class TestDerivedEqualsBuilt:
     """A decoded tree keeps its parents and next-value table and derives
-    first_child, right_sib, degrees and its colors on read; they must
-    equal what the heap builders and ``colorize`` make from the array,
+    right_sib, degrees and its colors on read; they must equal what the
+    heap builders and ``colorize`` make from the array, with the same
+    children at every node,
     its next-value table must hold the oracle answers, and encoding the
     decoded trees must give back the encoding.  Binary and alphabet-3
     input has blue siblings, which equal values make."""
 
     @staticmethod
     def assert_same_tree(decoded, built):
-        assert decoded.first_child == built.first_child
         assert decoded.right_sib == built.right_sib
         assert decoded.degrees == built.degrees
+        assert_children_follow_labels(decoded)
+        assert_children_follow_labels(built)
 
     def check_colored(self, a):
         cmin, cmax = colorize(build_min_heap(a), a), colorize(build_max_heap(a), a)
@@ -187,7 +257,7 @@ class TestDerivedEqualsBuilt:
         for dec, built, kind in zip(decoded, (cmin, cmax), ("nsv", "nlv")):
             # colors first, while the tree has not derived its tables yet
             assert dec.codes == built.codes
-            self.assert_same_tree(dec.tree, built.tree)
+            self.assert_same_tree(dec, built)
             assert dec.next_value[1:] == [ORACLES[kind](a, i)
                                           for i in range(1, a.n + 1)]
         assert encode_colored(*decoded) == enc
@@ -229,8 +299,8 @@ class TestStructuralRules:
         min_t = build_min_heap(figure_array)
         max_t = build_max_heap(figure_array)
         assert check_leaf_internal_duality(min_t, max_t) is None
-        assert {i for i in range(1, 10) if not min_t.first_child[i]} == {2, 4, 5, 8, 9}
-        assert {i for i in range(1, 9) if max_t.first_child[i]} == {2, 4, 5, 8}
+        assert {i for i in range(1, 10) if not min_t.degrees[i]} == {2, 4, 5, 8, 9}
+        assert {i for i in range(1, 9) if max_t.degrees[i]} == {2, 4, 5, 8}
 
     def test_duality_singleton(self):
         a = ValueArray([5])
@@ -273,9 +343,28 @@ class TestDebugExport:
 
     def test_colored(self, figure_array):
         ct = colorize(build_min_heap(figure_array), figure_array)
-        text = tree_to_text(ct.tree, ct.codes)
-        assert text.startswith("(0 (1b (2r) (3b (4b)))")
-        assert "(5r)" in text
+        text = tree_to_text(ct)
+        assert text == "(0 (1b (2r) (3b (4b))) (5r) (6b (7b (8r) (9b))))"
+
+    def test_colors_exactly_for_a_colored_tree(self, figure_array):
+        # the same heap as a plain tree, colorize's tree and a decoded
+        # tree: colors for the two colored trees only, and the same text
+        a = figure_array
+        for build in (build_min_heap, build_max_heap):
+            plain = build(a)
+            colored = colorize(plain, a)
+            texts = [tree_to_text(t) for t in (plain, colored)]
+            assert "r" not in texts[0] and "b" not in texts[0]
+            assert texts[1].replace("r", "").replace("b", "") == texts[0]
+            assert texts[1].count("r") + texts[1].count("b") == a.n
+        decoded = decode_colored(encode_colored(
+            colorize(build_min_heap(a), a), colorize(build_max_heap(a), a)))
+        assert [tree_to_text(t) for t in decoded] == [
+            "(0 (1b (2r) (3b (4b))) (5r) (6b (7b (8r) (9b))))",
+            "(0 (1r) (2r (3r) (4r (5b (6b))) (7b)) (8b (9b)))"]
+        assert [tree_to_text(OrdinalTree(t.parent)) for t in decoded] == [
+            "(0 (1 (2) (3 (4))) (5) (6 (7 (8) (9))))",
+            "(0 (1) (2 (3) (4 (5 (6))) (7)) (8 (9)))"]
 
     def test_deep_chain_no_recursion(self):
         a = ValueArray(range(1, 5001))
