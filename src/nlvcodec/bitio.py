@@ -32,9 +32,10 @@ to.  A segment's digits are checked with one C-level
 each full 65-bit block into its 41 digits with eight ``divmod`` steps
 and no per-block join.  A decoder reads a segment through a cursor it
 builds for itself, so an encoding holds no read state and several
-decodes of it may run at once: ``joint.decode_heaps`` keeps a bit
-position per degree stream and reads each unary code below the root
-with one ``str.find``, and an iterator over each colored side string.
+decodes of it may run at once: ``joint.decode_heaps`` splits each
+degree stream below its root code into bytes of d - 1 per unary code,
+a window at a time, and keeps an iterator over those and over each
+colored side string.
 """
 
 import itertools

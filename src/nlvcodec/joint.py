@@ -16,15 +16,17 @@ the same passes.  ``decode_heaps`` is the one shape loop of all three
 schemes: it rebuilds both shapes (parents and right siblings) in one
 pass, under node labels the general scheme sets to its run ends,
 reading each choice inline, from U or from the colored scheme's side
-strings, and each unary degree code below the roots with one
-``str.find``, so no node costs a Python call.  Beside the tables it
-returns, its only scratch is a stack of open nodes and their child
-counts per heap.  The joint scheme stores U as is, so its heaps answer
-PSV/PLV only; the colored scheme (``colored.py``) folds the choice into
-the colors, and the loop lists the blue nodes its next-value tables
-need.
+strings, and each unary degree code below the roots with one ``next``
+on the bytes that ``_codes`` splits its stream into, d - 1 per code, a
+window of 256 bits at a time; so no node costs a Python call.  Beside
+the tables it returns, its only scratch is a stack of open nodes and
+their child counts per heap, and one window's codes per heap.  The
+joint scheme stores U as is, so its heaps answer PSV/PLV only; the
+colored scheme (``colored.py``) folds the choice into the colors, and
+the loop lists the blue nodes its next-value tables need.
 """
 
+from itertools import chain
 from operator import length_hint
 
 from .bitio import (TRUNCATED, BitStream, Encoding, check_bits, read_degree,
@@ -158,6 +160,33 @@ def _root_degree(cursor, segment):
         raise CorruptionError(TRUNCATED, segment=segment, offset=0) from None
 
 
+# a degree stream is split _WINDOW bits at a time (``_codes``), so the
+# split's scratch beside the decode's tables stays a few KB; at most
+# 256, so that each code a window holds has a d - 1 that fits a byte
+_WINDOW = 256
+
+
+def _codes(bits, start):
+    """d - 1 for each unary code of degree d in ``bits[start:]``, in
+    order, up to the last complete code.
+
+    Yields one bytes object per window of ``_WINDOW`` bits, cut after its
+    last zero, so no code straddles two; such a window holds codes of at
+    most 255 ones.  A code of ``_WINDOW`` ones or more has no zero in the
+    window it starts, and comes alone, as a 1-tuple.
+    """
+    while True:
+        stop = bits.rfind("0", start, start + _WINDOW) + 1
+        if stop:
+            yield bytes(map(len, bits[start:stop - 1].split("0")))
+        else:
+            stop = bits.find("0", start) + 1
+            if not stop:
+                return
+            yield (stop - 1 - start,)
+        start = stop
+
+
 def _node(labels, label):
     """The node a label names (``decode_heaps``), for error messages."""
     return label if labels is None else sum(map(bool, labels[1:label + 1]))
@@ -191,18 +220,21 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
     its heap's ``blue`` list, in increasing order; no color is stored
     for any other node, and the joint scheme's lists stay empty.
 
-    The two root codes go through ``bitio.read_degree``; below the root
-    each heap keeps a cursor into its stream, and one ``str.find`` reads
-    each unary code, so no bit costs a Python call.  A truncated or
-    overlong stream raises ``CorruptionError`` with ``segment`` "t_min"
-    or "t_max" and ``offset`` the cursor's bit position: the first bit
-    of the code that runs past the end, or the first trailing bit; a side
-    string's errors name it at its length when it runs out, or at its
-    first unread character, after the degree and open-node checks.
+    The two root codes go through ``bitio.read_degree``.  Below the
+    root, ``_codes`` splits each stream at its zeros, one window at a
+    time, into bytes of d - 1 per code, and the loop takes a node's code
+    with one ``next``, which is also the count its frame starts with, so
+    no bit costs a Python call.  A truncated or overlong stream raises
+    ``CorruptionError`` with ``segment`` "t_min" or "t_max" and
+    ``offset`` the first bit of the code that runs past the end (the bit
+    after the stream's last zero), or the first trailing bit: n plus the
+    children still expected, since each bit read announced one child.
+    A side string's errors name it at its length when it runs out, or at
+    its first unread character, after the degree and open-node checks.
     Degrees are not kept: a tree derives them from its parents when they
-    are read.  Every ``right_sib`` entry but 0 is
-    the int object of the loop that made the node, as is every non-root
-    ``parent`` entry, so tables built from these share their ints.
+    are read.  Every ``right_sib`` entry but 0 is the int object of the
+    loop that made the node, as is every non-root ``parent`` entry, so
+    tables built from these share their ints.
 
     ``labels`` names the nodes, node r by r by default: a list with
     each label x at index x (node r has the r-th nonzero entry) and 0
@@ -222,18 +254,15 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
         nodes, size = iter(range(1, n + 1)), n + 1
     else:
         nodes, size = filter(None, labels), len(labels)
-    min_cursor, max_cursor = BitStream(t_min), BitStream(t_max)
-    root_min = _root_degree(min_cursor, "t_min")
-    root_max = _root_degree(max_cursor, "t_max")
+    root_min = _root_degree(BitStream(t_min), "t_min")
+    root_max = _root_degree(BitStream(t_max), "t_max")
     parent_min, parent_max = [None] * size, [None] * size
     sib_min, sib_max = [0] * size, [0] * size
     blue_min, blue_max = [], []
     # i is the node the last pass placed, by label, so each node is one
-    # int object; node 1 is the root's first child in both heaps, and a
-    # code of d bits leaves the cursor at bit d
+    # int object; node 1 is the root's first child in both heaps
     i = next(nodes)
     parent_min[i] = parent_max[i] = 0
-    pos_min, pos_max = root_min, root_max
     more_min, more_max = root_min > 1, root_max > 1
     stack_min, left_min = ([0], [root_min - 1]) if more_min else ([], [])
     stack_max, left_max = ([0], [root_max - 1]) if more_max else ([], [])
@@ -241,7 +270,8 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
         sib_min[0] = i
     if more_max:
         sib_max[0] = i
-    find_min, find_max = t_min.find, t_max.find
+    codes_min = chain.from_iterable(_codes(t_min, root_min))
+    codes_max = chain.from_iterable(_codes(t_max, root_max))
     gb_bits, bad_bits, trits = iter(u_gb), iter(v_bad), iter(v_neutral)
     # more_min and more_max say whether i gets a right sibling in each heap
     for k in nodes:
@@ -250,44 +280,48 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
             own_min = u[i - 1] == "0"
         elif more_min == more_max:
             # good (siblings in neither heap) or bad (in both): the U bit
-            b = next(gb_bits, None)
-            if b is None:
+            try:
+                b = next(gb_bits)
+            except StopIteration:
                 raise CorruptionError(TRUNCATED, segment="u_gb",
-                                      offset=len(u_gb))
+                                      offset=len(u_gb)) from None
             own_min = b == "0"
             if more_min:  # bad: red where it is a leaf, v_bad where internal
-                c = next(bad_bits, None)
-                if c is None:
+                try:
+                    c = next(bad_bits)
+                except StopIteration:
                     raise CorruptionError(TRUNCATED, segment="v_bad",
-                                          offset=len(v_bad))
+                                          offset=len(v_bad)) from None
                 if c == "1":
                     (blue_min if own_min else blue_max).append(i)
         else:
             # neutral: the trit colors i in the heap where it has right
             # siblings, and 2 says it is internal in the other one
-            c = next(trits, None)
-            if c == "2":
-                own_min = more_max
-            elif c is None:
+            try:
+                c = next(trits)
+            except StopIteration:
                 raise CorruptionError("string v_neutral exhausted",
                                       segment="v_neutral",
-                                      offset=len(v_neutral))
+                                      offset=len(v_neutral)) from None
+            if c == "2":
+                own_min = more_max
             else:
                 own_min = more_min
                 if c == "1":
                     (blue_min if own_min else blue_max).append(i)
         if own_min:
-            j = find_min("0", pos_min)
-            if j < 0:
-                raise CorruptionError(TRUNCATED, segment="t_min", offset=pos_min)
+            # d - 1 for i's degree d; i stays open iff d >= 2
+            try:
+                more = next(codes_min)
+            except StopIteration:
+                raise CorruptionError(TRUNCATED, segment="t_min",
+                                      offset=t_min.rfind("0") + 1) from None
             parent_min[k] = i
-            # d = j + 1 - pos_min, and i stays open iff d >= 2
-            more_min = j > pos_min
+            more_min = more > 0
             if more_min:
                 sib_min[i] = k
                 stack_min.append(i)
-                left_min.append(j - pos_min)
-            pos_min = j + 1
+                left_min.append(more)
             try:
                 q = stack_max[-1]
             except IndexError:
@@ -305,16 +339,17 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
                 stack_max.pop()
                 left_max.pop()
         else:
-            j = find_max("0", pos_max)
-            if j < 0:
-                raise CorruptionError(TRUNCATED, segment="t_max", offset=pos_max)
+            try:
+                more = next(codes_max)
+            except StopIteration:
+                raise CorruptionError(TRUNCATED, segment="t_max",
+                                      offset=t_max.rfind("0") + 1) from None
             parent_max[k] = i
-            more_max = j > pos_max
+            more_max = more > 0
             if more_max:
                 sib_max[i] = k
                 stack_max.append(i)
-                left_max.append(j - pos_max)
-            pos_max = j + 1
+                left_max.append(more)
             try:
                 p = stack_min[-1]
             except IndexError:
@@ -332,7 +367,11 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
                 stack_min.pop()
                 left_min.pop()
         i = k
-    for segment, bits, pos in (("t_min", t_min, pos_min), ("t_max", t_max, pos_max)):
+    # a code of d bits announced d children, and nodes 1..n were each
+    # one child in each heap, so the bits read are n plus the children
+    # still expected
+    for segment, bits, left in (("t_min", t_min, left_min), ("t_max", t_max, left_max)):
+        pos = n + sum(left)
         if pos != len(bits):
             raise CorruptionError("unconsumed trailing degree bits",
                                   segment=segment, offset=pos)

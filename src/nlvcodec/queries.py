@@ -79,16 +79,20 @@ class QueryStructure:
 
     def query(self, kind, i):
         # the range check and one lookup on the answering path; the
-        # errors, in their order, only once that path fails
+        # errors, in their order, only once that path fails (TypeError:
+        # an unhashable kind, or an index that is not an int)
         if 0 < i <= self.n:
             try:
                 return self.tables[kind][i]
-            except KeyError:
+            except (KeyError, TypeError):
                 pass
-        if kind not in self.tables:
-            if kind in QUERY_KINDS:
-                raise RangeError("joint scheme answers psv/plv only")
+        # a tuple compares any kind, unhashable too, by equality
+        if kind not in QUERY_KINDS:
             raise ValueError("unknown query kind %r" % (kind,))
+        if kind not in self.tables:
+            raise RangeError("joint scheme answers psv/plv only")
+        if 0 < i <= self.n:
+            return self.tables[kind][i]  # a non-int index raises TypeError
         raise _out_of_range(i, self.n)
 
     def psv(self, i):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -261,3 +262,41 @@ def test_query_error_precedence(scheme):
     for i in (0, 4):
         with pytest.raises(RangeError, match="index %d out of range 1..3" % i):
             qs.query("psv", i)
+
+
+@pytest.mark.parametrize("scheme", ["joint", "colored", "general"])
+def test_unhashable_kind_is_an_unknown_kind(scheme):
+    qs = decode(encode(ValueArray([3, 1, 2]), scheme))
+    for kind in (["psv"], {"psv": 1}, {"psv"}):
+        for i in (0, 1, 4):
+            with pytest.raises(ValueError, match=r"^unknown query kind %s$"
+                               % re.escape(repr(kind))):
+                qs.query(kind, i)
+
+
+@pytest.mark.parametrize("scheme", ["joint", "colored", "general"])
+def test_non_int_index_raises_type_error(scheme):
+    qs = decode(encode(ValueArray([3, 1, 2]), scheme))
+    for kind in ("psv", "plv"):
+        for i in ("1", 1.5, None, [1]):
+            with pytest.raises(TypeError):
+                qs.query(kind, i)
+    # an int index is still answered after a float one failed
+    assert qs.query("psv", 3) == ORACLES["psv"](ValueArray([3, 1, 2]), 3)
+
+
+@pytest.mark.parametrize("scheme", ["joint", "colored", "general"])
+def test_error_order_with_an_unhashable_kind(scheme):
+    # an unknown kind comes first, then joint nsv/nlv, then the range,
+    # whatever the kind's type
+    qs = decode(encode(ValueArray([3, 1, 2]), scheme))
+    for i in (-1, 0, 2, 4):
+        with pytest.raises(ValueError, match="unknown query kind"):
+            qs.query(["nsv"], i)
+    for i in (-1, 0, 4):
+        if scheme == "joint":
+            with pytest.raises(RangeError, match="joint scheme"):
+                qs.query("nlv", i)
+        else:
+            with pytest.raises(RangeError, match=r"^index %d out of range 1\.\.3$" % i):
+                qs.query("nlv", i)
