@@ -16,7 +16,7 @@ raises AllocationError.
 
 from .bitio import BitStream, subset_rank_width, trit_pack_bits, pack_trits, unpack_trits
 from .colored import ColoredEncoding, decode_colored, decode_tables, emit_colored
-from .errors import CorruptionError, PreconditionError
+from .errors import CorruptionError, PreconditionError, allocation_error
 from .general import GeneralEncoding, decode_general, decode_runs, encode_general
 from .joint import JointEncoding, decode_heaps, decode_joint, emit_joint
 from .queries import QueryStructure
@@ -66,27 +66,35 @@ def encode(a, scheme):
 
 
 def decode(enc):
-    """The query structure of any encoding, with ``.query(kind, i)``."""
-    if isinstance(enc, GeneralEncoding):
-        return decode_general(enc)
-    if isinstance(enc, JointEncoding):
-        (parent_min, _, _), (parent_max, _, _) = decode_heaps(
-            enc.n, enc.t_min, enc.t_max, u=enc.u)
-        return QueryStructure(enc.n, {"psv": parent_min, "plv": parent_max})
-    return QueryStructure(enc.n, decode_tables(enc))
+    """The query structure of any encoding, with ``.query(kind, i)``.
+    Raises AllocationError when its n-entry tables do not fit in
+    memory."""
+    try:
+        if isinstance(enc, GeneralEncoding):
+            return decode_general(enc)
+        if isinstance(enc, JointEncoding):
+            (parent_min, _, _), (parent_max, _, _) = decode_heaps(
+                enc.n, enc.t_min, enc.t_max, u=enc.u)
+            return QueryStructure(enc.n, {"psv": parent_min, "plv": parent_max})
+        return QueryStructure(enc.n, decode_tables(enc))
+    except MemoryError:
+        raise allocation_error(enc.n) from None
 
 
 def decode_shapes(enc):
     """The decoded shapes behind ``decode``: the run bits as a str of '0'
     and '1' (a general encoding's, else None) and both heaps, min first,
-    as ``OrdinalTree``s for joint and ``ColoredTree``s otherwise."""
-    c_bits = None
-    if isinstance(enc, GeneralEncoding):
-        c_bits = decode_runs(enc).translate(_RUN_BIT_OF_FLAG).decode()
-        enc = enc.colored
-    if isinstance(enc, JointEncoding):
-        return c_bits, decode_joint(enc)
-    return c_bits, decode_colored(enc)
+    as ``OrdinalTree``s for joint and ``ColoredTree``s otherwise.
+    Raises AllocationError when they do not fit in memory."""
+    try:
+        if isinstance(enc, GeneralEncoding):
+            c_bits = decode_runs(enc).translate(_RUN_BIT_OF_FLAG).decode()
+            return c_bits, decode_colored(enc.colored)
+        if isinstance(enc, JointEncoding):
+            return None, decode_joint(enc)
+        return None, decode_colored(enc)
+    except MemoryError:
+        raise allocation_error(enc.n) from None
 
 
 def write_varint(buf, value):

@@ -47,3 +47,9 @@ class AllocationError(NlvError, MemoryError):
     """Raised when a decode cannot allocate the n-entry tables that a
     container's header asks for.  A general container of a few bytes can
     declare any n up to MAX_N, since a long run costs it almost no bits."""
+
+
+def allocation_error(n):
+    """The AllocationError of a decode whose n-entry tables do not fit
+    in memory."""
+    return AllocationError("cannot allocate the decode tables for n = %d" % n)

@@ -21,7 +21,7 @@ from .arrays import (compute_runs, end_labels, equal_pairs, fill_runs,
 from .bitio import (Encoding, check_bits, comb, subset_rank, subset_rank_width,
                     subset_unrank, uint_bits)
 from .colored import decode_tables, emit_colored
-from .errors import AllocationError, CorruptionError
+from .errors import CorruptionError, allocation_error
 from .queries import QueryStructure
 from .trees import scan_heaps
 
@@ -85,7 +85,7 @@ def decode_runs(enc):
     except CorruptionError as exc:
         raise CorruptionError(str(exc), segment="c_rank") from None
     except MemoryError:
-        raise _allocation_error(enc.n) from None
+        raise allocation_error(enc.n) from None
 
 
 def decode_general(enc):
@@ -103,12 +103,8 @@ def decode_general(enc):
         tables = decode_tables(enc.colored, labels)
         fill_runs(keep, tables, labels)
     except MemoryError:
-        raise _allocation_error(n) from None
+        raise allocation_error(n) from None
     return QueryStructure(n, tables)
-
-
-def _allocation_error(n):
-    return AllocationError("cannot allocate the decode tables for n = %d" % n)
 
 
 def check_subset_coding_inequality(c, n, k):

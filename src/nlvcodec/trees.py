@@ -14,19 +14,22 @@ which is when its right sibling arrives.
 
 A tree (``OrdinalTree``) is its parent list plus its right-sibling and
 degree tables, which the heap builders fill in their stack scan and
-every other tree derives from the parents on first read.  A colored
-tree (``ColoredTree``) is a tree with a sibling code per node, its
-color.  ``colorize`` gives a built tree its codes; a decoded tree holds
-the next-value table a query reads and derives its codes from it.  The
-decoder stores no color: the next-value tables need only the blue
-nodes with a right sibling, which the shape loop lists, and
+every other tree derives from the parents on first read.  Both builders
+scan the values as given: the min heap from a -inf root, popping while
+the top is >= the new value, the max heap from a +inf root, popping
+while it is <= the new value.  A colored tree (``ColoredTree``) is a
+tree with a sibling code per node, its color.  ``colorize`` gives a
+tree its codes, visiting only the nodes with a right sibling; a decoded
+tree holds the next-value table a query reads and derives its codes
+from it.  The decoder stores no color: the next-value tables need only
+the blue nodes with a right sibling, which the shape loop lists, and
 ``_next_value_table`` writes both heaps' tables over their sibling
 lists in one top-down loop over the nodes, then one pass over each
 heap's blue nodes.
 """
 
 import math
-import operator
+from itertools import compress
 
 # a node's sibling code: no right sibling, a red one (the sibling holds a
 # different value) or a blue one (the same value)
@@ -188,33 +191,49 @@ def _next_value_table(heaps, labels=None):
     return table_min, table_max
 
 
-def _build_heap(values):
-    # Stack scan for PSV: node 0 holds a virtual value below every other,
-    # so it is never popped.  The stack is the rightmost path and p its
-    # top.  The last node popped before i is attached was its parent's
-    # last child so far; when nothing is popped, i is the first child of
-    # p = i-1.  ``scan_heaps`` is the same scan for both heaps at once,
-    # keeping degrees and codes.
-    padded = (-math.inf, *values)
+def _build_heap(values, lower=True):
+    # Stack scan for PSV (``lower``) or PLV: node 0 holds a virtual value
+    # below (above) every other, so it is never popped.  The stack is the
+    # rightmost path and p its top.  The last node popped before i is
+    # attached was its parent's last child so far; when nothing is
+    # popped, i is the first child of p = i-1.  The direction is chosen
+    # once, so neither loop tests it per element.  ``scan_heaps`` is the
+    # same scan for both heaps at once, keeping degrees and codes.
+    padded = (-math.inf if lower else math.inf, *values)
     size = len(padded)
     parent = [None] * size
     right_sib = [0] * size
     degrees = [0] * size
     stack = [0]
     p = 0
-    for i in range(1, size):
-        v = padded[i]
-        if padded[p] >= v:
-            while True:
-                last = stack.pop()
-                p = stack[-1]
-                if padded[p] < v:
-                    break
-            right_sib[last] = i
-        parent[i] = p
-        degrees[p] += 1
-        stack.append(i)
-        p = i
+    if lower:
+        for i in range(1, size):
+            v = padded[i]
+            if padded[p] >= v:
+                while True:
+                    last = stack.pop()
+                    p = stack[-1]
+                    if padded[p] < v:
+                        break
+                right_sib[last] = i
+            parent[i] = p
+            degrees[p] += 1
+            stack.append(i)
+            p = i
+    else:
+        for i in range(1, size):
+            v = padded[i]
+            if padded[p] <= v:
+                while True:
+                    last = stack.pop()
+                    p = stack[-1]
+                    if padded[p] > v:
+                        break
+                right_sib[last] = i
+            parent[i] = p
+            degrees[p] += 1
+            stack.append(i)
+            p = i
     return OrdinalTree(parent, right_sib, degrees)
 
 
@@ -284,8 +303,10 @@ def build_min_heap(a):
 
 
 def build_max_heap(a):
-    """Tree with parent(i) = PLV(i): the min heap of the negated values."""
-    return _build_heap(map(operator.neg, a.values))
+    """Tree with parent(i) = PLV(i); children sorted increasing.  The
+    min heap's stack scan over the same values, popping while the top
+    is <= the new value."""
+    return _build_heap(a.values, lower=False)
 
 
 def colorize(tree, a):
@@ -294,13 +315,13 @@ def colorize(tree, a):
     holds the sibling codes and no next-value table."""
     if tree.n != a.n:
         raise ValueError("tree and array sizes differ")
-    values = a.values
     right_sib = tree.right_sib
+    # node-indexed values: node 0, which is nobody's sibling, holds None
+    padded = (None, *a.values)
     codes = bytearray(tree.n + 1)
-    for i in range(1, tree.n + 1):
-        j = right_sib[i]
-        if j:
-            codes[i] = SIB_RED if values[i - 1] != values[j - 1] else SIB_BLUE
+    # only a node with a right sibling gets a code
+    for i in compress(range(tree.n + 1), right_sib):
+        codes[i] = SIB_RED if padded[i] != padded[right_sib[i]] else SIB_BLUE
     return ColoredTree.from_codes(tree, codes)
 
 

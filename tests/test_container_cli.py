@@ -530,6 +530,29 @@ class TestCli:
             assert capsys.readouterr().err == (
                 "allocation error: cannot allocate the decode tables for n = 8\n")
 
+    @pytest.mark.parametrize("scheme", ["joint", "colored", "general"])
+    def test_out_of_memory_in_the_shape_loop(self, scheme, tmp_path,
+                                             monkeypatch, capsys):
+        # a MemoryError in the shape loop, which every scheme's decode and
+        # decode_shapes run, is an AllocationError naming the header's n,
+        # and the CLI's decode and query exit 6 with no traceback
+        def fail(*args, **kwargs):
+            raise MemoryError
+        values = [2, 2, 1, 1, 3, 1, 3, 3] if scheme == "general" else FIGURE_VALUES
+        enc = encode(ValueArray(values), scheme)
+        path = tmp_path / "shapes.nlve"
+        path.write_bytes(serialize(enc))
+        for module in (container, nlvcodec.colored, nlvcodec.joint):
+            monkeypatch.setattr(module, "decode_heaps", fail)
+        message = "cannot allocate the decode tables for n = %d" % enc.n
+        for verb in (decode, container.decode_shapes):
+            with pytest.raises(AllocationError, match="^%s$" % message):
+                verb(enc)
+        for command in (["decode", "--dump-trees"],
+                        ["query", "--kind", "psv", "--index", "1"]):
+            assert main([command[0], "--in", str(path)] + command[1:]) == 6
+            assert capsys.readouterr().err == "allocation error: %s\n" % message
+
     def test_tables_too_large_for_memory_exit(self, tmp_path):
         # only ever decoded in a child whose address space is capped
         resource = pytest.importorskip("resource")
