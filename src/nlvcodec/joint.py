@@ -18,9 +18,11 @@ pass, under node labels the general scheme sets to its run ends,
 reading each choice inline, from U or from the colored scheme's side
 strings, and each unary degree code below the roots with one ``next``
 on the bytes that ``_codes`` splits its stream into, d - 1 per code, a
-window of 256 bits at a time; so no node costs a Python call.  Beside
-the tables it returns, its only scratch is a stack of open nodes and
-their child counts per heap, and one window's codes per heap.  The
+window of 256 bits at a time; so no node costs a Python call.  Each
+heap's deepest open node and the children it still expects are two
+locals, so attaching a node touches no stack.  Beside the tables it
+returns, its only scratch is, per heap, a stack of the open nodes below
+that top with their child counts, and one window's codes.  The
 joint scheme stores U as is, so its heaps answer PSV/PLV only; the
 colored scheme (``colored.py``) folds the choice into the colors, and
 the loop lists the blue nodes its next-value tables need.
@@ -200,11 +202,15 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
     Node 0 is internal in both heaps and, for 0 < i < n, i is internal
     in exactly one, where i + 1 is its first child.  So node i + 1 takes
     i as its parent there with no stack access, and the other heap
-    attaches it to the top of its stack of open nodes, those still
-    expecting children, deepest last.  A frame stack beside each holds
-    how many children each still expects, so the scratch is O(open
-    nodes); a node is pushed only while it expects a second child.  An
-    open node's own ``right_sib`` slot is free until the node closes
+    attaches it to its deepest open node, the last one still expecting
+    children.  Each heap keeps that top and the count of children it
+    still expects in two locals, so the attach is the parent and
+    sibling stores and one decrement.  Two lists hold the open nodes
+    below the top and their counts, over a sentinel frame of no node;
+    when the count reaches 0, one pop from each gives the new top, and
+    None says no node is open.  So the scratch is two list slots per
+    open node, and a node is pushed only while it expects a second
+    child.  An open node's own ``right_sib`` slot is free until it closes
     (its siblings come after its subtree), so it holds the node's last
     child so far, and 0 again when it pops.
 
@@ -228,13 +234,16 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
     ``CorruptionError`` with ``segment`` "t_min" or "t_max" and
     ``offset`` the first bit of the code that runs past the end (the bit
     after the stream's last zero), or the first trailing bit: n plus the
-    children still expected, since each bit read announced one child.
-    A side string's errors name it at its length when it runs out, or at
-    its first unread character, after the degree and open-node checks.
-    Degrees are not kept: a tree derives them from its parents when they
-    are read.  Every ``right_sib`` entry but 0 is the int object of the
-    loop that made the node, as is every non-root ``parent`` entry, so
-    tables built from these share their ints.
+    children still expected, the top's and those of the frames below
+    it, since each bit read announced one child.  A node that finds no
+    open node to attach to, and an open node left at the end, raise
+    ``CorruptionError`` naming the node.  A side string's errors name it
+    at its length when it runs out, or at its first unread character,
+    after the degree and open-node checks.  Degrees are not kept: a tree
+    derives them from its parents when they are read.  Every
+    ``right_sib`` entry but 0 is the int object of the loop that made
+    the node, as is every non-root ``parent`` entry, so tables built
+    from these share their ints.
 
     ``labels`` names the nodes, node r by r by default: a list with
     each label x at index x (node r has the r-th nonzero entry) and 0
@@ -264,8 +273,12 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
     i = next(nodes)
     parent_min[i] = parent_max[i] = 0
     more_min, more_max = root_min > 1, root_max > 1
-    stack_min, left_min = ([0], [root_min - 1]) if more_min else ([], [])
-    stack_max, left_max = ([0], [root_max - 1]) if more_max else ([], [])
+    # each heap's deepest open node and the children it still expects,
+    # or None and 0; the lists hold the frames below it, over a
+    # sentinel frame of no node
+    top_min, tl_min = (0, root_min - 1) if more_min else (None, 0)
+    top_max, tl_max = (0, root_max - 1) if more_max else (None, 0)
+    stack_min, left_min, stack_max, left_max = [None], [0], [None], [0]
     if more_min:
         sib_min[0] = i
     if more_max:
@@ -320,24 +333,22 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
             more_min = more > 0
             if more_min:
                 sib_min[i] = k
-                stack_min.append(i)
-                left_min.append(more)
-            try:
-                q = stack_max[-1]
-            except IndexError:
+                stack_min.append(top_min)
+                left_min.append(tl_min)
+                top_min, tl_min = i, more
+            if top_max is None:
                 raise CorruptionError("no open node to attach node %d"
-                                      % _node(labels, k)) from None
-            parent_max[k] = q
-            sib_max[sib_max[q]] = k
-            more = left_max[-1] - 1
-            more_max = more > 0
+                                      % _node(labels, k))
+            parent_max[k] = top_max
+            sib_max[sib_max[top_max]] = k
+            tl_max -= 1
+            more_max = tl_max > 0
             if more_max:
-                sib_max[q] = k
-                left_max[-1] = more
+                sib_max[top_max] = k
             else:
-                sib_max[q] = 0
-                stack_max.pop()
-                left_max.pop()
+                sib_max[top_max] = 0
+                top_max = stack_max.pop()
+                tl_max = left_max.pop()
         else:
             try:
                 more = next(codes_max)
@@ -348,37 +359,36 @@ def decode_heaps(n, t_min, t_max, u=None, u_gb="", v_bad="", v_neutral="",
             more_max = more > 0
             if more_max:
                 sib_max[i] = k
-                stack_max.append(i)
-                left_max.append(more)
-            try:
-                p = stack_min[-1]
-            except IndexError:
+                stack_max.append(top_max)
+                left_max.append(tl_max)
+                top_max, tl_max = i, more
+            if top_min is None:
                 raise CorruptionError("no open node to attach node %d"
-                                      % _node(labels, k)) from None
-            parent_min[k] = p
-            sib_min[sib_min[p]] = k
-            more = left_min[-1] - 1
-            more_min = more > 0
+                                      % _node(labels, k))
+            parent_min[k] = top_min
+            sib_min[sib_min[top_min]] = k
+            tl_min -= 1
+            more_min = tl_min > 0
             if more_min:
-                sib_min[p] = k
-                left_min[-1] = more
+                sib_min[top_min] = k
             else:
-                sib_min[p] = 0
-                stack_min.pop()
-                left_min.pop()
+                sib_min[top_min] = 0
+                top_min = stack_min.pop()
+                tl_min = left_min.pop()
         i = k
     # a code of d bits announced d children, and nodes 1..n were each
     # one child in each heap, so the bits read are n plus the children
-    # still expected
-    for segment, bits, left in (("t_min", t_min, left_min), ("t_max", t_max, left_max)):
-        pos = n + sum(left)
+    # still expected, the top's among them
+    for segment, bits, left, tl in (("t_min", t_min, left_min, tl_min),
+                                    ("t_max", t_max, left_max, tl_max)):
+        pos = n + sum(left) + tl
         if pos != len(bits):
             raise CorruptionError("unconsumed trailing degree bits",
                                   segment=segment, offset=pos)
-    for stack, left in ((stack_min, left_min), (stack_max, left_max)):
-        if stack:
+    for top, tl in ((top_min, tl_min), (top_max, tl_max)):
+        if top is not None:
             raise CorruptionError("node %d still expects %d more children"
-                                  % (_node(labels, stack[-1]), left[-1]))
+                                  % (_node(labels, top), tl))
     # a str iterator's length hint is the count of characters left
     for segment, text, it in (("u_gb", u_gb, gb_bits), ("v_bad", v_bad, bad_bits),
                               ("v_neutral", v_neutral, trits)):

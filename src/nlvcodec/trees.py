@@ -193,46 +193,49 @@ def _next_value_table(heaps, labels=None):
 
 def _build_heap(values, lower=True):
     # Stack scan for PSV (``lower``) or PLV: node 0 holds a virtual value
-    # below (above) every other, so it is never popped.  The stack is the
-    # rightmost path and p its top.  The last node popped before i is
-    # attached was its parent's last child so far; when nothing is
-    # popped, i is the first child of p = i-1.  The direction is chosen
-    # once, so neither loop tests it per element.  ``scan_heaps`` is the
-    # same scan for both heaps at once, keeping degrees and codes.
+    # below (above) every other, so it is never popped.  p, the last node
+    # of the rightmost path, stays out of the stack, which holds the path
+    # from the root to p's parent, so each pop returns the new p and no
+    # step peeks.  The last node popped before i is attached was its
+    # parent's last child
+    # so far; when nothing is popped, i is the first child of p = i-1.
+    # The direction is chosen once, so neither loop tests it per
+    # element.  ``scan_heaps`` is the same scan for both heaps at once,
+    # keeping degrees and codes.
     padded = (-math.inf if lower else math.inf, *values)
     size = len(padded)
     parent = [None] * size
     right_sib = [0] * size
     degrees = [0] * size
-    stack = [0]
+    stack = []
     p = 0
     if lower:
         for i in range(1, size):
             v = padded[i]
             if padded[p] >= v:
-                while True:
-                    last = stack.pop()
-                    p = stack[-1]
-                    if padded[p] < v:
-                        break
+                last = p
+                p = stack.pop()
+                while padded[p] >= v:
+                    last = p
+                    p = stack.pop()
                 right_sib[last] = i
             parent[i] = p
             degrees[p] += 1
-            stack.append(i)
+            stack.append(p)
             p = i
     else:
         for i in range(1, size):
             v = padded[i]
             if padded[p] <= v:
-                while True:
-                    last = stack.pop()
-                    p = stack[-1]
-                    if padded[p] > v:
-                        break
+                last = p
+                p = stack.pop()
+                while padded[p] <= v:
+                    last = p
+                    p = stack.pop()
                 right_sib[last] = i
             parent[i] = p
             degrees[p] += 1
-            stack.append(i)
+            stack.append(p)
             p = i
     return OrdinalTree(parent, right_sib, degrees)
 

@@ -41,6 +41,15 @@ def monotone_runs_array(rng, n):
         0 if i in equal_after else 1 for i in range(n))))
 
 
+def deep_stack_array(m, negate=False):
+    """2, 4, ..., 2m, then 2m-1, 2m-3, ..., 1: n = 2m, and nodes 0..m-1
+    of the min heap each have a second child, 2m - j for node j, that
+    comes after node m, so the shape loop holds m frames open there.
+    Negated, it does the same in the max heap."""
+    values = list(range(2, 2 * m + 1, 2)) + list(range(2 * m - 1, 0, -2))
+    return ValueArray([-v for v in values] if negate else values)
+
+
 def scan_arrays():
     """(name, array) pairs on which the array path (``trees.scan_heaps``
     and one payload writer) must match the tree path: the figure, seeded

@@ -23,7 +23,8 @@ from nlvcodec.trees import (SIB_BLUE, SIB_NONE, SIB_RED, ColoredTree,
 import nlvcodec.colored as colored_module
 import nlvcodec.trees as trees_module
 
-from conftest import (make_rng, outcome, random_no_equal_neighbours, scan_arrays,
+from conftest import (deep_stack_array, make_rng, outcome,
+                      random_no_equal_neighbours, scan_arrays,
                       stack_answers)
 
 
@@ -490,6 +491,18 @@ class TestDecodedMemory:
         _, held, peak = self.traced_decode(enc)
         bound = sys.getsizeof(bytearray(self.n + 1))
         assert peak - held < bound, (peak, held, bound)
+
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_deep_stack_peaks_near_what_it_holds(self, negate):
+        # n/2 frames stay open in one heap, two list slots each: fewer
+        # bytes than the node ints not yet made by then, so the decode
+        # still peaks at its end; an object per frame would not
+        n = 20_000
+        a = deep_stack_array(n // 2, negate)
+        enc = encode_colored(*colored_pair(a))
+        pair, held, peak = self.traced_decode(enc)
+        assert peak - held < n, (peak, held)
+        assert pair == colored_pair(a)
 
     def test_next_value_is_the_decoded_sibling_list(self, monkeypatch):
         returned = []

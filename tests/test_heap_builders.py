@@ -1,10 +1,12 @@
 """The heap builders and ``colorize`` against the versions they replaced,
-kept here as references: the max heap built as the min heap of the
-negated values, and a ``colorize`` that tests every node.  Parents,
-right siblings, degrees and codes must be identical.  Then the tree path
-against the encoders' scan at the benchmark's n = 2e4, where the stacks
-run deep."""
+kept here as references: the stack scan that peeked at its top after
+each pop, the max heap built as the min heap of the negated values, and
+a ``colorize`` that tests every node.  Parents, right siblings, degrees
+and codes must be identical.  Then the tree path against the encoders'
+scan at the benchmark's n = 2e4, where the stacks run deep, and one
+arrival that pops n - 1 nodes."""
 
+import math
 import operator
 
 from nlvcodec import ValueArray, container, fuzz, trees
@@ -19,6 +21,32 @@ from conftest import FIGURE_VALUES, make_rng, monotone_runs_array
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
+
+
+def reference_build_heap(values, lower=True):
+    """The stack scan with its top kept on the stack, peeked at after
+    each pop, and the direction tested per element."""
+    padded = (-math.inf if lower else math.inf, *values)
+    size = len(padded)
+    parent = [None] * size
+    right_sib = [0] * size
+    degrees = [0] * size
+    stack = [0]
+    p = 0
+    for i in range(1, size):
+        v = padded[i]
+        if padded[p] >= v if lower else padded[p] <= v:
+            while True:
+                last = stack.pop()
+                p = stack[-1]
+                if padded[p] < v if lower else padded[p] > v:
+                    break
+            right_sib[last] = i
+        parent[i] = p
+        degrees[p] += 1
+        stack.append(i)
+        p = i
+    return trees.OrdinalTree(parent, right_sib, degrees)
 
 
 def reference_build_max_heap(a):
@@ -76,6 +104,13 @@ class TestReferenceBuilders:
             count += 1
         assert count > 1400
 
+    def test_builders_equal_the_peek_loop(self):
+        for name, a in builder_arrays():
+            assert tables(build_min_heap(a)) == tables(
+                reference_build_heap(a.values)), name
+            assert tables(build_max_heap(a)) == tables(
+                reference_build_heap(a.values, lower=False)), name
+
     def test_colorize_equals_per_node_loop(self):
         blue = 0
         for name, a in builder_arrays():
@@ -131,3 +166,29 @@ class TestTreePathAtBenchmarkSize:
             reduced = reduced_array(a, compute_runs(a))
             assert reduced.n < self.N
             assert tree_path(reduced) == encode_general(a).colored, name
+
+
+class TestDeepPops:
+    """One arrival pops n - 1 nodes: a new minimum after an increasing
+    run in the min heap, a new maximum after a decreasing run in the max
+    heap.  Both builders against the peek loop and the negated min heap,
+    on both arrays."""
+
+    N = 20_000
+
+    def test_against_the_references(self):
+        n = self.N
+        for name, a in (("increasing then a new minimum",
+                         ValueArray(list(range(1, n)) + [0])),
+                        ("decreasing then a new maximum",
+                         ValueArray(list(range(n - 1, 0, -1)) + [n]))):
+            min_t, max_t = build_min_heap(a), build_max_heap(a)
+            assert tables(min_t) == tables(reference_build_heap(a.values)), name
+            assert tables(max_t) == tables(
+                reference_build_heap(a.values, lower=False)), name
+            assert tables(max_t) == tables(reference_build_max_heap(a)), name
+            # the popped heap: node n is the root's second child, after
+            # the path 1..n-1
+            deep = min_t if a.values[-1] == 0 else max_t
+            assert deep.parent[1:] == list(range(n - 1)) + [0], name
+            assert deep.right_sib[1] == n and deep.degrees[0] == 2, name

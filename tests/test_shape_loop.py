@@ -16,7 +16,7 @@ from nlvcodec.bitio import TRUNCATED, BitStream
 from nlvcodec.general import decode_runs
 from nlvcodec.joint import _codes, _node, _root_degree, decode_heaps
 
-from conftest import make_rng
+from conftest import deep_stack_array, make_rng, monotone_runs_array
 from test_decode_bad_input import CASES, FIELDS, edited_case, random_case
 
 
@@ -340,3 +340,109 @@ class TestDegreesOf256And257:
                     "t_min", d + 1)
             assert_same(n, cut, names)
 
+
+
+N = 20_000
+
+
+class TestAtBenchmarkSize:
+    """Both loops at the benchmark's n = 2e4, on its three families, each
+    as it is and with a few edits."""
+
+    @staticmethod
+    def runs():
+        rng = make_rng(320)
+        values = list(range(1, N + 1))
+        rng.shuffle(values)
+        a = ValueArray(values)
+        for scheme in ("joint", "colored"):
+            yield scheme, a.n, segments(encode(a, scheme), scheme), None
+        for name, a in (("fair-coin bits",
+                         ValueArray([rng.randint(0, 1) for _ in range(N)])),
+                        ("monotone runs", monotone_runs_array(rng, N))):
+            col, labels = general_parts(a)
+            assert col.n < N
+            yield name, col.n, segments(col, "colored"), labels
+
+    def test_families(self):
+        rng = make_rng(321)
+        for name, n, case, labels in self.runs():
+            assert len(assert_same(n, case, labels)) == 2, name
+            for _ in range(8):
+                assert_same(n, edited(rng, case), labels)
+
+
+class TestDeepStack:
+    """The deep-stack array keeps N/2 frames open in one heap: the min
+    heap, or the max heap when negated."""
+
+    @pytest.mark.parametrize("negate", [False, True])
+    @pytest.mark.parametrize("scheme", ["joint", "colored", "general"])
+    def test_same_tables(self, scheme, negate):
+        m = N // 2
+        a = deep_stack_array(m, negate)
+        if scheme == "general":
+            col, labels = general_parts(a)
+            got = assert_same(col.n, segments(col, "colored"), labels)
+        else:
+            got = assert_same(a.n, segments(encode(a, scheme), scheme))
+        (parent_min, _, _), (parent_max, _, _) = got
+        deep, star = (parent_max, parent_min) if negate else (parent_min, parent_max)
+        # node j < m is the parent of j + 1 and of 2m - j
+        assert deep[1:] == list(range(m)) + list(range(m - 1, -1, -1))
+        assert star[1:] == [0] * m + list(range(m, 2 * m))
+
+
+class TestFrameBoundaries:
+    """Corruptions where a frame closes or stays open, made from the
+    deep-stack array's joint encoding: its deep heap's stream is one
+    code of degree 2 per node 0..m-1, and the other heap's is the
+    root's m children, then one child for each of nodes m..2m-1."""
+
+    m = 40
+
+    def parts(self, negate):
+        m = self.m
+        a = deep_stack_array(m, negate)
+        case = segments(encode(a, "joint"), "joint")
+        deep, star = ("t_max", "t_min") if negate else ("t_min", "t_max")
+        assert case[deep] == "10" * m
+        assert case[star] == "1" * (m - 1) + "0" * (m + 1)
+        return a.n, case, deep, star
+
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_root_closes_while_nodes_remain(self, negate):
+        n, case, deep, star = self.parts(negate)
+        m = self.m
+        # the deep heap's root has one child: the stack of frames above
+        # it empties to the sentinel when node 1 closes, and node 2m
+        # finds no open node
+        cut = dict(case, **{deep: case[deep][1:]})
+        assert assert_same(n, cut) == (
+            "CorruptionError", "no open node to attach node %d" % n, None, None)
+        # the other heap's root has m - 1 children, so it closes at node
+        # m - 1, with no frame below it, and node m finds no open node
+        cut = dict(case, **{star: case[star][1:]})
+        assert assert_same(n, cut) == (
+            "CorruptionError", "no open node to attach node %d" % m, None, None)
+
+    @pytest.mark.parametrize("negate", [False, True])
+    @pytest.mark.parametrize("j", [2, 3, 40])
+    def test_streams_end_with_frames_open(self, negate, j):
+        # nodes 1..j alone, with the deep stream's first j + 1 codes and
+        # a root of degree j in the other heap: every code is read, and
+        # nodes 0..j-1 still expect one child each, node j - 1 on top
+        _, case, deep, star = self.parts(negate)
+        prefix = {"u": case["u"][:j - 1], deep: case[deep][:2 * j],
+                  star: "1" * (j - 1) + "0"}
+        assert assert_same(j, prefix) == (
+            "CorruptionError", "node %d still expects 1 more children" % (j - 1),
+            None, None)
+        # one bit more: the trailing bit sits at j plus the j children
+        # still expected, the top's among them
+        for bit in "01":
+            longer = dict(prefix, **{deep: prefix[deep] + bit})
+            assert assert_same(j, longer) == (
+                "CorruptionError", "unconsumed trailing degree bits", deep, 2 * j)
+        shorter = dict(prefix, **{deep: prefix[deep][:-1]})
+        assert assert_same(j, shorter)[0] == "CorruptionError"
