@@ -1,12 +1,14 @@
 import itertools
+import math
+import operator
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlvcodec import (RangeError, ValueArray, decode, deserialize, encode,
-                      serialize)
+from nlvcodec import (QueryStructure, RangeError, ValueArray, decode,
+                      deserialize, encode, serialize)
 from nlvcodec.arrays import (ORACLES, QUERY_KINDS, compute_runs, end_labels,
                              reduced_array)
 from nlvcodec.general import decode_runs
@@ -300,3 +302,105 @@ def test_error_order_with_an_unhashable_kind(scheme):
         else:
             with pytest.raises(RangeError, match=r"^index %d out of range 1\.\.3$" % i):
                 qs.query("nlv", i)
+
+
+def _contract(kinds, a, kind, i):
+    """The outcome the query contract gives kind at i on a structure of
+    array a that answers ``kinds``: (None, the answer) or (exception
+    type, message).  ``kinds`` is None for a tree query, which takes no
+    kind."""
+    if kinds is not None:
+        if kind not in QUERY_KINDS:
+            return ValueError, "unknown query kind %r" % (kind,)
+        if kind not in kinds:
+            return RangeError, "joint scheme answers psv/plv only"
+    try:
+        j = operator.index(i)
+    except TypeError as exc:
+        return TypeError, str(exc)
+    if not 1 <= j <= a.n:
+        return RangeError, "index %d out of range 1..%d" % (j, a.n)
+    return None, ORACLES[kind](a, j)
+
+
+def _outcome(query, *args):
+    try:
+        return None, query(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _contract_indices(n):
+    return (-n - 1, -n, -1, 0, 1, n, n + 1, 2 ** 64, True, False, 0.5,
+            n + 0.5, 1e30, math.inf, math.nan, "1", None)
+
+
+CONTRACT_KINDS = QUERY_KINDS + ("bogus", ["psv"])
+
+CONTRACT_CASES = [("joint", [3, 8, 5, 6, 3, 2, 7, 10, 9]),
+                  ("colored", [3, 8, 5, 6, 3, 2, 7, 10, 9]),
+                  ("general", [3, 8, 5, 6, 3, 2, 7, 10, 9]),
+                  ("general", [2, 2, 1, 1, 3, 1, 3, 3])]
+
+
+class TestQueryContract:
+    """One index contract on both query paths: an unknown kind, then
+    joint nsv/nlv, then a non-int index (TypeError, at any value), then
+    an int outside 1..n (RangeError)."""
+
+    @pytest.mark.parametrize("scheme,values", CONTRACT_CASES)
+    def test_structure_follows_the_contract(self, scheme, values):
+        a = ValueArray(values)
+        qs = decode(deserialize(serialize(encode(a, scheme))))
+        kinds = ("psv", "plv") if scheme == "joint" else QUERY_KINDS
+        for kind in CONTRACT_KINDS:
+            for i in _contract_indices(a.n):
+                assert (_outcome(qs.query, kind, i)
+                        == _contract(kinds, a, kind, i)), (kind, i)
+
+    def test_tree_queries_follow_the_contract(self):
+        rng = make_rng(33)
+        for a in (ValueArray([3, 8, 5, 6, 3, 2, 7, 10, 9]),
+                  random_no_equal_neighbours(rng, 40, hi=6)):
+            cmin, cmax = decoded_pair(a)
+            for kind, query in TREE_QUERIES.items():
+                tree = cmin if kind in ("psv", "nsv") else cmax
+                for i in _contract_indices(a.n):
+                    assert (_outcome(query, tree, i)
+                            == _contract(None, a, kind, i)), (kind, i)
+
+    @pytest.mark.parametrize("scheme,values", CONTRACT_CASES)
+    def test_no_negative_index_reads_a_tables_end(self, scheme, values):
+        # each table has n + 1 entries, so a bare lookup reads an entry
+        # for every i in -n-1..-1 (table[-1] is the answer at n); the
+        # query refuses all of them
+        a = ValueArray(values)
+        qs = decode(encode(a, scheme))
+        for kind, table in qs.tables.items():
+            assert table[-1] == ORACLES[kind](a, a.n)
+            for i in range(-a.n - 1, 0):
+                with pytest.raises(RangeError, match=r"^index %d out of range 1\.\.%d$"
+                                   % (i, a.n)):
+                    qs.query(kind, i)
+        if scheme == "colored":
+            cmin, cmax = decoded_pair(a)
+            for kind, query in TREE_QUERIES.items():
+                tree = cmin if kind in ("psv", "nsv") else cmax
+                for i in range(-a.n - 1, 0):
+                    with pytest.raises(RangeError):
+                        query(tree, i)
+
+
+class TestTableLengthGuard:
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_a_table_of_another_length_is_refused(self, length):
+        tables = {"psv": [0, 0, 1, 2], "plv": [0] * length}
+        with pytest.raises(ValueError, match=r"^plv table has %d entries, not "
+                           r"n \+ 1 = 4$" % length):
+            QueryStructure(3, tables)
+
+    def test_a_table_of_an_unknown_kind_is_refused(self):
+        # else the lookup would answer a kind that query calls unknown
+        with pytest.raises(ValueError, match="^unknown query kind 'bogus'$"):
+            QueryStructure(3, {"psv": [0, 0, 1, 2], "bogus": [0] * 4})
+
